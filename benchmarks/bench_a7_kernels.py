@@ -128,7 +128,7 @@ def test_a7_build_wallclock_table():
 
 @table_bench
 def test_a7_query_wallclock_table():
-    """Bulk knn_query (FlatTree descent) per backend vs baseline."""
+    """Bulk knn_query (FlatTree descent + march) per backend vs baseline."""
     n, q, k = 200_000, 50_000, 2
     pts = uniform_cube(n, 2, bench_seed(13))
     queries = uniform_cube(q, 2, bench_seed(17))
@@ -142,8 +142,7 @@ def test_a7_query_wallclock_table():
         for backend in BACKENDS:
             with use_backend(backend):
                 t0 = time.perf_counter()
-                idx, sq = knn_query(res.tree, res.system.points, queries, k,
-                                    layout=layout)
+                idx, sq = knn_query(layout, res.system.points, queries, k)
                 t = time.perf_counter() - t0
             timings[backend] = min(t, timings.get(backend, float("inf")))
             assert idx.shape == (q, k) and sq.shape == (q, k)

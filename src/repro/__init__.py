@@ -23,8 +23,8 @@ Public surface (see README for a tour):
 - :mod:`repro.analysis` — recurrences, probability bounds, scaling fits;
 - :mod:`repro.kernels` — pluggable hot-path kernel backends (the numpy
   reference and an optional numba-jitted table, bit-identical by
-  contract) plus the contiguous :class:`~repro.kernels.FlatTree`
-  descent layout;
+  contract) plus the contiguous :class:`~repro.kernels.FlatTree`, the
+  array form of a partition tree that queries descend and march;
 - :mod:`repro.obs` — tracing spans, metrics registry, trace exports;
 - :mod:`repro.parallel` — the multiprocess frontier backend: shared-memory
   buffers, shard planning, the worker pool (``engine="frontier-mp"``);
@@ -85,7 +85,7 @@ from .api import (
     run_traced,
 )
 
-__version__ = "1.9.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "analysis",

@@ -76,7 +76,6 @@ from .core import (
 )
 from .geometry.points import as_points
 from .kernels import use_backend
-from .kernels.layout import FlatTree
 from .obs import Tracer
 from .pvm import Cost, Machine
 from .serve import Batcher, ResultCache, ServingIndex, ServingPool
@@ -170,8 +169,6 @@ class Index:
         self.mutable = mutable
         self._structure: Optional[NeighborhoodQueryStructure] = None
         self._structure_version: Optional[int] = None
-        self._layout: Optional[FlatTree] = None
-        self._layout_version: Optional[int] = None
 
     # -- identity ----------------------------------------------------------
 
@@ -234,13 +231,7 @@ class Index:
             Each (q, k), sorted ascending by (distance, index).
         """
         kk = self.k if k is None else k
-        # cache the contiguous descent layout per committed version —
-        # commits can replace the tree, so a stale layout must never
-        # answer for a newer version
-        if self._layout_version != self.version:
-            self._layout = FlatTree.from_tree(self.tree)
-            self._layout_version = self.version
-        return knn_query(self.tree, self.points, queries, kk, layout=self._layout)
+        return knn_query(self.mutable.layout, self.points, queries, kk)
 
     def covering(self, point: np.ndarray) -> np.ndarray:
         """Data-point ids whose k-NN ball strictly contains ``point``.

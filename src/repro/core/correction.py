@@ -32,7 +32,6 @@ import numpy as np
 
 from ..geometry.balls import BallSystem
 from ..pvm.machine import Machine
-from .neighborhood import merge_neighbor_lists
 from .partition_tree import PartitionNode
 from .query import NeighborhoodQueryStructure, QueryConfig
 
@@ -153,35 +152,12 @@ def apply_candidate_pairs(
     ``owner_ids[r]`` is the global point owning ball row ``r``.  For each
     owner with candidates, its list is re-taken as the k best of (current
     list ∪ candidates).  Self-pairs are ignored.  Returns the number of
-    owners whose lists changed.
+    owners whose lists changed.  One call to
+    :func:`apply_candidate_pairs_batch` over the pairs' owners.
     """
-    if ball_rows.shape[0] == 0:
-        return 0
-    owners = owner_ids[ball_rows]
-    keep = owners != point_ids
-    owners, cands = owners[keep], point_ids[keep]
-    if owners.shape[0] == 0:
-        return 0
-    diff = points[owners].astype(np.float64, copy=False) - points[cands].astype(
-        np.float64, copy=False
+    return apply_candidate_pairs_batch(
+        points, nbr_idx, nbr_sq, owner_ids[ball_rows], point_ids, k
     )
-    cand_sq = np.einsum("ij,ij->i", diff, diff)
-    order = np.argsort(owners, kind="stable")
-    owners, cands, cand_sq = owners[order], cands[order], cand_sq[order]
-    boundaries = np.flatnonzero(np.concatenate(([True], owners[1:] != owners[:-1])))
-    boundaries = np.append(boundaries, owners.shape[0])
-    changed = 0
-    for b in range(boundaries.shape[0] - 1):
-        lo, hi = boundaries[b], boundaries[b + 1]
-        g = owners[lo]
-        new_idx, new_sq = merge_neighbor_lists(
-            nbr_idx[g], nbr_sq[g], cands[lo:hi], cand_sq[lo:hi], k
-        )
-        if not np.array_equal(new_idx, nbr_idx[g]) or not np.array_equal(new_sq, nbr_sq[g]):
-            changed += 1
-        nbr_idx[g] = new_idx
-        nbr_sq[g] = new_sq
-    return changed
 
 
 def apply_candidate_pairs_batch(
@@ -192,16 +168,17 @@ def apply_candidate_pairs_batch(
     cands: np.ndarray,
     k: int,
 ) -> int:
-    """Fully vectorised :func:`apply_candidate_pairs` over global pairs.
+    """Merge global candidate pairs into the neighbor lists, in place.
 
     ``owners[i]`` is the global point whose list candidate ``cands[i]``
     may enter.  Per owner the result is bitwise identical to
-    :func:`merge_neighbor_lists` (dedupe by id keeping the smallest
-    distance, order by (distance, id), take the k best, pad with
-    ``-1``/``inf``) — no distance is ever recomputed differently, only
-    copied — so the frontier engine can defer every correction of one tree
-    level (whose owners are disjoint across same-level nodes) into a
-    single call.  Returns the number of owners whose lists changed.
+    :func:`~repro.core.neighborhood.merge_neighbor_lists` (dedupe by id
+    keeping the smallest distance, order by (distance, id), take the k
+    best, pad with ``-1``/``inf``) — no distance is ever recomputed
+    differently, only copied — so one call covers any number of owners,
+    and the frontier engine defers every correction of one tree level
+    (whose owners are disjoint across same-level nodes) into a single
+    call.  Returns the number of owners whose lists changed.
     """
     if owners.shape[0] == 0:
         return 0
@@ -213,7 +190,10 @@ def apply_candidate_pairs_batch(
         np.float64, copy=False
     )
     cand_sq = np.einsum("ij,ij->i", diff, diff)
-    uniq_owners = np.unique(owners)
+    # sort-based unique: with np.unique, the thousands of small calls one
+    # online build makes left about 1 MB more resident heap behind
+    srt = np.sort(owners)
+    uniq_owners = srt[np.concatenate(([True], srt[1:] != srt[:-1]))]
     t = uniq_owners.shape[0]
     cur_idx = nbr_idx[uniq_owners]
     cur_sq = nbr_sq[uniq_owners]

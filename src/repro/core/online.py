@@ -38,8 +38,11 @@ Versions are copy-on-write: each commit allocates fresh neighbor arrays and
 fresh nodes along the recomputed spine, *sharing* unchanged subtrees with
 the previous version (insert-only commits share node objects outright;
 commits with deletions clone reused subtrees with monotonically remapped
-ids, which preserves every (distance, index) tie-break).  Snapshots taken
-from older versions therefore stay valid and untouched forever.
+ids, which preserves every (distance, index) tie-break).  Each version is
+flattened once into a :class:`~repro.kernels.FlatTree`, and snapshots
+hold only that and the version's arrays — never the pointer tree or its
+replay records — so they stay valid forever while a superseded tree is
+freed as soon as the next commit replaces it.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ import numpy as np
 
 from ..geometry.points import as_points
 from ..geometry.spheres import Hyperplane, Sphere
+from ..kernels.layout import FlatTree
 from ..obs.metrics import Metrics, MetricsView
 from ..pvm.cost import Cost, ZERO
 from ..pvm.machine import Machine
@@ -707,6 +711,7 @@ class MutableIndex:
         self.machine = machine if machine is not None else Machine()
         self.stats: FastDnCStats
         self.tree: PartitionNode
+        self.layout: FlatTree
         self.nbr_idx: np.ndarray
         self.nbr_sq: np.ndarray
         self._build_full(pts, self.machine)
@@ -827,7 +832,6 @@ class MutableIndex:
             )
         t0 = time.perf_counter()
         old_n = self.n
-        old_tree = self.tree
         deletes = np.array(sorted(self._pending_deletes), dtype=np.int64)
         inserts = (
             np.concatenate(self._pending_inserts, axis=0)
@@ -845,7 +849,7 @@ class MutableIndex:
                 f"commit would leave n={new_n} <= k={self.k}; delete fewer points"
             )
         churn = (n_ins + n_del) / old_n
-        touched = self._touched_leaves(old_tree, inserts, deletes)
+        touched = self._touched_leaves(inserts, deletes)
         idmap: Optional[np.ndarray] = None
         if n_del:
             idmap = np.full(old_n, -1, dtype=np.int64)
@@ -861,7 +865,7 @@ class MutableIndex:
         else:
             with machine.span("update.absorb", version=self.version + 1, n=new_n,
                               inserted=n_ins, deleted=n_del, churn=churn):
-                runner = self._absorb(new_points, machine, old_tree, idmap)
+                runner = self._absorb(new_points, machine, self.tree, idmap)
         self.machine = machine
         self.version += 1
         self._pending_inserts.clear()
@@ -886,14 +890,16 @@ class MutableIndex:
 
         The snapshot shares this index's arrays copy-on-write: later
         commits allocate fresh arrays and never mutate these, so the
-        snapshot stays valid (and bit-stable) forever.  Its ``version``
-        field is this index's current version — the serving layer keys
-        result caches on it so stale entries cannot survive a swap.
+        snapshot stays valid (and bit-stable) forever.  It holds the
+        version's :class:`~repro.kernels.FlatTree`, flattened once per
+        version, and no partition-tree node.  Its ``version`` field is
+        this index's current version — the serving layer keys result
+        caches on it so stale entries cannot survive a swap.
         """
         from ..serve.index import ServingIndex
 
         index = ServingIndex(
-            self.points, self.tree, self.k, system=self.system, version=self.version
+            self.points, self.layout, self.k, system=self.system, version=self.version
         )
         if with_structure:
             index.structure  # noqa: B018 - builds and caches
@@ -945,6 +951,7 @@ class MutableIndex:
             tree = runner.solve(ids, 0, (), hint)
         self.points = points
         self.tree = tree
+        self.layout = FlatTree.from_tree(tree)
         self.nbr_idx = nbr_idx
         self.nbr_sq = nbr_sq
         return runner
@@ -961,27 +968,21 @@ class MutableIndex:
     ) -> _OnlineRunner:
         return self._run(points, machine, hint=old_tree, idmap=idmap)
 
-    def _touched_leaves(
-        self, tree: PartitionNode, inserts: np.ndarray, deletes: np.ndarray
-    ) -> int:
-        """How many of the previous version's leaves the mutations touch.
+    def _touched_leaves(self, inserts: np.ndarray, deletes: np.ndarray) -> int:
+        """How many of the current version's leaves the mutations touch.
 
-        Inserted points are group-descended through the old tree
-        (:meth:`~repro.core.partition_tree.PartitionNode.leaves_of_points`);
-        deleted ids are matched against leaf subsets.  Observability only —
-        the absorb recursion finds the affected paths itself — but it is
-        the cheap locality estimate the churn guidance in
-        ``docs/online_index.md`` is written in terms of.
+        Inserted and deleted points are descended through the version's
+        flat tree (a committed point's leaf is exactly where descent
+        routes it).  Observability only — the absorb recursion finds the
+        affected paths itself — but it is the cheap locality estimate the
+        churn guidance in ``docs/online_index.md`` is written in terms of.
         """
-        touched: set = set()
-        if inserts.shape[0]:
-            for leaf, _rows in tree.leaves_of_points(inserts):
-                touched.add(id(leaf))
-        if deletes.shape[0]:
-            # a committed point's leaf is exactly where descent routes it
-            for leaf, _rows in tree.leaves_of_points(self.points[deletes]):
-                touched.add(id(leaf))
-        return len(touched)
+        ords = [
+            self.layout.descend(pts)
+            for pts in (inserts, self.points[deletes])
+            if pts.shape[0]
+        ]
+        return int(np.unique(np.concatenate(ords)).shape[0]) if ords else 0
 
     def _note_commit(self, info: CommitInfo) -> None:
         s = self.update_stats

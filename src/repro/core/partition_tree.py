@@ -117,38 +117,6 @@ class PartitionNode:
             node = node.left if side < 0 else node.right  # type: ignore[assignment]
         return node
 
-    def leaves_of_points(
-        self, points: np.ndarray
-    ) -> Iterator[tuple["PartitionNode", np.ndarray]]:
-        """Group-descend many points at once: yields ``(leaf, rows)``.
-
-        Vectorized :meth:`leaf_of_point`: every tree node tests all of its
-        surviving rows in one ``side_of_points`` call, so the descent costs
-        O(nodes touched) array operations instead of O(points x height)
-        scalar ones.  Each row takes exactly the per-point route (side < 0
-        left, else right), so ``leaf`` is identical to
-        ``leaf_of_point(points[r])`` for every yielded row ``r``; leaves
-        arrive left to right and the yielded ``rows`` partition the input.
-        """
-        pts = _as_float(points)
-        if pts.shape[0] == 1:  # scalar descent, skip the group bookkeeping
-            yield self.leaf_of_point(pts[0]), np.zeros(1, dtype=np.int64)
-            return
-        stack = [(self, np.arange(pts.shape[0], dtype=np.int64))]
-        while stack:
-            node, rows = stack.pop()
-            if node.is_leaf:
-                yield node, rows
-                continue
-            side = node.separator.side_of_points(pts[rows])  # type: ignore[union-attr]
-            interior = side < 0
-            right_rows = rows[~interior]
-            if right_rows.shape[0]:
-                stack.append((node.right, right_rows))  # type: ignore[arg-type]
-            left_rows = rows[interior]
-            if left_rows.shape[0]:
-                stack.append((node.left, left_rows))  # type: ignore[arg-type]
-
     def check_partition(self) -> bool:
         """Invariant: children's indices partition the parent's (as sets)."""
         for node in self.nodes():

@@ -14,53 +14,48 @@ for corrections — it is a search structure.  For a query point q:
 This turns every :class:`~repro.core.fast_dnc.FastDnCResult` into a
 reusable index: build once with the paper's algorithm, query forever.
 
-Descent runs over a contiguous :class:`~repro.kernels.FlatTree` layout
-when the caller supplies one (``repro.serve`` and ``repro.Index`` cache
-it per snapshot/version); otherwise it falls back to the pointer-walking
-generator.  Both paths classify every query with the same row-local
-side tests, so results are bit-identical.
+Both phases run over the contiguous :class:`~repro.kernels.FlatTree`
+arrays — the descent through the ``descend_spheres`` kernel, the march
+lockstep over all (ball, node) instances — so a served version needs no
+pointer tree.  Each query row sees the same side tests and containment
+arithmetic as the pointer walk, and every merge is canonical, so the
+answers are bit-identical to it whatever the batch composition.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
 from ..geometry.points import as_points, pairwise_sq_dists_direct
 from ..kernels.layout import FlatTree
-from .correction import march_balls
 from .neighborhood import merge_neighbor_lists_many
 from .partition_tree import PartitionNode
 
-__all__ = ["knn_query"]
+__all__ = ["knn_query", "knn_query_flat"]
 
 
 def knn_query(
-    tree: PartitionNode,
+    tree: Union[FlatTree, PartitionNode],
     points: np.ndarray,
     queries: np.ndarray,
     k: int = 1,
-    *,
-    layout: Optional[FlatTree] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact k nearest data points for each query row.
 
     Parameters
     ----------
     tree:
-        Partition tree over ``points`` (e.g. ``FastDnCResult.tree``).
+        The :class:`~repro.kernels.FlatTree` of a partition tree over
+        ``points``, or the tree itself (e.g. ``FastDnCResult.tree``),
+        which is flattened first.
     points:
         The (n, d) data array the tree's leaf indices refer to.
     queries:
         (q, d) query points (need not be data points).
     k:
         Neighbors per query, ``1 <= k <= n``.
-    layout:
-        Optional :class:`~repro.kernels.FlatTree` of ``tree``; when given
-        (and sphere-only), phase-1 descent runs over the contiguous
-        layout through the active kernel backend instead of the pointer
-        walk — same leaves, same results, less interpreter traffic.
 
     Returns
     -------
@@ -77,21 +72,31 @@ def knn_query(
     n = pts.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    if qs.shape[0] == 0:
+        return np.full((0, k), -1, dtype=np.int64), np.full((0, k), np.inf)
+    flat = tree if isinstance(tree, FlatTree) else FlatTree.from_tree(tree)
+    return knn_query_flat(flat, pts, qs, k)
+
+
+def knn_query_flat(
+    flat: FlatTree, pts: np.ndarray, qs: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`knn_query` on arrays its caller has already validated.
+
+    ``pts``/``qs`` are finite, C-contiguous float arrays of one dimension
+    and ``1 <= k <= n``.  A serving index validates its data once at
+    construction, so its queries skip :func:`knn_query`'s O(n) sweep of
+    the data array, about a third of a single-row query at n = 100k.
+    """
     nq = qs.shape[0]
     out_idx = np.full((nq, k), -1, dtype=np.int64)
     out_sq = np.full((nq, k), np.inf)
-    if nq == 0:
-        return out_idx, out_sq
 
     # phase 1: leaf estimates, by vectorized group descent — all queries
     # landing in one leaf share a single distance-matrix evaluation, and
     # every row's k best come out of one flat stream merge
-    if layout is not None:
-        groups = layout.leaf_groups(qs)
-    else:
-        groups = ((leaf.indices, rows) for leaf, rows in tree.leaves_of_points(qs))
     cand_rows, cand_ids, cand_sq = [], [], []
-    for ids, rows in groups:
+    for ids, rows in flat.leaf_groups(qs):
         if not ids.shape[0]:
             continue
         sq = pairwise_sq_dists_direct(qs[rows], pts[ids])
@@ -118,10 +123,8 @@ def knn_query(
     # phase 2: march the query balls; reachability finds every point
     # within the current k-th distance, so one flat merge of the marched
     # candidates against the leaf estimates is exact
-    result = march_balls(tree, pts, qs, radii)
-    if result.pairs:
-        rows = result.ball_rows
-        cands = result.point_ids
+    rows, cands = flat.march(pts, qs, radii)
+    if rows.shape[0]:
         # upcast before subtracting: float32 storage still compares in
         # float64 (copy=False keeps the f64 path allocation-free)
         diff = pts[cands].astype(np.float64, copy=False) - qs[rows].astype(

@@ -100,8 +100,18 @@ def segmented_split_sides(flat_ids, sides, seg_ids):
     return kernel_table()["segmented_split_sides"](flat_ids, sides, seg_ids)
 
 
-def descend_spheres(pts, centers, radii, left, right, leaf_ord):
-    """Flat-tree group descent: leaf ordinal per row (see FlatTree)."""
+def descend_spheres(pts, centers, radii, left, right, leaf_ord, planes=None):
+    """Flat-tree group descent: leaf ordinal per row (see FlatTree).
+
+    ``planes`` (per-node flags, or ``None``) marks hyperplane nodes,
+    whose side test is a BLAS gemv that no compiled loop reproduces, so
+    a tree with any of them descends on the numpy reference in every
+    backend (as :func:`hyperplane_side` does).
+    """
+    if planes is not None:
+        from .reference import descend_spheres as reference_descend
+
+        return reference_descend(pts, centers, radii, left, right, leaf_ord, planes)
     return kernel_table()["descend_spheres"](pts, centers, radii, left, right, leaf_ord)
 
 

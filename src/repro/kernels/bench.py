@@ -19,7 +19,6 @@ import numpy as np
 
 from ..pvm.machine import Machine
 from . import kernel_table, numba_available, resolve_backend, use_backend
-from .layout import FlatTree
 
 __all__ = ["bench_backends", "run_kernel_bench", "format_table"]
 
@@ -122,9 +121,7 @@ def bench_descend(
     rng = np.random.default_rng(seed)
     pts = rng.random((min(n, 50_000), d))
     index = build_index(pts, k=2, seed=seed)
-    flat = FlatTree.from_tree(index.tree)
-    if flat is None:
-        return []
+    flat = index.mutable.layout
     qs = rng.random((n, d))
     out: List[dict] = []
     for backend in backends:

@@ -1,44 +1,58 @@
 """Contiguous, child-major flat layout of a partition tree.
 
 The pointer-chasing :class:`~repro.core.partition_tree.PartitionNode`
-tree is the right structure for building and correction, but query-time
-descent only needs four facts per node: sphere center, sphere radius,
-children, and — at the leaves — the member ids.  :class:`FlatTree`
-packs those into preorder numpy arrays with the leaf id lists
-concatenated child-major (left to right), so descent runs through the
-``descend_spheres`` kernel (array stack walk on numpy, a tight scalar
-loop on numba) with zero Python-object traffic.
+tree is the right structure for building and correction, but a query
+only needs, per node, the separator and the two children — and, at the
+leaves, the member ids.  :class:`FlatTree` packs those into preorder
+numpy arrays with the leaf id lists concatenated child-major (left to
+right).  It is the whole structure a served index version holds:
 
-The layout is sphere-only: trees containing a hyperplane separator (the
-rare MTTV great-circle pull-back) return ``None`` from
-:meth:`FlatTree.from_tree` and callers keep the generator-based
-:meth:`~repro.core.partition_tree.PartitionNode.leaves_of_points` path.
-Descent over the flat layout visits the same separators with the same
-row-local arithmetic, so the leaf each row reaches — and every array
-the query path derives from it — is bit-identical to the pointer walk.
+- :meth:`FlatTree.descend` / :meth:`FlatTree.leaf_groups` route query
+  points to their leaves through the ``descend_spheres`` kernel;
+- :meth:`FlatTree.march` is Section 6.2's march (Lemma 6.3): balls
+  move down the tree one level per step, lockstep over every
+  (ball, node) instance, and leaf containment is one flat pair test.
+
+Every tree flattens.  A hyperplane separator (the rare MTTV great-circle
+pull-back, and every cut of the simple method) keeps its unit normal and
+offset in the node's center/radius slots and is listed in
+:attr:`FlatTree.planes`; it is classified per node with the BLAS gemv
+kernels on the ascending row group the pointer walk hands it, while
+sphere nodes take the row-local arithmetic of ``sphere_side`` /
+``classify_balls_sphere``.  Either way every row sees exactly the
+arithmetic the pointer walk applies to it, so the leaf each query
+reaches and every containment pair the march reports are bit-identical
+to :meth:`~repro.core.partition_tree.PartitionNode.leaf_of_point` and
+:func:`~repro.core.correction.march_balls`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from .. import kernels
 from ..geometry.spheres import Sphere
 from ..core.partition_tree import PartitionNode
 
 __all__ = ["FlatTree"]
 
+#: Most (ball, point) pairs one containment pass materializes.
+MARCH_PAIR_CHUNK = 1 << 20
+
 
 @dataclass(frozen=True)
 class FlatTree:
-    """Preorder array form of a sphere-only partition tree.
+    """Preorder array form of a partition tree.
 
-    ``left``/``right`` hold preorder node indices (-1 at leaves);
-    ``centers``/``radii`` are zero where unused; ``leaf_ord`` maps a
-    leaf node to its left-to-right ordinal (-1 at internal nodes); leaf
-    ``leaf_ids`` are stored contiguously, leaf ``j`` owning
+    ``left``/``right`` hold preorder node indices (-1 at leaves).
+    ``centers``/``radii`` hold a sphere node's center and radius; at a
+    hyperplane node (its preorder index is in ``planes``, ascending)
+    they hold the unit normal and the offset; at leaves they are zero.
+    ``leaf_ord`` maps a leaf node to its left-to-right ordinal (-1 at
+    internal nodes); leaf ``j`` owns
     ``leaf_ids[leaf_offsets[j]:leaf_offsets[j + 1]]``.
     """
 
@@ -49,6 +63,7 @@ class FlatTree:
     leaf_ord: np.ndarray
     leaf_ids: np.ndarray
     leaf_offsets: np.ndarray
+    planes: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -58,14 +73,19 @@ class FlatTree:
     def n_leaves(self) -> int:
         return int(self.leaf_offsets.shape[0] - 1)
 
+    def arrays(self) -> Dict[str, np.ndarray]:
+        """The fields by name (no copies) — what snapshots ship."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @staticmethod
-    def from_tree(tree: PartitionNode) -> Optional["FlatTree"]:
-        """Flatten ``tree``; ``None`` when any separator is not a sphere."""
+    def from_tree(tree: PartitionNode) -> "FlatTree":
+        """Flatten ``tree``; hyperplane nodes are listed in ``planes``."""
         centers: List[Optional[np.ndarray]] = []
         radii: List[float] = []
         left: List[int] = []
         right: List[int] = []
         leaf_ord: List[int] = []
+        planes: List[int] = []
         leaf_blocks: List[np.ndarray] = []
         dim = None
         # iterative preorder with parent back-patching (deep-tree safe)
@@ -87,12 +107,15 @@ class FlatTree:
                 leaf_blocks.append(np.asarray(node.indices, dtype=np.int64))
                 continue
             sep = node.separator
-            if not isinstance(sep, Sphere):
-                return None
+            if isinstance(sep, Sphere):
+                centers.append(sep.center)
+                radii.append(sep.radius)
+            else:  # Hyperplane
+                centers.append(sep.normal)  # type: ignore[union-attr]
+                radii.append(sep.offset)  # type: ignore[union-attr]
+                planes.append(my)
             if dim is None:
-                dim = sep.center.shape[0]
-            centers.append(sep.center)
-            radii.append(sep.radius)
+                dim = centers[-1].shape[0]  # type: ignore[union-attr]
             left.append(-2)  # patched by the children
             right.append(-2)
             leaf_ord.append(-1)
@@ -122,25 +145,38 @@ class FlatTree:
                 else np.zeros(0, dtype=np.int64)
             ),
             leaf_offsets=offsets,
+            planes=np.asarray(planes, dtype=np.int64),
         )
+
+    def _plane_mask(self) -> Optional[np.ndarray]:
+        """Per-node hyperplane flags, or ``None`` for sphere-only trees."""
+        if not self.planes.shape[0]:
+            return None
+        mask = np.zeros(self.n_nodes, dtype=bool)
+        mask[self.planes] = True
+        return mask
+
+    # -- descent -------------------------------------------------------------
 
     def descend(self, pts: np.ndarray) -> np.ndarray:
         """Leaf ordinal per row of ``pts``, via the active kernel backend."""
-        from . import descend_spheres
-
-        return descend_spheres(
-            pts, self.centers, self.radii, self.left, self.right, self.leaf_ord
+        return kernels.descend_spheres(
+            pts, self.centers, self.radii, self.left, self.right, self.leaf_ord,
+            self._plane_mask(),
         )
 
     def leaf_groups(self, pts: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Yield ``(member_ids, rows)`` per leaf that received rows.
 
-        Leaves arrive left to right with ``rows`` ascending — the exact
-        order and grouping of
-        :meth:`~repro.core.partition_tree.PartitionNode.leaves_of_points`
-        (stable sort on the descent's leaf ordinals preserves both).
+        Leaves arrive left to right with ``rows`` ascending (a stable
+        sort on the descent's leaf ordinals preserves both), and every
+        row lands where
+        :meth:`~repro.core.partition_tree.PartitionNode.leaf_of_point`
+        would take it.
         """
         ordinals = self.descend(pts)
+        if not ordinals.shape[0]:
+            return
         order = np.argsort(ordinals, kind="stable")
         sorted_ord = ordinals[order]
         bounds = np.flatnonzero(
@@ -152,3 +188,128 @@ class FlatTree:
             leaf = int(sorted_ord[lo])
             ids = self.leaf_ids[self.leaf_offsets[leaf] : self.leaf_offsets[leaf + 1]]
             yield ids, order[lo:hi]
+
+    # -- the march -----------------------------------------------------------
+
+    def march(
+        self, points: np.ndarray, centers: np.ndarray, radii: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every strict containment pair of balls ``B(centers[r], radii[r])``.
+
+        ``points`` is the data array the leaf ids refer to.  One step per
+        tree level moves every active (ball, node) instance into each
+        child its ball can meet (both when it straddles the separator,
+        Lemma 6.3's reachability), and the instances that reached leaves
+        are tested against their leaf members in one flat pass.  An
+        infinite radius reaches every leaf and contains every point.
+
+        Returns ``(ball_rows, point_ids)``: the same multiset of pairs
+        :func:`~repro.core.correction.march_balls` finds on the pointer
+        tree, in a different order.
+        """
+        nb = centers.shape[0]
+        node = np.zeros(nb, dtype=np.int64)
+        row = np.arange(nb, dtype=np.int64)
+        leaf_nodes: List[np.ndarray] = []
+        leaf_rows: List[np.ndarray] = []
+        plane_mask = self._plane_mask()
+        while node.shape[0]:
+            child = self.left[node]
+            at_leaf = child < 0
+            if at_leaf.any():
+                leaf_nodes.append(node[at_leaf])
+                leaf_rows.append(row[at_leaf])
+                inner = ~at_leaf
+                node, row, child = node[inner], row[inner], child[inner]
+                if not node.shape[0]:
+                    break
+            to_left, to_right = self._sides(centers, radii, node, row, plane_mask)
+            node = np.concatenate((child[to_left], self.right[node[to_right]]))
+            row = np.concatenate((row[to_left], row[to_right]))
+        if not leaf_rows:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return self._contained(
+            points, centers, radii, np.concatenate(leaf_nodes), np.concatenate(leaf_rows)
+        )
+
+    def _sides(
+        self,
+        centers: np.ndarray,
+        radii: np.ndarray,
+        node: np.ndarray,
+        row: np.ndarray,
+        plane_mask: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Which children each (ball, internal node) instance enters.
+
+        A ball enters the left child unless it lies strictly outside
+        the separator, and the right child unless strictly inside:
+        ``classify_balls_sphere``'s ``cls <= 0`` / ``cls >= 0``, with its
+        row-local arithmetic (radii are non-negative or infinite, and an
+        infinite radius enters both).
+        """
+        s = np.linalg.norm(centers[row] - self.centers[node], axis=1)
+        s -= self.radii[node]
+        r = radii[row]
+        to_left = s <= r
+        to_right = s >= -r
+        if plane_mask is None:
+            return to_left, to_right
+        # a node's instances sit in ascending row order (the root starts
+        # with arange, and every step filters order-preservingly), so a
+        # stable sort by node hands each hyperplane the row group — and
+        # hence the gemv — the pointer walk gives it
+        pl = np.flatnonzero(plane_mask[node])
+        pl = pl[np.argsort(node[pl], kind="stable")]
+        for group in np.split(pl, np.flatnonzero(np.diff(node[pl])) + 1):
+            if not group.shape[0]:
+                continue
+            nd, rows = node[group[0]], row[group]
+            cls = kernels.classify_balls_hyperplane(
+                centers[rows], radii[rows], self.centers[nd], self.radii[nd]
+            )
+            to_left[group] = cls <= 0
+            to_right[group] = cls >= 0
+        return to_left, to_right
+
+    def _contained(
+        self,
+        points: np.ndarray,
+        centers: np.ndarray,
+        radii: np.ndarray,
+        leaf_nodes: np.ndarray,
+        leaf_rows: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Strict containment over every (ball, leaf member) pair.
+
+        Diff-based and row-local like the leaf test of
+        :func:`~repro.core.correction.march_balls` (upcast before
+        subtracting, so float32 storage compares in float64), in passes
+        of at most :data:`MARCH_PAIR_CHUNK` pairs.
+        """
+        ords = self.leaf_ord[leaf_nodes]
+        starts = self.leaf_offsets[ords]
+        counts = self.leaf_offsets[ords + 1] - starts
+        ends = np.cumsum(counts)
+        out_rows: List[np.ndarray] = []
+        out_ids: List[np.ndarray] = []
+        lo = 0
+        while lo < counts.shape[0]:
+            done = int(ends[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, done + MARCH_PAIR_CHUNK, "right")))
+            cnt = counts[lo:hi]
+            total = int(ends[hi - 1]) - done
+            first = np.repeat(starts[lo:hi] - (ends[lo:hi] - cnt - done), cnt)
+            ids = self.leaf_ids[first + np.arange(total, dtype=np.int64)]
+            rows = np.repeat(leaf_rows[lo:hi], cnt)
+            diff = centers[rows].astype(np.float64, copy=False) - points[ids].astype(
+                np.float64, copy=False
+            )
+            sq = np.einsum("md,md->m", diff, diff)
+            r = radii[rows]
+            inside = sq < np.square(r)
+            inside |= np.isinf(r)
+            out_rows.append(rows[inside])
+            out_ids.append(ids[inside])
+            lo = hi
+        return np.concatenate(out_rows), np.concatenate(out_ids)

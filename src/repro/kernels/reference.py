@@ -30,7 +30,7 @@ that keeps hyperplane candidates on the per-segment path in
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -125,15 +125,19 @@ def descend_spheres(
     left: np.ndarray,
     right: np.ndarray,
     leaf_ord: np.ndarray,
+    planes: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Group descent over a flat sphere-only tree: per-row leaf ordinal.
+    """Group descent over a flat tree: per-row leaf ordinal.
 
     Arrays are the preorder layout of :class:`repro.kernels.layout.FlatTree`;
-    ``left[i] < 0`` marks a leaf.  Each node tests all of its surviving
-    rows at once with the same row-local arithmetic as
-    :meth:`~repro.geometry.spheres.Sphere.side_of_points` (boundary goes
-    interior/left), so row ``r`` lands in exactly the leaf
-    ``tree.leaf_of_point(pts[r])`` would reach.
+    ``left[i] < 0`` marks a leaf and ``planes[i]`` (when given) a
+    hyperplane node.  Each node tests all of its surviving rows at once,
+    in ascending row order, with the arithmetic of
+    :meth:`~repro.geometry.spheres.Sphere.side_of_points` /
+    :meth:`~repro.geometry.spheres.Hyperplane.side_of_points` (boundary
+    goes interior/left) — row-local for spheres, the same gemv on the
+    same row group for hyperplanes — so row ``r`` lands in exactly the
+    leaf ``tree.leaf_of_point(pts[r])`` would reach.
     """
     n = pts.shape[0]
     out = np.empty(n, dtype=np.int64)
@@ -143,7 +147,10 @@ def descend_spheres(
         if left[node] < 0:
             out[rows] = leaf_ord[node]
             continue
-        s = np.linalg.norm(pts[rows] - centers[node], axis=1) - radii[node]
+        if planes is not None and planes[node]:
+            s = pts[rows] @ centers[node] - radii[node]
+        else:
+            s = np.linalg.norm(pts[rows] - centers[node], axis=1) - radii[node]
         exterior = s > 0.0
         right_rows = rows[exterior]
         if right_rows.shape[0]:

@@ -29,7 +29,11 @@ Accounting invariants the utilization metric relies on:
   exited mid-dispatch, double-charging the last task; utilization could
   then exceed 1.0 on a saturated pool (the tests pin ``≤ 1.0`` now).
 - ``dispatch_window()`` is the ``(first_submit, last_complete)`` wall
-  interval of completed work — the honest utilization denominator.
+  interval of completed :meth:`~WorkerPool.run_tasks` /
+  :meth:`~WorkerPool.run_assigned` work — the honest utilization
+  denominator.  Broadcasts (``init_run``, ``serve_init``, stats drains)
+  neither open nor extend it, so master-side work done between a
+  broadcast and the first real task stays out of the span.
 - ``dispatch_bytes``/``result_bytes`` and ``dispatch_seconds``/
   ``collect_seconds`` meter the serialize+send / receive+deserialize
   halves of the protocol so the engine can attribute fan-out overhead
@@ -165,24 +169,26 @@ class WorkerPool:
 
     # -- task protocol ---------------------------------------------------
 
-    def _submit(self, worker: int, name: str, payload: Any) -> float:
+    def _submit(self, worker: int, name: str, payload: Any, timed: bool = True) -> float:
         t0 = time.perf_counter()
         buf = pickle.dumps((name, payload), _PICKLE_PROTO)
         self._conns[worker].send_bytes(buf)
         now = time.perf_counter()
-        if self._first_submit is None:
+        if timed and self._first_submit is None:
             self._first_submit = t0
         self.dispatch_bytes += len(buf)
         self.dispatch_seconds += now - t0
         return t0
 
-    def _collect(self, worker: int, name: str) -> Tuple[Any, float]:
+    def _collect(self, worker: int, name: str, timed: bool = True) -> Tuple[Any, float, float]:
         """Receive one reply from ``worker``; raises on kernel error.
 
-        Busy time is credited here — and only here — exactly once per
-        *successful* task: the worker-measured kernel seconds.  Errors
-        and flushes contribute nothing, so utilization can never be
-        inflated by a worker that exits mid-dispatch.
+        Returns ``(result, elapsed, completed)``.  Busy time is credited
+        here — and only here — exactly once per *successful* task: the
+        worker-measured kernel seconds.  Errors and flushes contribute
+        nothing, so utilization can never be inflated by a worker that
+        exits mid-dispatch.  ``timed`` replies also move the dispatch
+        window's end to their ``completed`` reading.
         """
         try:
             buf = self._conns[worker].recv_bytes()
@@ -199,10 +205,12 @@ class WorkerPool:
                 f"kernel {name!r} failed on worker {worker}:\n{reply[1]}"
             )
         _, result, elapsed = reply
-        self._last_complete = time.perf_counter()
+        completed = time.perf_counter()
+        if timed:
+            self._last_complete = completed
         self.busy_seconds[worker] += float(elapsed)
         self.tasks_done += 1
-        return result, float(elapsed)
+        return result, float(elapsed), completed
 
     def dispatch_window(self) -> Optional[Tuple[float, float]]:
         """Absolute ``(first_submit, last_complete)`` clock readings of
@@ -227,14 +235,14 @@ class WorkerPool:
                 self._submit(w, name, payload) for w, payload in enumerate(wave)
             ]
             for w in range(len(wave)):
-                result, elapsed = self._collect(w, name)
+                result, elapsed, completed = self._collect(w, name)
                 out.append(
                     TaskResult(
                         result=result,
                         worker=w,
                         elapsed=elapsed,
                         submitted=submits[w],
-                        completed=time.perf_counter(),
+                        completed=completed,
                     )
                 )
         return out
@@ -277,7 +285,7 @@ class WorkerPool:
                 if not pending[w]:
                     del pending[w]
                 try:
-                    result, elapsed = self._collect(w, name)
+                    result, elapsed, completed = self._collect(w, name)
                 except WorkerError as exc:
                     if first_error is None:
                         first_error = exc
@@ -287,17 +295,18 @@ class WorkerPool:
                     worker=w,
                     elapsed=elapsed,
                     submitted=submits[i],
-                    completed=time.perf_counter(),
+                    completed=completed,
                 )
         if first_error is not None:
             raise first_error
         return out  # type: ignore[return-value]
 
     def broadcast(self, name: str, payload: Any) -> List[Any]:
-        """Run one kernel with the same payload on every worker."""
+        """Run one kernel with the same payload on every worker (outside
+        the dispatch window)."""
         for w in range(self.workers):
-            self._submit(w, name, payload)
-        return [self._collect(w, name)[0] for w in range(self.workers)]
+            self._submit(w, name, payload, timed=False)
+        return [self._collect(w, name, timed=False)[0] for w in range(self.workers)]
 
     # -- lifecycle -------------------------------------------------------
 

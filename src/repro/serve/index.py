@@ -1,12 +1,14 @@
 """The frozen, query-only artifact of the serving layer.
 
 A :class:`ServingIndex` wraps what the offline algorithms build — the
-Section-6 partition tree, the k-neighborhood system, and (lazily) the
-Section-3 :class:`~repro.core.query.NeighborhoodQueryStructure` — into a
-single object that only *answers*:
+Section-6 partition tree in its flat array form
+(:class:`~repro.kernels.FlatTree`), the k-neighborhood system, and
+(lazily) the Section-3
+:class:`~repro.core.query.NeighborhoodQueryStructure` — into a single
+object that only *answers*:
 
-- ``kind="knn"``: exact k nearest data points per query row, through the
-  vectorized :func:`~repro.core.query_points.knn_query` descent;
+- ``kind="knn"``: exact k nearest data points per query row, through
+  :func:`~repro.core.query_points.knn_query`'s flat descent and march;
 - ``kind="covering"``: the data points whose k-NN ball contains each
   query row, through the vectorized
   :meth:`~repro.core.query.NeighborhoodQueryStructure.query_many` descent.
@@ -18,10 +20,13 @@ whatever the batch composition — the property the batching and caching
 layers above rely on.
 
 A built index is *frozen*: it holds no machine, no RNG state that
-queries consume, and pickles cleanly — :meth:`ServingIndex.save` /
-:meth:`ServingIndex.load` snapshot it to disk, and
-:meth:`ServingIndex.shm_snapshot` exports the large arrays as
-shared-memory segments so a pool of worker processes can serve from one
+queries consume, and no pointer tree — only arrays (points, flat tree,
+neighbor lists) plus the optional covering structure, so a retained
+version costs a few MB and no replay records.  :meth:`ServingIndex.save`
+/ :meth:`ServingIndex.load` write it to disk (format 2: the arrays;
+format-1 files, which pickled the pointer tree, are flattened on load),
+and :meth:`ServingIndex.shm_snapshot` exports every array as a
+shared-memory segment so a pool of worker processes can serve from one
 copy without rebuilding (see :mod:`repro.serve.mp`).
 """
 
@@ -37,7 +42,7 @@ from ..core.fast_dnc import FastDnCConfig, parallel_nearest_neighborhood
 from ..core.neighborhood import KNeighborhoodSystem
 from ..core.partition_tree import PartitionNode
 from ..core.query import NeighborhoodQueryStructure, QueryConfig
-from ..core.query_points import knn_query
+from ..core.query_points import knn_query_flat
 from ..geometry.points import as_points
 from ..kernels.layout import FlatTree
 from ..parallel.shm import SharedArray
@@ -56,7 +61,7 @@ CoveringResponse = Tuple[np.ndarray, np.ndarray]
 
 BatchResponse = Union[KnnResponse, CoveringResponse]
 
-_SNAPSHOT_VERSION = 1
+_SNAPSHOT_VERSION = 2
 
 
 class ServingIndex:
@@ -67,7 +72,9 @@ class ServingIndex:
     points:
         (n, d) data points the tree's leaf indices refer to.
     tree:
-        The partition tree built over ``points``.
+        The :class:`~repro.kernels.FlatTree` of the partition tree built
+        over ``points``, or that tree itself (flattened here; the index
+        keeps no reference to it).
     k:
         Default neighbors per query (requests may override).
     system:
@@ -91,7 +98,7 @@ class ServingIndex:
     def __init__(
         self,
         points: np.ndarray,
-        tree: PartitionNode,
+        tree: Union[FlatTree, PartitionNode],
         k: int,
         system: Optional[KNeighborhoodSystem] = None,
         structure: Optional[NeighborhoodQueryStructure] = None,
@@ -99,16 +106,12 @@ class ServingIndex:
         version: int = 0,
     ) -> None:
         self.points = as_points(points, min_points=1, dtype=None)
-        self.tree = tree
+        self.layout = tree if isinstance(tree, FlatTree) else FlatTree.from_tree(tree)
         self.k = int(k)
         self.system = system
         self._structure = structure
         self._structure_seed = structure_seed
         self.version = int(version)
-        # lazy FlatTree cache for knn descent; never pickled — each
-        # process rebuilds it on first query (None for non-sphere trees)
-        self._layout: Optional[FlatTree] = None
-        self._layout_tried = False
 
     # -- construction ------------------------------------------------------
 
@@ -170,16 +173,6 @@ class ServingIndex:
         return self.points.shape[1]
 
     @property
-    def layout(self) -> Optional[FlatTree]:
-        """Contiguous descent layout of the tree (lazy; ``None`` when the
-        tree has non-sphere separators, in which case knn queries use the
-        pointer-walking descent)."""
-        if not self._layout_tried:
-            self._layout = FlatTree.from_tree(self.tree)
-            self._layout_tried = True
-        return self._layout
-
-    @property
     def structure(self) -> NeighborhoodQueryStructure:
         """The Section-3 structure over the index's k-NN balls (lazy)."""
         if self._structure is None:
@@ -237,9 +230,9 @@ class ServingIndex:
                 np.empty((0, kk), dtype=np.float64),
             )
         # k may exceed n: answer with every data point, pad the rest —
-        # knn_query itself requires k <= n.
+        # the query itself requires k <= n.
         eff = min(kk, self.n)
-        idx, sq = knn_query(self.tree, self.points, qs, eff, layout=self.layout)
+        idx, sq = knn_query_flat(self.layout, self.points, qs, eff)
         if eff < kk:
             idx = np.pad(idx, ((0, 0), (0, kk - eff)), constant_values=-1)
             sq = np.pad(sq, ((0, 0), (0, kk - eff)), constant_values=np.inf)
@@ -266,7 +259,7 @@ class ServingIndex:
             "version": _SNAPSHOT_VERSION,
             "k": self.k,
             "points": self.points,
-            "tree": self.tree,
+            "layout": self.layout.arrays(),
             "system": self.system,
             "structure": self._structure,
             "structure_seed": self._structure_seed,
@@ -275,13 +268,16 @@ class ServingIndex:
 
     @classmethod
     def _from_state(cls, state: Dict[str, Any]) -> "ServingIndex":
-        if state.get("version") != _SNAPSHOT_VERSION:
-            raise ValueError(
-                f"unsupported serving snapshot version {state.get('version')!r}"
-            )
+        version = state.get("version")
+        if version == 1:  # the pointer tree itself; flattened by __init__
+            tree: Union[FlatTree, PartitionNode] = state["tree"]
+        elif version == _SNAPSHOT_VERSION:
+            tree = FlatTree(**state["layout"])
+        else:
+            raise ValueError(f"unsupported serving snapshot version {version!r}")
         return cls(
             state["points"],
-            state["tree"],
+            tree,
             state["k"],
             system=state["system"],
             structure=state["structure"],
@@ -291,20 +287,20 @@ class ServingIndex:
         )
 
     def save(self, path: str) -> None:
-        """Pickle the frozen index (trees, arrays, optional structure)."""
+        """Write the frozen index: its arrays and the optional structure."""
         with open(path, "wb") as fh:
             pickle.dump(self._state(), fh, protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
     def load(cls, path: str) -> "ServingIndex":
-        """Reload an index saved by :meth:`save`."""
+        """Reload an index saved by :meth:`save` (format 2 or 1)."""
         with open(path, "rb") as fh:
             state = pickle.load(fh)
         return cls._from_state(state)
 
     def shm_snapshot(self) -> Tuple[Dict[str, Any], List[SharedArray]]:
-        """Export the index for worker processes: big arrays as shared
-        memory, the rest pickled.
+        """Export the index for worker processes: every array as shared
+        memory, only specs and scalars pickled.
 
         Returns ``(payload, arenas)``: ``payload`` is picklable and
         travels to every worker (see :func:`repro.serve.worker.serve_init`);
@@ -314,11 +310,15 @@ class ServingIndex:
         segment, and shipping it beats rebuilding per worker.
         """
         arenas = [SharedArray.create_from(self.points)]
+        layout_specs = {}
+        for name, arr in self.layout.arrays().items():
+            arenas.append(SharedArray.create_from(arr))
+            layout_specs[name] = arenas[-1].spec
         meta: Dict[str, Any] = {
             "version": _SNAPSHOT_VERSION,
             "k": self.k,
             "points_spec": arenas[0].spec,
-            "tree": self.tree,
+            "layout_specs": layout_specs,
             "structure": self._structure,
             "structure_seed": self._structure_seed,
             "system_specs": None,

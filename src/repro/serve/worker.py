@@ -7,8 +7,9 @@ WorkerPool` protocol the frontier engine uses (registered in
 
 - :func:`serve_init` (broadcast once per pool) receives the master's
   :meth:`~repro.serve.index.ServingIndex.shm_snapshot` payload, attaches
-  the shared arrays zero-copy and reconstructs a worker-local
-  :class:`~repro.serve.index.ServingIndex` over the views;
+  the shared arrays (points, flat tree, neighbor lists) zero-copy and
+  reconstructs a worker-local :class:`~repro.serve.index.ServingIndex`
+  over the views;
 - :func:`serve_shard` answers one contiguous row range of a batch whose
   query array also travels by shared memory, folding its execute wall
   time into a worker-local latency histogram;
@@ -30,6 +31,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from ..core.neighborhood import KNeighborhoodSystem
+from ..kernels.layout import FlatTree
 from ..obs.metrics import Histogram
 from ..parallel.shm import attach
 from .index import ServingIndex
@@ -66,9 +68,12 @@ def serve_init(payload: Dict[str, Any]) -> bool:
         system = KNeighborhoodSystem(
             points, payload["system_k"], view(idx_spec), view(sq_spec)
         )
+    layout = FlatTree(
+        **{name: view(spec) for name, spec in payload["layout_specs"].items()}
+    )
     _INDEX = ServingIndex(
         points,
-        payload["tree"],
+        layout,
         payload["k"],
         system=system,
         structure=payload["structure"],

@@ -8,6 +8,7 @@ import pytest
 from repro.core.fast_dnc import parallel_nearest_neighborhood
 from repro.core.partition_tree import PartitionNode
 from repro.geometry.spheres import Sphere
+from repro.kernels.layout import FlatTree
 from repro.workloads import uniform_cube
 
 
@@ -94,34 +95,35 @@ class TestRealTreeInvariants:
 
 
 class TestLeavesOfPoints:
-    """Vectorized group descent vs the scalar leaf_of_point reference."""
+    """Vectorized group descent (over the flat tree) vs the scalar
+    leaf_of_point reference."""
 
     @pytest.fixture(scope="class")
     def result(self):
         pts = uniform_cube(600, 2, 99)
-        return parallel_nearest_neighborhood(pts, 1, seed=5), pts
+        res = parallel_nearest_neighborhood(pts, 1, seed=5)
+        return res, pts, FlatTree.from_tree(res.tree)
 
     def test_matches_leaf_of_point_and_partitions_rows(self, result):
-        res, pts = result
+        res, pts, flat = result
         queries = np.concatenate([pts[::7], pts[:20] + 1e-4])
         seen = []
-        for leaf, rows in res.tree.leaves_of_points(queries):
+        for ids, rows in flat.leaf_groups(queries):
             assert rows.shape[0] > 0
             seen.extend(rows.tolist())
             for r in rows:
-                assert res.tree.leaf_of_point(queries[r]) is leaf
+                assert np.array_equal(res.tree.leaf_of_point(queries[r]).indices, ids)
         assert sorted(seen) == list(range(queries.shape[0]))
 
     def test_leaves_arrive_left_to_right(self, result):
-        res, pts = result
-        order = {id(leaf): i for i, leaf in enumerate(res.tree.leaves())}
-        visited = [order[id(leaf)]
-                   for leaf, _ in res.tree.leaves_of_points(pts[::11])]
+        res, pts, flat = result
+        order = {int(leaf.indices[0]): i for i, leaf in enumerate(res.tree.leaves())}
+        visited = [order[int(ids[0])] for ids, _ in flat.leaf_groups(pts[::11])]
         assert visited == sorted(visited)
 
     def test_empty_and_single_point(self, result):
-        res, pts = result
-        assert list(res.tree.leaves_of_points(pts[:0])) == []
-        ((leaf, rows),) = res.tree.leaves_of_points(pts[:1])
+        res, pts, flat = result
+        assert list(flat.leaf_groups(pts[:0])) == []
+        ((ids, rows),) = flat.leaf_groups(pts[:1])
         assert rows.tolist() == [0]
-        assert res.tree.leaf_of_point(pts[0]) is leaf
+        assert np.array_equal(res.tree.leaf_of_point(pts[0]).indices, ids)

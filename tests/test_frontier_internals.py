@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.correction import apply_candidate_pairs, apply_candidate_pairs_batch
 from repro.core.fast_dnc import FastDnCConfig, parallel_nearest_neighborhood
+from repro.core.neighborhood import merge_neighbor_lists
 from repro.core.partition_tree import PartitionNode
 from repro.geometry.radon import radon_point, radon_points_batch
 from repro.geometry.centerpoints import (
@@ -219,6 +220,38 @@ class TestApplyCandidatePairsBatch:
         np.testing.assert_array_equal(idx_a, idx_b)
         np.testing.assert_array_equal(sq_a, sq_b)
         assert changed_seq == changed_bat
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_per_owner_merge_reference(self, k):
+        """The per-owner loop over ``merge_neighbor_lists`` that
+        ``apply_candidate_pairs`` used to run, kept as the reference."""
+        rng = np.random.default_rng(13)
+        n = 90
+        points = rng.normal(size=(n, 2))
+        points[10:14] = points[3]  # exact distance ties
+        idx = np.full((n, k), -1, dtype=np.int64)
+        sq = np.full((n, k), np.inf)
+        for _ in range(3):  # successive merges start from filled lists
+            owners = rng.integers(0, n, size=300)
+            cands = rng.integers(0, n, size=300)
+            ref_idx, ref_sq, ref_changed = idx.copy(), sq.copy(), 0
+            keep = owners != cands
+            for g in np.unique(owners[keep]):
+                mine = keep & (owners == g)
+                diff = points[g] - points[cands[mine]]
+                new_idx, new_sq = merge_neighbor_lists(
+                    ref_idx[g], ref_sq[g], cands[mine], np.einsum("ij,ij->i", diff, diff), k
+                )
+                ref_changed += not (
+                    np.array_equal(new_idx, ref_idx[g]) and np.array_equal(new_sq, ref_sq[g])
+                )
+                ref_idx[g], ref_sq[g] = new_idx, new_sq
+            changed = apply_candidate_pairs(
+                points, idx, sq, np.arange(n), owners, cands, k
+            )
+            np.testing.assert_array_equal(idx, ref_idx)
+            np.testing.assert_array_equal(sq, ref_sq)
+            assert changed == ref_changed
 
     def test_empty_and_self_pairs(self):
         points = np.array([[0.0, 0.0], [1.0, 0.0]])

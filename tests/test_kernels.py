@@ -150,8 +150,14 @@ class TestFlatTree:
         flat = FlatTree.from_tree(res.tree)
         assert flat is not None
         qs = uniform_cube(300, 2, seed=99)
+        # the pointer walk, one row at a time, grouped by leaf left to right
+        by_leaf = {}
+        for r in range(qs.shape[0]):
+            by_leaf.setdefault(id(res.tree.leaf_of_point(qs[r])), []).append(r)
         walked = [
-            (leaf.indices, rows) for leaf, rows in res.tree.leaves_of_points(qs)
+            (leaf.indices, np.asarray(by_leaf[id(leaf)]))
+            for leaf in res.tree.leaves()
+            if id(leaf) in by_leaf
         ]
         grouped = list(flat.leaf_groups(qs))
         assert len(walked) == len(grouped)
@@ -176,14 +182,23 @@ class TestFlatTree:
         np.testing.assert_array_equal(np.sort(ids), np.arange(20))
         np.testing.assert_array_equal(rows, np.arange(20))
 
-    def test_non_sphere_tree_returns_none(self):
+    def test_hyperplane_tree_flattens(self):
         from repro.core.simple_dnc import SimpleDnCConfig, simple_parallel_dnc
 
         pts = uniform_cube(300, 2, seed=3)
         res = simple_parallel_dnc(pts, 1, seed=3, config=SimpleDnCConfig())
         if res.tree.is_leaf:  # pragma: no cover - degenerate workload
             pytest.skip("tree degenerated to one leaf")
-        assert FlatTree.from_tree(res.tree) is None
+        flat = FlatTree.from_tree(res.tree)
+        planes = [i for i, node in enumerate(res.tree.nodes())
+                  if not node.is_leaf and not isinstance(node.separator, Sphere)]
+        assert planes and flat.planes.tolist() == planes
+        # every row still reaches the leaf the pointer walk reaches
+        leaves = list(res.tree.leaves())
+        qs = uniform_cube(200, 2, seed=4)
+        ords = flat.descend(qs)
+        for r in range(qs.shape[0]):
+            assert leaves[ords[r]] is res.tree.leaf_of_point(qs[r])
 
 
 class TestBench:

@@ -217,8 +217,8 @@ class TestFloat32Exactness:
         layout = FlatTree.from_tree(res.tree)
         assert layout is not None
         qs = uniform_cube(150, 2, seed=92)
-        idx, sq = knn_query(res.tree, stored, qs, 2, layout=layout)
-        # layout and pointer-walk descents are bit-identical
+        idx, sq = knn_query(layout, stored, qs, 2)
+        # a prebuilt layout and the tree flattened on the fly agree bit for bit
         idx_walk, sq_walk = knn_query(res.tree, stored, qs, 2)
         np.testing.assert_array_equal(idx, idx_walk)
         np.testing.assert_array_equal(sq, sq_walk)

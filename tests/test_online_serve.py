@@ -119,7 +119,7 @@ class TestBatcherSwap:
         pts = uniform_cube(120, 2, seed=12)
         index = ServingIndex.build(pts, 2, seed=13, with_structure=True)
         batcher = Batcher(index, kind="covering")
-        bare = ServingIndex(pts, index.tree, 2)  # no system
+        bare = ServingIndex(pts, index.layout, 2)  # no system
         with pytest.raises(ValueError, match="system"):
             batcher.swap_index(bare)
 

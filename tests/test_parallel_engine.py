@@ -430,6 +430,28 @@ class TestFacadeAndObservability:
             # dispatched but never completed: still no usable window
             assert pool.dispatch_window() is None
 
+    def test_broadcast_alone_opens_no_dispatch_window(self):
+        with WorkerPool(2) as pool:
+            assert len(pool.broadcast("serve_stats", None)) == 2
+            assert pool.dispatch_window() is None
+            pool.run_tasks("serve_stats", [None])
+            first, last = pool.dispatch_window()
+            pool.broadcast("serve_stats", None)  # after the work: no extension
+            assert pool.dispatch_window() == (first, last)
+
+    def test_dispatch_span_matches_subtree_span_bounds(self):
+        """The window opens at the first shipped subtree, not at the
+        ``init_run`` broadcast: the master's own top levels stay out."""
+        pts = uniform_cube(3000, 2, seed=14)
+        res, tracer = repro.run_traced(
+            pts, 1, method="fast", seed=61, engine="frontier-mp", workers=2
+        )
+        subtrees = [s for _, s in tracer.root.walk() if s.name == "parallel.subtree"]
+        assert subtrees
+        span = res.machine.metrics.gauges["parallel.dispatch_span_seconds"]
+        bounds = max(s.wall_end for s in subtrees) - min(s.wall_start for s in subtrees)
+        assert span == pytest.approx(bounds, rel=1e-9, abs=1e-9)
+
     def test_task_results_carry_timeline(self):
         pts = uniform_cube(400, 2, seed=12)
         machine_res, tracer = repro.run_traced(

@@ -33,7 +33,7 @@ def queries():
 def test_execute_knn_matches_single_row_knn_query(index, queries):
     idx, sq = index.execute("knn", queries)
     for i in range(0, queries.shape[0], 37):
-        si, ss = knn_query(index.tree, index.points, queries[i : i + 1], 3)
+        si, ss = knn_query(index.layout, index.points, queries[i : i + 1], 3)
         assert np.array_equal(si[0], idx[i])
         assert np.array_equal(ss[0], sq[i])
 
@@ -96,7 +96,7 @@ def test_execute_validates_inputs(index, queries):
 
 
 def test_covering_requires_system(index, queries):
-    bare = ServingIndex(index.points, index.tree, index.k)
+    bare = ServingIndex(index.points, index.layout, index.k)
     with pytest.raises(ValueError, match="k-neighborhood system"):
         bare.execute("covering", queries)
 
