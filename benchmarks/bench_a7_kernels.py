@@ -1,35 +1,26 @@
-"""A7 — Kernel backends: wall-clock of the pluggable hot-path kernels.
+"""A7 — Kernels: wall-clock of the numpy hot-path kernels.
 
-The build and query hot paths dispatch through ``repro.kernels`` (side
-tests, fused classify+pack splits, base-case brute force, candidate
-merges, vectorised query descent).  Backends are bit-identical per op
-and end to end (tests/test_kernels_equivalence.py); this experiment
-measures what each backend costs and buys in host wall-clock:
+The build and query hot paths call the plain numpy functions of
+``repro.kernels`` (side tests, fused classify+pack splits, base-case
+brute force, candidate merges, vectorised query descent).  Routing
+them through one module must be ~free: frontier builds and bulk queries
+stay within 1.05x of the pre-refactor baseline wall-clock (constants
+below, measured on the same host before ``repro.kernels`` existed).
+Per-op calls, rows and self time inside a real build come from the
+repository benchmark instead (``python3 perfbench/run.py --workload
+build --trace 1``).
 
-- **numpy** — the routing refactor itself must be ~free: frontier
-  builds and bulk queries stay within 1.05x of the pre-refactor
-  baseline wall-clock (constants below, measured on the same host
-  before ``repro.kernels`` existed).
-- **numba** — where the ``repro[perf]`` extra is installed, the
-  compiled kernels should win >= 3x on the dominant per-op paths at
-  n >= 500k.  On hosts without numba the table records the rows as
-  ``unavailable`` rather than skipping silently; the CI ``kernels``
-  job runs the numba half.
-
-Acceptance: numpy-backend build/query <= 1.05x the pre-refactor
-baseline; numba speedup asserted only where numba is importable.
+Acceptance: build/query <= 1.05x the pre-refactor baseline.  The tables
+record the host's core count per row.
 """
 
 from __future__ import annotations
 
+import os
 import time
-
-import numpy as np
 
 from repro.core import FastDnCConfig, parallel_nearest_neighborhood
 from repro.core.query_points import knn_query
-from repro.kernels import numba_available, use_backend
-from repro.kernels.bench import bench_backends
 from repro.kernels.layout import FlatTree
 from repro.pvm import Machine
 from repro.workloads import uniform_cube
@@ -42,186 +33,104 @@ from common import bench_seed, record_bench_run, table_bench, write_table
 BASELINE_BUILD_S = {100_000: 2.013, 250_000: 5.469, 500_000: 10.716}
 BASELINE_QUERY_S = 1.068
 REGRESSION_BAR = 1.05
-NUMBA_BAR = 3.0
 MAX_PASSES = 6  # re-measure under transient host load (see below)
 
-BACKENDS = ["numpy"] + (["numba"] if numba_available() else [])
 
-
-def _timed_build(points, k, backend):
+def _timed_build(points, k):
     machine = Machine()
     t0 = time.perf_counter()
     res = parallel_nearest_neighborhood(
         points, k, machine=machine, seed=bench_seed(7),
-        config=FastDnCConfig(engine="frontier", kernels=backend),
+        config=FastDnCConfig(engine="frontier"),
     )
     return time.perf_counter() - t0, res, machine
 
 
 @table_bench
 def test_a7_build_wallclock_table():
-    """Frontier builds per backend vs the pre-refactor baseline."""
-    # warm the process (imports, BLAS thread pools, JIT compiles where
-    # numba is present) so the timed runs compare against the baseline
-    # under the same steady-state conditions it was measured in
-    warm = uniform_cube(20_000, 2, bench_seed(5))
-    for backend in BACKENDS:
-        _timed_build(warm, 2, backend)
+    """Frontier builds vs the pre-refactor baseline."""
+    cores = os.cpu_count() or 1
+    # warm the process (imports, BLAS thread pools) so the timed runs
+    # compare against the baseline under the same steady-state
+    # conditions it was measured in
+    _timed_build(uniform_cube(20_000, 2, bench_seed(5)), 2)
     # The baseline is a constant from another point in time, so unlike
     # a3's same-run ratio the comparison does NOT cancel host load.  Keep
     # the per-size minimum over up to MAX_PASSES passes and stop as soon
     # as the bar is met: transient load retries away, a real regression
     # fails every pass.
-    best = {n: {} for n in BASELINE_BUILD_S}
+    best = {}
     machines = {}
-    results = {}
     worst_ratio = None
     for _ in range(MAX_PASSES):
         for n in sorted(BASELINE_BUILD_S):
             pts = uniform_cube(n, 2, bench_seed(n + 11))
-            for backend in BACKENDS:
-                t, res, machine = _timed_build(pts, 2, backend)
-                if t < best[n].get(backend, float("inf")):
-                    best[n][backend] = t
-                machines[n, backend] = machine
-                results[n, backend] = res
+            t, _, machine = _timed_build(pts, 2)
+            if t < best.get(n, float("inf")):
+                best[n] = t
+            machines[n] = machine
         worst_ratio = max(
-            best[n]["numpy"] / base_s
-            for n, base_s in BASELINE_BUILD_S.items()
+            best[n] / base_s for n, base_s in BASELINE_BUILD_S.items()
         )
         if worst_ratio <= REGRESSION_BAR:
             break
     rows = []
     for n, base_s in sorted(BASELINE_BUILD_S.items()):
         record_bench_run(
-            "a7_kernels", machines[n, "numpy"],
+            "a7_kernels", machines[n],
             params={"n": n, "d": 2, "k": 2, "engine": "frontier",
-                    "kernels": "numpy"},
+                    "host_cores": cores},
             extra={"baseline_s": base_s},
-            wall_seconds=best[n]["numpy"],
+            wall_seconds=best[n],
         )
-        if len(BACKENDS) == 2:
-            np.testing.assert_array_equal(
-                results[n, "numpy"].system.neighbor_indices,
-                results[n, "numba"].system.neighbor_indices,
-            )
-        numba_cell = (
-            f"{best[n]['numba']:.3f}" if "numba" in best[n]
-            else "unavailable"
-        )
-        rows.append((n, f"{base_s:.3f}", f"{best[n]['numpy']:.3f}",
-                     f"{best[n]['numpy'] / base_s:.3f}x", numba_cell))
-    bar = f"<= {REGRESSION_BAR:.2f}x"
-    rows.append(("req", "", "", f"{bar}; worst {worst_ratio:.3f}x",
-                 "numba half runs in CI" if len(BACKENDS) == 1 else ""))
+        rows.append((n, cores, f"{base_s:.3f}", f"{best[n]:.3f}",
+                     f"{best[n] / base_s:.3f}x"))
+    rows.append(("req", "", "", "",
+                 f"<= {REGRESSION_BAR:.2f}x; worst {worst_ratio:.3f}x"))
     write_table(
         "a7_kernels_build",
-        "A7  frontier build wall-clock by kernel backend (d=2, k=2)",
-        ["n", "baseline s", "numpy s", "vs baseline", "numba s"],
+        "A7  frontier build wall-clock, numpy kernels (d=2, k=2)",
+        ["n", "cores", "baseline s", "measured s", "vs baseline"],
         rows,
     )
     assert worst_ratio <= REGRESSION_BAR, (
-        f"numpy-backend build regressed {worst_ratio:.3f}x over the "
+        f"frontier build regressed {worst_ratio:.3f}x over the "
         f"pre-refactor baseline (bar {REGRESSION_BAR}x)"
     )
 
 
 @table_bench
 def test_a7_query_wallclock_table():
-    """Bulk knn_query (FlatTree descent + march) per backend vs baseline."""
+    """Bulk knn_query (FlatTree descent + march) vs the baseline."""
+    cores = os.cpu_count() or 1
     n, q, k = 200_000, 50_000, 2
     pts = uniform_cube(n, 2, bench_seed(13))
     queries = uniform_cube(q, 2, bench_seed(17))
-    _, res, _ = _timed_build(pts, k, "numpy")
+    _, res, _ = _timed_build(pts, k)
     layout = FlatTree.from_tree(res.tree)
-    rows = []
-    timings = {}
+    best = float("inf")
     # constant-baseline comparison: same retry-under-load policy as the
     # build table above
     for _ in range(MAX_PASSES):
-        for backend in BACKENDS:
-            with use_backend(backend):
-                t0 = time.perf_counter()
-                idx, sq = knn_query(layout, res.system.points, queries, k)
-                t = time.perf_counter() - t0
-            timings[backend] = min(t, timings.get(backend, float("inf")))
-            assert idx.shape == (q, k) and sq.shape == (q, k)
-        if timings["numpy"] / BASELINE_QUERY_S <= REGRESSION_BAR:
+        t0 = time.perf_counter()
+        idx, sq = knn_query(layout, res.system.points, queries, k)
+        best = min(best, time.perf_counter() - t0)
+        assert idx.shape == (q, k) and sq.shape == (q, k)
+        if best / BASELINE_QUERY_S <= REGRESSION_BAR:
             break
-    for backend in BACKENDS:
-        rows.append((backend, n, q, f"{BASELINE_QUERY_S:.3f}",
-                     f"{timings[backend]:.3f}",
-                     f"{timings[backend] / BASELINE_QUERY_S:.3f}x"))
-    if "numba" not in timings:
-        rows.append(("numba", n, q, f"{BASELINE_QUERY_S:.3f}",
-                     "unavailable", "numba half runs in CI"))
-    ratio = timings["numpy"] / BASELINE_QUERY_S
-    rows.append(("req", "", "", "", f"<= {REGRESSION_BAR:.2f}x",
-                 f"measured {ratio:.3f}x"))
+    ratio = best / BASELINE_QUERY_S
+    rows = [
+        (n, q, cores, f"{BASELINE_QUERY_S:.3f}", f"{best:.3f}",
+         f"{ratio:.3f}x"),
+        ("req", "", "", "", "", f"<= {REGRESSION_BAR:.2f}x"),
+    ]
     write_table(
         "a7_kernels_query",
-        "A7  bulk query wall-clock by kernel backend (50k queries on 200k)",
-        ["backend", "n", "queries", "baseline s", "measured s", "vs baseline"],
+        "A7  bulk query wall-clock, numpy kernels (50k queries on 200k)",
+        ["n", "queries", "cores", "baseline s", "measured s", "vs baseline"],
         rows,
     )
     assert ratio <= REGRESSION_BAR, (
-        f"numpy-backend query regressed {ratio:.3f}x over the "
+        f"bulk query regressed {ratio:.3f}x over the "
         f"pre-refactor baseline (bar {REGRESSION_BAR}x)"
-    )
-
-
-@table_bench
-def test_a7_per_op_microbench_table():
-    """Per-op ns/element on every available backend (repro bench kernels).
-
-    Where numba is importable this is the >= 3x speedup check on the
-    dominant ops at large n; without it the table still records the
-    numpy-reference figures so regressions in the reference kernels are
-    visible in the committed results.
-    """
-    machine = Machine()
-    rows_raw = bench_backends(
-        n=500_000, d=2, k=8, repeats=3, backends=BACKENDS,
-        seed=bench_seed(19), machine=machine,
-    )
-    record_bench_run(
-        "a7_kernels_ops", machine,
-        params={"n": 500_000, "d": 2, "k": 8, "backends": BACKENDS},
-    )
-    by_op = {}
-    for r in rows_raw:
-        by_op.setdefault(r["op"], {})[r["backend"]] = r
-    rows = []
-    worst_speedup = None
-    for op, per_backend in sorted(by_op.items()):
-        ref = per_backend["numpy"]
-        if "numba" in per_backend:
-            speedup = ref["seconds"] / per_backend["numba"]["seconds"]
-            numba_cell = f"{per_backend['numba']['ns_per_element']:.2f}"
-            speedup_cell = f"{speedup:.2f}x"
-            if worst_speedup is None or speedup < worst_speedup:
-                worst_speedup = speedup
-        else:
-            numba_cell, speedup_cell = "unavailable", "-"
-        rows.append((op, ref["elements"], f"{ref['ns_per_element']:.2f}",
-                     numba_cell, speedup_cell))
-    if numba_available():
-        rows.append(("req", "", "", f">= {NUMBA_BAR:.0f}x best op",
-                     f"worst {worst_speedup:.2f}x"))
-        best = max(
-            per["numpy"]["seconds"] / per["numba"]["seconds"]
-            for per in by_op.values() if "numba" in per
-        )
-        assert best >= NUMBA_BAR, (
-            f"best numba per-op speedup {best:.2f}x below the "
-            f"{NUMBA_BAR}x bar at n=500k"
-        )
-    else:
-        rows.append(("req", "", "", f">= {NUMBA_BAR:.0f}x best op",
-                     "numba not installed here; CI kernels job measures it"))
-    write_table(
-        "a7_kernels_ops",
-        "A7  per-op kernel micro-bench, ns/element (n=500k, d=2, k=8)",
-        ["op", "elements", "numpy ns/el", "numba ns/el", "speedup"],
-        rows,
     )

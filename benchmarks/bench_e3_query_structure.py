@@ -34,7 +34,7 @@ def test_e3_shape_table():
     # the worst-case recurrence needs the paper's m0 validity threshold
     # (our practical build uses a smaller leaf size + explicit progress check)
     mu = cfg.mu(2)
-    m0_star = max(cfg.m0, min_valid_m0(0.8, mu))
+    m0_star = max(cfg.base_case_size, min_valid_m0(0.8, mu))
     for n in (512, 1024, 2048, 4096, 8192):
         m = Machine()
         s = build(n, 2, 1, n, machine=m)

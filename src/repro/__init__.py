@@ -21,13 +21,12 @@ Public surface (see README for a tour):
 - :mod:`repro.baselines` — brute force, kd-tree and grid all-kNN;
 - :mod:`repro.workloads` — synthetic and adversarial point generators;
 - :mod:`repro.analysis` — recurrences, probability bounds, scaling fits;
-- :mod:`repro.kernels` — pluggable hot-path kernel backends (the numpy
-  reference and an optional numba-jitted table, bit-identical by
-  contract) plus the contiguous :class:`~repro.kernels.FlatTree`, the
-  array form of a partition tree that queries descend and march;
+- :mod:`repro.kernels` — the numpy hot-path kernels, as plain functions,
+  plus the contiguous :class:`~repro.kernels.FlatTree`, the array form of
+  a partition tree that queries descend and march;
 - :mod:`repro.obs` — tracing spans, metrics registry, trace exports;
 - :mod:`repro.parallel` — the multiprocess frontier backend: shared-memory
-  buffers, shard planning, the worker pool (``engine="frontier-mp"``);
+  buffers, subtree planning, the worker pool (``engine="frontier-mp"``);
 - :mod:`repro.serve` — the online side: the frozen
   :class:`~repro.serve.index.ServingIndex`, micro-batching
   :class:`~repro.serve.batcher.Batcher`, LRU result cache, the
@@ -49,8 +48,7 @@ Public surface (see README for a tour):
 Since 1.6.0 indices are *online*: ``build_index`` returns an
 :class:`~repro.api.Index` whose ``insert``/``delete``/``commit`` absorb
 point mutations into the existing partition tree, bit-identically to a
-from-scratch build (``docs/online_index.md``).  The pre-1.6 ``KNNIndex``
-name remains importable as a deprecated alias.
+from-scratch build (``docs/online_index.md``).
 """
 
 from . import (
@@ -72,7 +70,6 @@ from . import (
 from .api import (
     DTYPES,
     ENGINES,
-    KERNEL_BACKENDS,
     METHODS,
     Batcher,
     CommitInfo,
@@ -85,7 +82,7 @@ from .api import (
     run_traced,
 )
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "analysis",
@@ -105,7 +102,6 @@ __all__ = [
     "Batcher",
     "CommitInfo",
     "Index",
-    "KNNIndex",
     "KNNResult",
     "ServingIndex",
     "all_knn",
@@ -114,15 +110,7 @@ __all__ = [
     "run_traced",
     "METHODS",
     "ENGINES",
-    "KERNEL_BACKENDS",
     "DTYPES",
     "__version__",
 ]
 
-
-def __getattr__(name: str):
-    # Deprecated aliases (KNNIndex) resolve through the facade's shim so
-    # the DeprecationWarning fires exactly where the old name is used.
-    if name == "KNNIndex":
-        return getattr(api, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -34,8 +34,7 @@ pins against ``docs/api_surface.txt``:
 
 :func:`all_knn`, :func:`~repro.core.query_points.knn_query` and
 :func:`serve` remain thin wrappers over the same machinery the
-:class:`Index` handle drives.  The pre-1.6 ``KNNIndex`` name is a
-deprecated alias of :class:`Index` (module ``__getattr__`` shim).
+:class:`Index` handle drives.
 
 Everything here is re-exported from the package root, so the quickstart
 is simply::
@@ -49,7 +48,6 @@ is simply::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple, Union
 
@@ -59,7 +57,6 @@ from .baselines import brute_force_knn
 from .core import (
     DTYPES,
     ENGINES,
-    KERNEL_BACKENDS,
     CommitInfo,
     FastDnCConfig,
     FastDnCResult,
@@ -74,8 +71,8 @@ from .core import (
     parallel_nearest_neighborhood,
     simple_parallel_dnc,
 )
+from .core.query_points import check_queries, knn_query_flat
 from .geometry.points import as_points
-from .kernels import use_backend
 from .obs import Tracer
 from .pvm import Cost, Machine
 from .serve import Batcher, ResultCache, ServingIndex, ServingPool
@@ -83,7 +80,6 @@ from .serve import Batcher, ResultCache, ServingIndex, ServingPool
 __all__ = [
     "KNNResult",
     "Index",
-    "KNNIndex",
     "CommitInfo",
     "ServingIndex",
     "Batcher",
@@ -95,7 +91,6 @@ __all__ = [
     "serve",
     "METHODS",
     "ENGINES",
-    "KERNEL_BACKENDS",
     "DTYPES",
 ]
 
@@ -231,7 +226,10 @@ class Index:
             Each (q, k), sorted ascending by (distance, index).
         """
         kk = self.k if k is None else k
-        return knn_query(self.mutable.layout, self.points, queries, kk)
+        # the data array was validated on its way into the index (build
+        # and insert); only the query rows need checking
+        qs = check_queries(queries, self.points, kk)
+        return knn_query_flat(self.mutable.layout, self.points, qs, kk)
 
     def covering(self, point: np.ndarray) -> np.ndarray:
         """Data-point ids whose k-NN ball strictly contains ``point``.
@@ -295,37 +293,17 @@ class Index:
         )
 
 
-def __getattr__(name: str):
-    # Deprecated aliases kept importable without polluting the namespace.
-    if name == "KNNIndex":
-        warnings.warn(
-            "KNNIndex is deprecated since 1.6.0; build_index() now returns the "
-            "versioned, mutable repro.api.Index (same query/covering surface). "
-            "Use Index instead.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return Index
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _resolve_config(
     method: str,
     config: ConfigLike,
     engine: Optional[str],
     workers: Optional[int] = None,
-    kernels: Optional[str] = None,
     dtype: Optional[str] = None,
 ) -> ConfigLike:
     if engine is not None and engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if kernels is not None and kernels != "auto" and kernels not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {kernels!r}; choose from "
-            f"{KERNEL_BACKENDS} or 'auto'"
-        )
     if dtype is not None and dtype not in DTYPES:
         raise ValueError(f"unknown dtype {dtype!r}; choose from {DTYPES}")
     if config is None:
@@ -337,8 +315,6 @@ def _resolve_config(
         config = replace(config, engine=engine)
     if config is not None and workers is not None and config.workers != workers:
         config = replace(config, workers=workers)
-    if config is not None and kernels is not None and config.kernels != kernels:
-        config = replace(config, kernels=kernels)
     if config is not None and dtype is not None and config.dtype != dtype:
         config = replace(config, dtype=dtype)
     return config
@@ -354,7 +330,6 @@ def all_knn(
     seed: object = None,
     engine: Optional[str] = None,
     workers: Optional[int] = None,
-    kernels: Optional[str] = None,
     dtype: Optional[str] = None,
 ) -> KNNResult:
     """Exact all-k-nearest-neighbors of ``points``, as a :class:`KNNResult`.
@@ -388,10 +363,6 @@ def all_knn(
     workers:
         Worker-process count for ``"frontier-mp"`` (``None`` = one per
         CPU); ignored by the serial engines.
-    kernels:
-        Hot-path kernel backend: ``"numpy"``, ``"numba"`` or ``"auto"``
-        — bit-identical results, different wall-clock (see
-        ``docs/kernels.md``).  ``None`` keeps ``config.kernels``.
     dtype:
         Point storage dtype, ``"float64"`` or ``"float32"``; distance
         arithmetic always runs in float64 on the stored values.  ``None``
@@ -408,7 +379,7 @@ def all_knn(
     pts = as_points(points, min_points=1, dtype=None)
     if machine is None:
         machine = Machine()
-    config = _resolve_config(method, config, engine, workers, kernels, dtype)
+    config = _resolve_config(method, config, engine, workers, dtype)
     if method == "fast":
         res: Union[FastDnCResult, SimpleDnCResult] = parallel_nearest_neighborhood(
             pts, k, machine=machine, seed=seed, config=config
@@ -420,19 +391,17 @@ def all_knn(
         return KNNResult(system=res.system, machine=machine, method=method,
                          tree=res.tree, stats=res.stats, k=k)
     if method == "brute":
-        # brute has no config object: apply the dtype/kernels knobs here
+        # brute has no config object: apply the dtype knob here
         if dtype == "float32":
             pts = np.ascontiguousarray(pts, dtype=np.float32)
-        with use_backend(kernels if kernels is not None else "auto"):
-            system = brute_force_knn(pts, k, machine=machine)
+        system = brute_force_knn(pts, k, machine=machine)
         return KNNResult(system=system, machine=machine, method=method, k=k)
     # method == "query": build the fast tree, then re-answer every point
     # through the partition-tree query path (self-matches dropped).
     res = parallel_nearest_neighborhood(pts, k, machine=machine, seed=seed, config=config)
     qpts = res.system.points  # the build's storage dtype, not the input's
     with machine.span("api.requery", n=int(qpts.shape[0]), k=k):
-        with use_backend(config.kernels):
-            idx, sq = knn_query(res.tree, qpts, qpts, min(k + 1, qpts.shape[0]))
+        idx, sq = knn_query(res.tree, qpts, qpts, min(k + 1, qpts.shape[0]))
     n = qpts.shape[0]
     out_idx = np.full((n, k), -1, dtype=np.int64)
     out_sq = np.full((n, k), np.inf)
@@ -455,7 +424,6 @@ def build_index(
     seed: object = None,
     engine: Optional[str] = None,
     workers: Optional[int] = None,
-    kernels: Optional[str] = None,
     dtype: Optional[str] = None,
     churn_threshold: float = 0.05,
     snapshot_min_size: Optional[int] = None,
@@ -477,15 +445,13 @@ def build_index(
     ``churn_threshold`` is the mutation fraction above which a commit
     punts to a full rebuild; ``snapshot_min_size`` tunes the granularity
     of reusable subtree records (see ``docs/online_index.md``).
-    ``kernels`` selects the hot-path backend as in :func:`all_knn`;
     ``dtype`` must stay ``"float64"`` here — the online absorb machinery
     is float64-only (``all_knn`` and ``ServingIndex.build`` accept
     ``"float32"``).
 
     .. versionchanged:: 1.6.0
        Returns :class:`Index` (mutable, versioned) instead of the
-       query-only ``KNNIndex``; the old name is a deprecated alias and
-       the query/covering surface is unchanged.
+       query-only handle; the query/covering surface is unchanged.
     """
     if dtype == "float32" or (dtype is None and config is not None
                               and config.dtype == "float32"):
@@ -497,7 +463,7 @@ def build_index(
             "ServingIndex.build for float32 storage"
         )
     pts = as_points(points, min_points=1, dtype=None)
-    cfg = _resolve_config("fast", config, engine, workers, kernels, dtype)
+    cfg = _resolve_config("fast", config, engine, workers, dtype)
     mutable = MutableIndex(
         pts,
         k,
@@ -520,7 +486,6 @@ def run_traced(
     seed: object = None,
     engine: Optional[str] = None,
     workers: Optional[int] = None,
-    kernels: Optional[str] = None,
     dtype: Optional[str] = None,
     events_out: Optional[str] = None,
     metrics_out: Optional[str] = None,
@@ -550,7 +515,7 @@ def run_traced(
     with machine.span("run", method=method, n=int(np.asarray(points).shape[0]), k=k):
         result = all_knn(
             points, k, method=method, config=config, machine=machine, seed=seed,
-            engine=engine, workers=workers, kernels=kernels, dtype=dtype,
+            engine=engine, workers=workers, dtype=dtype,
         )
     if pre.depth == 0 and pre.work == 0:
         # fresh ledger: the root span must reproduce it exactly
@@ -579,7 +544,6 @@ def serve(
     seed: object = None,
     engine: Optional[str] = None,
     workers: Optional[int] = None,
-    kernels: Optional[str] = None,
     dtype: Optional[str] = None,
     serve_workers: Optional[int] = None,
     max_batch: int = 256,
@@ -616,7 +580,6 @@ def serve(
         seed=seed,
         engine=engine,
         workers=workers,
-        kernels=kernels,
         dtype=dtype,
         with_structure=(kind == "covering"),
     )
@@ -649,7 +612,6 @@ def net_serve(
     seed: object = None,
     engine: Optional[str] = None,
     workers: Optional[int] = None,
-    kernels: Optional[str] = None,
     churn_threshold: float = 0.05,
 ):
     """Build the full network serving stack; returns an unstarted server.
@@ -697,7 +659,6 @@ def net_serve(
             seed=seed,
             engine=engine,
             workers=workers,
-            kernels=kernels,
             churn_threshold=churn_threshold,
         )
         manager.add(name, index.mutable, machine=tenant_machine)

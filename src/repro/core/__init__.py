@@ -15,12 +15,8 @@ from .config import (
     DTYPES,
     ENGINE_REGISTRY,
     ENGINES,
-    KERNEL_BACKENDS,
-    KERNEL_REGISTRY,
     CommonConfig,
     EngineSpec,
-    KernelSpec,
-    supports_renamed_fields,
 )
 from .correction import (
     MarchResult,
@@ -73,11 +69,7 @@ __all__ = [
     "EngineSpec",
     "ENGINE_REGISTRY",
     "ENGINES",
-    "KernelSpec",
-    "KERNEL_REGISTRY",
-    "KERNEL_BACKENDS",
     "DTYPES",
-    "supports_renamed_fields",
     "MarchResult",
     "apply_candidate_pairs",
     "apply_candidate_pairs_batch",

@@ -7,53 +7,36 @@ different things, randomness was threaded through per-function ``seed``
 arguments only, and the separator-budget helpers (``mu``,
 ``iota_budget``) were duplicated.  :class:`CommonConfig` unifies them:
 
-- ``base_case_size`` is the canonical name for the subproblem size at or
-  below which a node is solved exhaustively / becomes a leaf (the old
-  ``m0``).  The old name still works — both as a constructor keyword and
-  as a read property — with a :class:`DeprecationWarning`.
+- ``base_case_size`` is the one name for the subproblem size at or
+  below which a node is solved exhaustively / becomes a leaf (the paper's
+  ``m0``).
 - ``seed`` is a config-level default RNG seed.  Algorithm entry points
   still accept an explicit ``seed=``; when it is omitted (``None``), the
   config's seed is used, so a config object fully determines a run.
 - ``mu`` / ``iota_budget`` are defined once, with the ``k``-aware budget
   (``k^{1/d}``-scaled) that the fast algorithm needs; passing ``k=1``
   reproduces the query structure's classic budget.
-
-Renamed-field compatibility is applied with the
-:func:`supports_renamed_fields` class decorator, which rewrites legacy
-constructor keywords (warning once per call site) before the frozen
-dataclass ``__init__`` runs.
 """
 
 from __future__ import annotations
 
-import functools
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..kernels.registry import KERNEL_BACKENDS, KERNEL_REGISTRY, KernelSpec
 from ..util.rng import as_generator
 
 __all__ = [
     "CommonConfig",
-    "supports_renamed_fields",
-    "RENAMED_CONFIG_FIELDS",
     "EngineSpec",
     "ENGINE_REGISTRY",
     "ENGINES",
-    "KernelSpec",
-    "KERNEL_REGISTRY",
-    "KERNEL_BACKENDS",
     "DTYPES",
 ]
 
 #: Storage dtypes accepted by :attr:`CommonConfig.dtype`.
 DTYPES = ("float64", "float32")
-
-# old constructor keyword / attribute -> canonical dataclass field
-RENAMED_CONFIG_FIELDS = {"m0": "base_case_size"}
 
 
 @dataclass(frozen=True)
@@ -95,37 +78,6 @@ ENGINE_REGISTRY = {
 ENGINES = tuple(ENGINE_REGISTRY)
 
 
-def supports_renamed_fields(cls):
-    """Class decorator: accept legacy constructor keywords with a warning.
-
-    Wraps the (data)class ``__init__`` so that deprecated keyword names in
-    :data:`RENAMED_CONFIG_FIELDS` are rewritten to their canonical field,
-    emitting a :class:`DeprecationWarning`.  Passing both the old and the
-    new name is a ``TypeError``.  ``functools.wraps`` keeps the original
-    signature visible to :func:`inspect.signature`.
-    """
-    orig_init = cls.__init__
-
-    @functools.wraps(orig_init)
-    def __init__(self, *args, **kwargs):
-        for old, new in RENAMED_CONFIG_FIELDS.items():
-            if old in kwargs:
-                if new in kwargs:
-                    raise TypeError(
-                        f"{cls.__name__}() got both deprecated {old!r} and {new!r}"
-                    )
-                warnings.warn(
-                    f"{cls.__name__}({old}=...) is deprecated; use {new}=...",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                kwargs[new] = kwargs.pop(old)
-        orig_init(self, *args, **kwargs)
-
-    cls.__init__ = __init__
-    return cls
-
-
 @dataclass(frozen=True)
 class CommonConfig:
     """Mixin of the knobs every algorithm config shares.
@@ -134,8 +86,7 @@ class CommonConfig:
     ----------
     base_case_size:
         Subproblems of at most this many points are solved exhaustively
-        (divide and conquer) or become leaves (query structure).  The
-        deprecated alias ``m0`` is still accepted.
+        (divide and conquer) or become leaves (query structure).
     seed:
         Default RNG seed (or ``numpy`` Generator) used when the algorithm
         entry point is not given an explicit ``seed=``.  ``None`` means
@@ -159,14 +110,6 @@ class CommonConfig:
         Default path for the Prometheus text exposition of the run's
         metrics registry written by :func:`repro.api.run_traced` (and
         the ``--metrics-out`` CLI flag).  ``None`` writes nothing.
-    kernels:
-        Hot-path kernel backend: any name in
-        :data:`~repro.kernels.registry.KERNEL_REGISTRY` (``"numpy"``,
-        ``"numba"``) or ``"auto"`` (numba when importable, else numpy;
-        the ``REPRO_KERNELS`` environment variable overrides ``auto``).
-        Every backend is bit-identical, so this is purely a wall-clock
-        knob; requesting ``numba`` without it installed warns once and
-        falls back.  See ``docs/kernels.md``.
     dtype:
         Point storage dtype: ``"float64"`` (default) or ``"float32"``
         (half the memory/bandwidth; coordinates are stored in float32
@@ -181,7 +124,6 @@ class CommonConfig:
     workers: Optional[int] = None
     events_out: Optional[str] = None
     metrics_out: Optional[str] = None
-    kernels: str = "auto"
     dtype: str = "float64"
 
     def __post_init__(self):
@@ -191,27 +133,10 @@ class CommonConfig:
             )
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.kernels != "auto" and self.kernels not in KERNEL_REGISTRY:
-            raise ValueError(
-                f"unknown kernel backend {self.kernels!r}; expected one of "
-                f"{KERNEL_BACKENDS} or 'auto'"
-            )
         if self.dtype not in DTYPES:
             raise ValueError(
                 f"unknown dtype {self.dtype!r}; expected one of {DTYPES}"
             )
-
-    # -- deprecated aliases ----------------------------------------------
-
-    @property
-    def m0(self) -> int:
-        """Deprecated alias for :attr:`base_case_size` (warns on read)."""
-        warnings.warn(
-            f"{type(self).__name__}.m0 is deprecated; use base_case_size",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.base_case_size
 
     # -- shared derived quantities ---------------------------------------
 

@@ -34,7 +34,6 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from ..geometry.balls import BallSystem
-from .. import kernels
 from ..geometry.points import as_points
 from ..geometry.spheres import Hyperplane, Sphere
 from ..obs.metrics import MetricsView
@@ -44,7 +43,7 @@ from ..separators.quality import default_delta
 from ..separators.unit_time import SeparatorFailure, find_good_separator
 from ..util.recursion import estimated_tree_levels, recursion_guard
 from ..util.rng import path_rng, seed_sequence_root
-from .config import CommonConfig, supports_renamed_fields
+from .config import CommonConfig
 from .correction import apply_candidate_pairs, march_balls, query_correction_pairs
 from .neighborhood import KNeighborhoodSystem, brute_force_neighbors
 from .partition_tree import PartitionNode
@@ -55,7 +54,6 @@ __all__ = ["FastDnCConfig", "FastDnCStats", "FastDnCResult", "parallel_nearest_n
 SeparatorLike = Union[Sphere, Hyperplane]
 
 
-@supports_renamed_fields
 @dataclass(frozen=True)
 class FastDnCConfig(CommonConfig):
     """Parameters of the fast algorithm.
@@ -65,7 +63,7 @@ class FastDnCConfig(CommonConfig):
     exceeds ``iota_factor * m^mu`` punts immediately.  The marching cap is
     ``active_factor * m^active_exponent`` with ``active_exponent =
     mu + active_slack`` (Lemma 6.2's ``m^(1-eta)``).  ``base_case_size``
-    (deprecated alias ``m0``) and ``base_factor`` set the brute-force
+    and ``base_factor`` set the brute-force
     base-case threshold ``max(base_case_size, base_factor * (k+1))`` —
     large enough that no recursive subproblem ever has fewer than k+1
     points on both sides of a split.  ``fc_depth`` is the constant depth
@@ -180,26 +178,25 @@ def parallel_nearest_neighborhood(
     nbr_sq = np.full((n, k), np.inf)
     base = config.base_size(k)
     ids = np.arange(n, dtype=np.int64)
-    with kernels.use_backend(config.kernels):
-        if config.engine == "frontier":
-            from .frontier import run_fast_frontier
+    if config.engine == "frontier":
+        from .frontier import run_fast_frontier
 
-            tree = run_fast_frontier(
-                pts, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base
-            )
-        elif config.engine == "frontier-mp":
-            from ..parallel.engine import run_fast_frontier_mp
+        tree = run_fast_frontier(
+            pts, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base
+        )
+    elif config.engine == "frontier-mp":
+        from ..parallel.engine import run_fast_frontier_mp
 
-            tree = run_fast_frontier_mp(
-                pts, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base
-            )
-        else:
-            runner = _Runner(
-                pts, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base
-            )
-            levels = estimated_tree_levels(n, base, default_delta(d, config.epsilon))
-            with recursion_guard(levels):
-                tree = runner.solve(ids)
+        tree = run_fast_frontier_mp(
+            pts, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base
+        )
+    else:
+        runner = _Runner(
+            pts, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base
+        )
+        levels = estimated_tree_levels(n, base, default_delta(d, config.epsilon))
+        with recursion_guard(levels):
+            tree = runner.solve(ids)
     system = KNeighborhoodSystem(pts, k, nbr_idx, nbr_sq)
     return FastDnCResult(system=system, tree=tree, stats=stats, machine=machine)
 

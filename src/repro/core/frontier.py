@@ -271,17 +271,14 @@ class _FrontierBase:
 
         Seeding keeps the float association of subsequent charges identical
         to the recursive engine, where they fold flat into the same frame.
-        The sub-machine shares the metrics registry; its counters are
-        merged back directly (not via ``bump``, which would double-count
-        the metrics side).
+        The sub-machine shares the metrics registry, so its counter bumps
+        land in this run's registry directly.
         """
         sub = Machine(scan=self.machine.scan_policy, metrics=self.machine.metrics)
         sub.charge(cost)
         ball_rows, point_ids = query_correction_pairs(
             system, self.points[opposite_ids], opposite_ids, sub, rng, self.config.query
         )
-        for key, value in sub.counters.items():
-            self.machine.counters[key] = self.machine.counters.get(key, 0) + value
         return sub, ball_rows, point_ids
 
     # -- subclass hooks --------------------------------------------------

@@ -28,8 +28,9 @@ choices make that possible:
 2. **Recorded subtrees.**  The recording build captures, per sufficiently
    large node, everything a replay needs: the subtree's post-subtree
    neighbor rows, its exact composed :class:`~repro.pvm.cost.Cost` (via
-   :meth:`~repro.pvm.machine.Machine.measure`), its section events, counter
-   and metric deltas.  Absorbing a commit replays reused subtrees from the
+   :meth:`~repro.pvm.machine.Machine.measure`), its section events and
+   its metric deltas (the ``machine.*`` event counters among them).
+   Absorbing a commit replays reused subtrees from the
    record — one ``charge`` instead of thousands — and re-runs the paper's
    straddler-correction machinery (:meth:`_Runner.correct`) at every
    recomputed ancestor, exactly as a fresh build would.
@@ -153,7 +154,6 @@ class _NodeRecord:
     __slots__ = (
         "cost",
         "section_events",
-        "counters",
         "metric_counters",
         "metric_gauges",
         "metric_series",
@@ -165,7 +165,6 @@ class _NodeRecord:
         self,
         cost: Cost,
         section_events: List[tuple],
-        counters: Dict[str, int],
         metric_counters: Dict[str, float],
         metric_gauges: Dict[str, float],
         metric_series: Dict[str, list],
@@ -174,7 +173,6 @@ class _NodeRecord:
     ) -> None:
         self.cost = cost
         self.section_events = section_events
-        self.counters = counters
         self.metric_counters = metric_counters
         self.metric_gauges = metric_gauges
         self.metric_series = metric_series
@@ -186,7 +184,6 @@ class _NodeRecord:
         return _NodeRecord(
             self.cost,
             self.section_events,
-            self.counters,
             self.metric_counters,
             self.metric_gauges,
             self.metric_series,
@@ -245,7 +242,6 @@ class _OnlineRunner(_Runner):
         mx = self.machine
         met = mx.metrics
         return (
-            dict(mx.counters),
             len(mx.section_log),  # type: ignore[arg-type]
             dict(met.counters),
             dict(met.gauges),
@@ -253,10 +249,9 @@ class _OnlineRunner(_Runner):
         )
 
     def _attach_record(self, node: PartitionNode, ids: np.ndarray, pre: tuple, cost: Cost) -> None:
-        c0, log0, mc0, g0, sl0 = pre
+        log0, mc0, g0, sl0 = pre
         mx = self.machine
         met = mx.metrics
-        counters = {k: v - c0.get(k, 0) for k, v in mx.counters.items() if v != c0.get(k, 0)}
         events = list(mx.section_log[log0:])  # type: ignore[index]
         mcounters = {
             k: v - mc0.get(k, 0) for k, v in met.counters.items() if v != mc0.get(k, 0)
@@ -270,7 +265,6 @@ class _OnlineRunner(_Runner):
         node.meta[_REC_KEY] = _NodeRecord(
             cost,
             events,
-            counters,
             mcounters,
             gauges,
             series,
@@ -287,8 +281,6 @@ class _OnlineRunner(_Runner):
             mx.sections[name] = mx.sections.get(name, ZERO).then(c)
             if mx.section_log is not None:
                 mx.section_log.append((name, c))
-        for name, v in rec.counters.items():
-            mx.counters[name] = mx.counters.get(name, 0) + v
         met = mx.metrics
         for name, v in rec.metric_counters.items():
             met.inc(name, v)

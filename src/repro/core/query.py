@@ -39,19 +39,18 @@ from ..pvm.cost import Cost
 from ..pvm.machine import Machine
 from ..separators.quality import default_delta, is_good_point_split
 from ..separators.unit_time import UnitTimeSeparator
-from .config import CommonConfig, supports_renamed_fields
+from .config import CommonConfig
 
 __all__ = ["QueryConfig", "QueryStats", "QueryNode", "NeighborhoodQueryStructure"]
 
 SeparatorLike = Union[Sphere, Hyperplane]
 
 
-@supports_renamed_fields
 @dataclass(frozen=True)
 class QueryConfig(CommonConfig):
     """Tuning knobs of the search-structure build.
 
-    ``base_case_size`` (deprecated alias ``m0``) is the leaf capacity of
+    ``base_case_size`` is the leaf capacity of
     Lemma 3.1 (any constant large enough that ``m^mu <= (1-delta)/2 * m``
     for ``m > base_case_size`` works; 32 is comfortable for d <= 4).
     ``mu`` defaults to the separator theorem's exponent ``(d-1)/d`` plus

@@ -23,7 +23,6 @@ from typing import List, Optional
 import numpy as np
 
 from ..geometry.balls import BallSystem
-from .. import kernels
 from ..geometry.points import as_points
 from ..obs.metrics import MetricsView
 from ..pvm.cost import Cost
@@ -31,7 +30,7 @@ from ..pvm.machine import Machine
 from ..separators.hyperplane import find_median_hyperplane
 from ..util.recursion import estimated_tree_levels, recursion_guard
 from ..util.rng import path_rng, seed_sequence_root
-from .config import CommonConfig, supports_renamed_fields
+from .config import CommonConfig
 from .correction import apply_candidate_pairs, query_correction_pairs
 from .neighborhood import KNeighborhoodSystem, brute_force_neighbors
 from .partition_tree import PartitionNode
@@ -45,14 +44,12 @@ _GUARD_SPLIT_RATIO = 0.9
 __all__ = ["SimpleDnCConfig", "SimpleDnCStats", "SimpleDnCResult", "simple_parallel_dnc"]
 
 
-@supports_renamed_fields
 @dataclass(frozen=True)
 class SimpleDnCConfig(CommonConfig):
     """Parameters of the simple algorithm (see :class:`FastDnCConfig` for
     the shared meanings of ``base_case_size``/``base_factor``;
     ``base_case_size``, ``seed`` and ``base_size`` come from
-    :class:`~repro.core.config.CommonConfig`, and the deprecated ``m0``
-    alias still works)."""
+    :class:`~repro.core.config.CommonConfig`)."""
 
     base_factor: int = 4
     rotate_axes: bool = True
@@ -119,10 +116,9 @@ def simple_parallel_dnc(
         else:
             from ..parallel.engine import run_simple_frontier_mp as run_frontier
 
-        with kernels.use_backend(config.kernels):
-            tree = run_frontier(
-                pts, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base
-            )
+        tree = run_frontier(
+            pts, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base
+        )
         system = KNeighborhoodSystem(pts, k, nbr_idx, nbr_sq)
         return SimpleDnCResult(system=system, tree=tree, stats=stats, machine=machine)
 
@@ -209,7 +205,7 @@ def simple_parallel_dnc(
         return node
 
     levels = estimated_tree_levels(n, base, _GUARD_SPLIT_RATIO)
-    with kernels.use_backend(config.kernels), recursion_guard(levels):
+    with recursion_guard(levels):
         tree = solve(np.arange(n, dtype=np.int64), 0, ())
     system = KNeighborhoodSystem(pts, k, nbr_idx, nbr_sq)
     return SimpleDnCResult(system=system, tree=tree, stats=stats, machine=machine)

@@ -159,7 +159,7 @@ class FlatTree:
     # -- descent -------------------------------------------------------------
 
     def descend(self, pts: np.ndarray) -> np.ndarray:
-        """Leaf ordinal per row of ``pts``, via the active kernel backend."""
+        """Leaf ordinal per row of ``pts``, via the ``descend_spheres`` kernel."""
         return kernels.descend_spheres(
             pts, self.centers, self.radii, self.left, self.right, self.leaf_ord,
             self._plane_mask(),

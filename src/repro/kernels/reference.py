@@ -1,31 +1,23 @@
-"""Pure-numpy reference kernels — the bit-identity baseline.
+"""Pure-numpy kernels — the hot-path ops :mod:`repro.kernels` exposes.
 
 Each op here is a verbatim transplant of the hot-loop body it replaced
 (:mod:`repro.geometry.spheres`, :mod:`repro.core.neighborhood`,
 :mod:`repro.core.frontier`, :mod:`repro.baselines.brute_force`,
-:mod:`repro.core.partition_tree`), so routing a call site through the
-kernel table with the ``numpy`` backend produces byte-for-byte the same
-arrays — and the same exact (depth, work) ledger — as before the
-refactor.  Compiled backends are validated against these functions
-(see ``tests/test_kernels.py``).
+:mod:`repro.core.partition_tree`), so routing a call site through
+``repro.kernels`` produces byte-for-byte the same arrays — and the same
+exact (depth, work) ledger — as before the refactor (see
+``tests/test_kernels.py``).
 
-Conventions shared by every backend:
+Conventions shared by every op:
 
 - point arrays arrive pre-validated (2-D, float32 or float64,
   C-contiguous); float32 inputs upcast **elementwise** to float64
-  inside the arithmetic, which numpy broadcasting and an explicit
-  per-element cast agree on bit-for-bit;
+  inside the arithmetic;
 - separator parameters (centers, radii, normals, offsets) are float64;
 - classification outputs are int8 with the repo-wide convention
   (+1 exterior, -1 interior, 0 intersecting);
 - neighbor-selection ops return (indices, squared distances) sorted by
   (distance, id) with (-1, inf) padding.
-
-Two ops intentionally stay numpy under *every* backend: the hyperplane
-side test (a BLAS ``gemv`` whose blocked summation a scalar loop cannot
-reproduce) and the GEMM inside :func:`brute_topk` — the same reasoning
-that keeps hyperplane candidates on the per-segment path in
-:mod:`repro.separators.batch`.
 """
 
 from __future__ import annotations
@@ -43,7 +35,18 @@ from ..geometry.points import (
 )
 from ..pvm.primitives import segmented_split
 
-__all__ = ["TABLE"]
+__all__ = [
+    "sphere_side",
+    "hyperplane_side",
+    "classify_balls_sphere",
+    "classify_balls_hyperplane",
+    "classify_level_spheres",
+    "segmented_split_sides",
+    "descend_spheres",
+    "block_topk",
+    "brute_topk",
+    "merge_candidate_stream",
+]
 
 
 def sphere_side(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
@@ -53,7 +56,7 @@ def sphere_side(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarra
 
 
 def hyperplane_side(pts: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
-    """+1 / -1 halfspace sides; BLAS gemv in every backend (see module doc)."""
+    """+1 / -1 halfspace sides (a BLAS gemv)."""
     s = pts @ normal - offset
     return np.where(s > 0.0, 1, -1).astype(np.int8)
 
@@ -178,8 +181,8 @@ def brute_topk(pts: np.ndarray, k: int, chunk: int) -> Tuple[np.ndarray, np.ndar
     """Streaming all-pairs k nearest over the full input — the oracle kernel.
 
     Chunked GEMM distances (|a|^2+|b|^2-2ab, one GEMM per row block) with
-    a final diff-based refinement of the selected entries; numpy in every
-    backend (see module doc).  Returns padded ``(n, k)`` arrays.
+    a final diff-based refinement of the selected entries.  Returns
+    padded ``(n, k)`` arrays.
     """
     n = pts.shape[0]
     kk = min(k, max(0, n - 1))
@@ -235,16 +238,3 @@ def merge_candidate_stream(
     out_sq[rows[keep], pos[keep]] = sq[keep]
     return out_idx, out_sq
 
-
-TABLE = {
-    "sphere_side": sphere_side,
-    "hyperplane_side": hyperplane_side,
-    "classify_balls_sphere": classify_balls_sphere,
-    "classify_balls_hyperplane": classify_balls_hyperplane,
-    "classify_level_spheres": classify_level_spheres,
-    "segmented_split_sides": segmented_split_sides,
-    "descend_spheres": descend_spheres,
-    "block_topk": block_topk,
-    "brute_topk": brute_topk,
-    "merge_candidate_stream": merge_candidate_stream,
-}

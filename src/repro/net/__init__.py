@@ -3,26 +3,17 @@
 The last layer between the batched serving core and actual clients on a
 socket: admission control → micro-batching (load-adaptive window) →
 vectorized execution → JSON response, with graceful SIGTERM drain and
-multi-index tenancy.  See ``docs/networking.md`` for the endpoint
-reference and operational semantics; the high-level entry points are
-:func:`repro.api.net_serve` and the ``repro net`` CLI.
-
-The event loop is the stdlib's by default.  ``uvloop`` — the optional
-``repro[net]`` extra — is adopted when available: mode ``"auto"`` probes
-quietly, mode ``"uvloop"`` warns once and falls back when the import
-fails (mirroring the ``repro[perf]`` numba pattern: an absent
-accelerator is never an error, because it can never change a result —
-only wall-clock).
+multi-index tenancy, on the stdlib asyncio event loop.  See
+``docs/networking.md`` for the endpoint reference and operational
+semantics; the high-level entry points are :func:`repro.api.net_serve`
+and the ``repro net`` CLI.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Optional
-
 from .adaptive import AdaptiveWindow
 from .admission import AdmissionController, NetStats, TokenBucket
-from .config import NetConfig, UVLOOP_MODES
+from .config import NetConfig
 from .drain import drain, install_signal_handlers
 from .http import HttpError, Request, json_response, read_request, render_response
 from .loadgen import LoadResult, format_table, http_fetch, http_request, run_load, sweep
@@ -43,65 +34,14 @@ __all__ = [
     "Tenant",
     "TenantManager",
     "TokenBucket",
-    "UVLOOP_MODES",
     "drain",
     "format_table",
     "http_fetch",
     "http_request",
-    "install_event_loop",
     "install_signal_handlers",
     "json_response",
     "read_request",
     "render_response",
     "run_load",
     "sweep",
-    "uvloop_available",
 ]
-
-_UVLOOP_OK: Optional[bool] = None
-_WARNED_FALLBACK = False
-
-
-def uvloop_available() -> bool:
-    """True when the optional uvloop dependency is importable."""
-    global _UVLOOP_OK
-    if _UVLOOP_OK is None:
-        try:
-            import uvloop  # noqa: F401
-
-            _UVLOOP_OK = True
-        except ImportError:
-            _UVLOOP_OK = False
-    return _UVLOOP_OK
-
-
-def install_event_loop(mode: str = "auto") -> str:
-    """Install the event-loop policy for ``mode``; returns the loop used.
-
-    ``"auto"`` installs uvloop when importable (silently using the
-    stdlib loop otherwise); ``"uvloop"`` warns once and falls back when
-    uvloop is missing (install the ``repro[net]`` extra to enable it);
-    ``"asyncio"`` never probes.  Call before creating the event loop.
-    """
-    global _WARNED_FALLBACK
-    if mode not in UVLOOP_MODES:
-        raise ValueError(f"unknown uvloop mode {mode!r}; choose from {UVLOOP_MODES}")
-    if mode == "asyncio":
-        return "asyncio"
-    if not uvloop_available():
-        if mode == "uvloop" and not _WARNED_FALLBACK:
-            warnings.warn(
-                "event loop 'uvloop' requested but uvloop is not importable; "
-                "falling back to the stdlib asyncio loop (install the "
-                "repro[net] extra to enable it)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            _WARNED_FALLBACK = True
-        return "asyncio"
-    import asyncio
-
-    import uvloop
-
-    asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
-    return "uvloop"

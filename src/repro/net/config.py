@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["NetConfig", "UVLOOP_MODES"]
-
-#: Event-loop selection modes: ``auto`` uses uvloop when importable,
-#: ``uvloop`` requires it (warning once and falling back when missing,
-#: mirroring the ``kernels="numba"`` pattern), ``asyncio`` never tries.
-UVLOOP_MODES = ("auto", "uvloop", "asyncio")
+__all__ = ["NetConfig"]
 
 
 @dataclass
@@ -75,8 +70,6 @@ class NetConfig:
         past it the drain proceeds anyway (never leaking the pool).
     max_body_bytes:
         Largest accepted request body (HTTP 413 past it).
-    uvloop:
-        Event-loop policy mode, one of :data:`UVLOOP_MODES`.
     trace_requests:
         Record a :class:`~repro.obs.rt.RequestTimeline` per request into
         the flight recorder (and feed the SLO tracker).  Off, the
@@ -114,7 +107,6 @@ class NetConfig:
     serve_workers: Optional[int] = None
     drain_timeout_s: float = 10.0
     max_body_bytes: int = 8 << 20
-    uvloop: str = "auto"
     trace_requests: bool = True
     recorder_capacity: int = 256
     recorder_slow_k: int = 16
@@ -146,10 +138,6 @@ class NetConfig:
         if self.max_body_bytes < 1:
             raise ValueError(
                 f"max_body_bytes must be >= 1, got {self.max_body_bytes}"
-            )
-        if self.uvloop not in UVLOOP_MODES:
-            raise ValueError(
-                f"unknown uvloop mode {self.uvloop!r}; choose from {UVLOOP_MODES}"
             )
         if self.recorder_capacity < 1:
             raise ValueError(

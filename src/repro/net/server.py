@@ -787,9 +787,8 @@ class ServerThread:
 
     The harness the tests, benchmarks and ``repro net load --self-serve``
     use: start, read :attr:`port`, talk HTTP over loopback, then
-    :meth:`stop` (a full graceful drain).  The loop is created on the
-    thread via :func:`repro.net.install_event_loop`, honoring the
-    config's ``uvloop`` mode.
+    :meth:`stop` (a full graceful drain).  The thread runs its own
+    stdlib asyncio loop.
     """
 
     def __init__(self, server: NetServer) -> None:
@@ -808,10 +807,7 @@ class ServerThread:
         return port
 
     def start(self, timeout_s: float = 10.0) -> "ServerThread":
-        from . import install_event_loop
-
         def _run() -> None:
-            install_event_loop(self.server.config.uvloop)
             loop = asyncio.new_event_loop()
             asyncio.set_event_loop(loop)
             self._loop = loop

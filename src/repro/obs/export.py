@@ -7,7 +7,7 @@ Two machine-readable exports complement the Chrome trace:
   span tree: one ``run_meta`` header line, ``span_open`` / ``span_close``
   per span, ``punt`` lines wherever a span recorded punt activity, and
   ``shard_dispatch`` / ``shard_complete`` for every ``parallel.subtree``
-  (or legacy ``frontier.shard``) span of a multiprocess run.  Every line validates against
+  span of a multiprocess run.  Every line validates against
   :data:`EVENT_SCHEMA` (mirrored at ``docs/telemetry_events.schema.json``)
   via the dependency-free :func:`validate_event`.
 - :func:`metrics_to_prometheus` — the full :class:`~repro.obs.metrics.
@@ -180,7 +180,7 @@ def events_from_tracer(
                 "span_open", span.wall_start,
                 name=span.name, level=int(level), attrs=attrs,
             )
-            if span.name in ("frontier.shard", "parallel.subtree"):
+            if span.name == "parallel.subtree":
                 emit(
                     "shard_dispatch", span.wall_start,
                     name=span.name, level=int(level), attrs=attrs,

@@ -21,8 +21,7 @@ Layers (see ``docs/parallel.md`` for the architecture tour):
 - :mod:`~repro.parallel.shm` — shared-memory array lifecycle (master
   creates/unlinks, workers attach);
 - :mod:`~repro.parallel.plan` — the subtree cut target, solve-cost
-  weights and the greedy LPT subtree→worker assignment (plus the
-  contiguous shard planner used by the serving pool);
+  weights and the greedy LPT subtree→worker assignment;
 - :mod:`~repro.parallel.pool` — the persistent worker pool and its
   metered task protocol (pipelined per-worker queues, byte/time
   accounting);
@@ -33,19 +32,11 @@ Layers (see ``docs/parallel.md`` for the architecture tour):
   worker count.
 """
 
-from .plan import (
-    Shard,
-    plan_shards,
-    plan_subtree_assignment,
-    subtree_target,
-    subtree_weight,
-)
+from .plan import plan_subtree_assignment, subtree_target, subtree_weight
 from .pool import WorkerError, WorkerPool, resolve_workers
 from .shm import SharedArray, ShmSpec
 
 __all__ = [
-    "Shard",
-    "plan_shards",
     "plan_subtree_assignment",
     "subtree_target",
     "subtree_weight",

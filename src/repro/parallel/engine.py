@@ -68,7 +68,6 @@ from typing import Any, Dict, List
 import numpy as np
 
 from ..core.frontier import _FastFrontier, _Seg, _SimpleFrontier
-from ..kernels import registry as kernel_registry
 from ..obs.stitch import graft_worker_trace
 from ..pvm.cost import Cost
 from .plan import plan_subtree_assignment, subtree_target, subtree_weight
@@ -116,9 +115,6 @@ class _ParallelFrontierMixin:
                 "nbr_idx_spec": idx_sa.spec,
                 "nbr_sq_spec": sq_sa.spec,
                 "trace": self.machine.tracer is not None,
-                # ship the *resolved* backend name so workers never
-                # re-resolve "auto" differently from the master
-                "kernels": kernel_registry.active_backend(),
             })
             root_node = self._run_two_phase(workers)
             caller_idx[...] = idx_sa.array
@@ -194,7 +190,7 @@ class _ParallelFrontierMixin:
         # order), so counter merges and series extension are
         # deterministic for a fixed plan.
         for i, (seg, task) in enumerate(zip(cut, tasks)):
-            self._merge_task(task.result)
+            self.machine.metrics.merge(task.result["metrics"])
             self._subtree_span(seg, i, task)
         for seg, task in zip(cut, tasks):
             self._install_subtree(seg, task.result)
@@ -303,13 +299,7 @@ class _ParallelFrontierMixin:
                     if rec["kind"] == "split":
                         machine.attribute("correct", rec["post_cost"])
 
-    # -- merge helpers ---------------------------------------------------
-
-    def _merge_task(self, reply: dict) -> None:
-        counters = self.machine.counters
-        for key, value in reply["counters"].items():
-            counters[key] = counters.get(key, 0) + value
-        self.machine.metrics.merge(reply["metrics"])
+    # -- observability ---------------------------------------------------
 
     def _subtree_span(self, seg: _Seg, index: int, task: TaskResult) -> None:
         with self.machine.span(

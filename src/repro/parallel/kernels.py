@@ -27,7 +27,8 @@ subtree's :class:`~repro.core.partition_tree.PartitionNode` mirror from
 plain arrays and (b) replay the subtree's ledger/section accounting in
 serial order: per-level flat id vectors, per-segment records (length,
 kind, separator, divide/post costs, node meta), the composed subtree
-total, and the task-local ``machine.counters`` and metrics registry.
+total, and the task-local metrics registry (which holds the event
+counters as ``machine.*``).
 
 Tracing: when the master's machine has a tracer attached, ``init_run``
 ships ``trace=True`` and the subtree solve runs under a task-local
@@ -52,7 +53,6 @@ import numpy as np
 from ..core.fast_dnc import FastDnCStats
 from ..core.frontier import _FastFrontier, _Seg, _SimpleFrontier
 from ..core.simple_dnc import SimpleDnCStats
-from ..kernels import registry as kernel_registry
 from ..pvm.machine import Machine
 from .shm import attach
 
@@ -72,7 +72,6 @@ class RunState:
         self.root_ss = payload["root_ss"]
         self.scan: str = payload["scan"]
         self.trace: bool = bool(payload.get("trace", False))
-        self.kernels: str = payload.get("kernels", "numpy")
         self._attached: Dict[str, Any] = {}
         self.points = self.attach_cached(payload["points_spec"])
         self.nbr_idx = self.attach_cached(payload["nbr_idx_spec"])
@@ -103,21 +102,13 @@ class RunState:
 
 
 def init_run(payload: Dict[str, Any]) -> bool:
-    """Install the run context shipped by the master.
-
-    The payload carries the master's *resolved* kernel backend name, and
-    the worker pins it process-wide: a worker must never re-resolve
-    ``"auto"`` on its own (its environment could differ), or backends
-    could mix within one run.
-    """
+    """Install the run context shipped by the master."""
     global _STATE
     _STATE = RunState(payload)
-    kernel_registry.set_backend(_STATE.kernels)
     return True
 
 
 def _task_result(engine, out: Dict[str, Any]) -> Dict[str, Any]:
-    out["counters"] = dict(engine.machine.counters)
     out["metrics"] = engine.machine.metrics
     tracer = engine.machine.tracer
     if tracer is not None:

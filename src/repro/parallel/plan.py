@@ -1,9 +1,6 @@
-"""Shard and subtree planning for the multiprocess frontier engine.
+"""Subtree planning for the multiprocess frontier engine.
 
-Two planning problems live here:
-
-**Subtree planning** (the coarse-grained ``frontier-mp`` engine).  The
-master runs the frontier recursion only until the frontier holds
+The master runs the frontier recursion only until the frontier holds
 :func:`subtree_target` segments (``~3×`` the worker count by default),
 then ships each of those segments — a whole subtree — *once* to a
 worker that solves it to completion locally.  :func:`subtree_weight`
@@ -14,25 +11,15 @@ sorted by descending weight, each assigned to the least-loaded worker.
 The assignment is a pure function of the weights — it decides only
 *which process* solves a subtree, never what is computed, so it can
 never affect the bit-identity contract of :mod:`repro.parallel.engine`.
-
-**Contiguous shard planning** (the serving pool, and any level-sliced
-fan-out).  :func:`plan_shards` splits ``range(len(weights))`` into at
-most ``workers`` contiguous runs of roughly equal total weight —
-contiguity keeps merged per-shard outputs in the original order.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from typing import List, Sequence
 
 __all__ = [
-    "Shard",
-    "plan_shards",
-    "build_weight",
-    "correct_weight",
     "subtree_target",
     "subtree_weight",
     "plan_subtree_assignment",
@@ -48,81 +35,6 @@ SUBTREE_TARGET_ENV = "REPRO_MP_SUBTREE_TARGET"
 #: enough pieces to balance without shrinking subtrees into dispatch
 #: overhead; 3× is the middle of that band.
 SUBTREE_FACTOR = 3
-
-
-@dataclass(frozen=True)
-class Shard:
-    """Half-open segment range ``[start, stop)`` assigned to one worker."""
-
-    start: int
-    stop: int
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-
-def plan_shards(weights: Sequence[float], workers: int) -> List[Shard]:
-    """Partition ``range(len(weights))`` into at most ``workers`` contiguous
-    shards of roughly equal total weight.
-
-    Greedy prefix walk: a shard closes once it reaches the remaining
-    average load (remaining weight / remaining shards), which guarantees
-    every shard is nonempty and the count never exceeds ``workers``.
-    Returns an empty list for an empty level.
-    """
-    n = len(weights)
-    if n == 0:
-        return []
-    workers = max(1, int(workers))
-    if workers == 1 or n == 1:
-        return [Shard(0, n)]
-    total = float(sum(weights))
-    shards: List[Shard] = []
-    start = 0
-    remaining = total
-    for w in range(workers, 0, -1):
-        if start >= n:
-            break
-        if w == 1 or n - start <= 1:
-            shards.append(Shard(start, n))
-            start = n
-            break
-        if n - start <= w:
-            # one segment per remaining shard
-            for i in range(start, n):
-                shards.append(Shard(i, i + 1))
-            start = n
-            break
-        target = remaining / w
-        acc = 0.0
-        stop = start
-        # close the shard at the first index where the accumulated weight
-        # reaches the remaining average, but always take at least one
-        # segment and leave at least one per remaining shard
-        max_stop = n - (w - 1)
-        while stop < max_stop and (acc < target or stop == start):
-            acc += float(weights[stop])
-            stop += 1
-        shards.append(Shard(start, stop))
-        remaining -= acc
-        start = stop
-    return shards
-
-
-def build_weight(size: int, is_leaf: bool, base: int) -> float:
-    """Predicted build cost of one segment: quadratic brute force for
-    leaves, near-linear separator search (sampling + sphere tests, with a
-    per-segment SVD constant) for active segments."""
-    m = float(size)
-    if is_leaf:
-        return m * m
-    return 4.0 * m + 256.0
-
-
-def correct_weight(size: int) -> float:
-    """Predicted correction cost of one internal segment (classification
-    and marching are near-linear in the node size)."""
-    return float(size) + 32.0
 
 
 def subtree_target(workers: int) -> int:

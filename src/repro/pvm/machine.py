@@ -47,6 +47,8 @@ __all__ = ["Machine", "ScanPolicy", "SCAN_POLICIES"]
 
 ScanPolicy = str
 
+_COUNTER_PREFIX = "machine."
+
 SCAN_POLICIES: dict[str, Callable[[int], float]] = {
     "unit": lambda n: 1.0,
     "log": lambda n: float(max(1, math.ceil(math.log2(n)))) if n > 1 else 1.0,
@@ -134,7 +136,6 @@ class Machine:
         self._scan_depth = SCAN_POLICIES[scan]
         self._root = _Frame()
         self._stack: List[_Frame] = [self._root]
-        self.counters: dict[str, int] = {}
         self.sections: dict[str, Cost] = {}
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else Metrics()
@@ -162,12 +163,21 @@ class Machine:
     def bump(self, counter: str, by: int = 1) -> None:
         """Increment a named event counter (separator retries, punts, ...).
 
-        Counts accumulate both in the legacy :attr:`counters` dict and,
-        namespaced as ``machine.<counter>``, in the :attr:`metrics`
-        registry so they export uniformly with the rest of the run.
+        The count lives in the :attr:`metrics` registry as
+        ``machine.<counter>``, so it exports uniformly with the rest of
+        the run; :attr:`counters` reads it back.
         """
-        self.counters[counter] = self.counters.get(counter, 0) + by
-        self.metrics.inc(f"machine.{counter}", by)
+        self.metrics.inc(_COUNTER_PREFIX + counter, by)
+
+    @property
+    def counters(self) -> dict[str, int]:
+        """The event counters of :meth:`bump`: a fresh dict of the
+        registry's ``machine.*`` counters with the prefix stripped."""
+        return {
+            name[len(_COUNTER_PREFIX):]: value
+            for name, value in self.metrics.counters.items()
+            if name.startswith(_COUNTER_PREFIX)
+        }
 
     def enable_tracing(self) -> Tracer:
         """Attach (and return) a fresh :class:`~repro.obs.spans.Tracer`.

@@ -126,17 +126,16 @@ class ServingIndex:
         seed: object = None,
         engine: Optional[str] = None,
         workers: Optional[int] = None,
-        kernels: Optional[str] = None,
         dtype: Optional[str] = None,
         with_structure: bool = False,
         structure_seed: Optional[int] = 0,
     ) -> "ServingIndex":
         """Run the offline fast algorithm once and freeze it for serving.
 
-        ``engine``/``workers``/``kernels``/``dtype`` select the build
-        engine, kernel backend and point-storage dtype exactly as in
-        :func:`repro.api.all_knn`; the build charges ``machine`` (fresh
-        ledger by default) but the returned index holds no machine.
+        ``engine``/``workers``/``dtype`` select the build engine and
+        point-storage dtype exactly as in :func:`repro.api.all_knn`; the
+        build charges ``machine`` (fresh ledger by default) but the
+        returned index holds no machine.
         ``with_structure`` eagerly builds the Section-3 structure so the
         first covering request (or an mp snapshot) pays nothing.
         """
@@ -149,8 +148,6 @@ class ServingIndex:
             config = replace(config, engine=engine)
         if workers is not None and config.workers != workers:
             config = replace(config, workers=workers)
-        if kernels is not None and config.kernels != kernels:
-            config = replace(config, kernels=kernels)
         if dtype is not None and config.dtype != dtype:
             config = replace(config, dtype=dtype)
         res = parallel_nearest_neighborhood(pts, k, machine=machine, seed=seed, config=config)

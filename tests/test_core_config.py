@@ -1,20 +1,15 @@
-"""CommonConfig: shared knobs, engine validation, renamed-field shims.
+"""CommonConfig: shared knobs, engine validation, derived helpers.
 
-``tests/test_public_api.py`` covers the deprecation behavior as seen
-through the package facade; this file tests :mod:`repro.core.config`
-itself — the base dataclass, the engine gate, and the derived budget
-helpers the algorithms share.
+This file tests :mod:`repro.core.config` itself — the base dataclass,
+the engine gate, and the derived budget helpers the algorithms share.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.core import CommonConfig, ENGINES, FastDnCConfig, QueryConfig, SimpleDnCConfig
-from repro.core.config import RENAMED_CONFIG_FIELDS, supports_renamed_fields
 
 ALL_CONFIGS = [FastDnCConfig, SimpleDnCConfig, QueryConfig]
 
@@ -43,43 +38,13 @@ class TestEngineField:
             CommonConfig(engine="batched")
 
 
-class TestRenamedFields:
-    def test_registry_shape(self):
-        assert RENAMED_CONFIG_FIELDS == {"m0": "base_case_size"}
-
-    @pytest.mark.parametrize("cls", ALL_CONFIGS)
-    def test_m0_kwarg_forwards_with_warning(self, cls):
-        with pytest.warns(DeprecationWarning, match="m0"):
-            cfg = cls(m0=23)
-        assert cfg.base_case_size == 23
-
+class TestRemovedFields:
     @pytest.mark.parametrize("cls", ALL_CONFIGS + [CommonConfig])
-    def test_m0_property_warns_on_read(self, cls):
-        cfg = cls(base_case_size=11)
-        with pytest.warns(DeprecationWarning, match="m0"):
-            assert cfg.m0 == 11
-
-    @pytest.mark.parametrize("cls", ALL_CONFIGS)
-    def test_both_spellings_rejected(self, cls):
-        with pytest.raises(TypeError, match="m0"):
-            cls(m0=8, base_case_size=16)
-
-    def test_canonical_spelling_never_warns(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cfg = FastDnCConfig(base_case_size=32)
-            assert cfg.base_case_size == 32
-
-    def test_decorator_on_fresh_class(self):
-        from dataclasses import dataclass
-
-        @supports_renamed_fields
-        @dataclass(frozen=True)
-        class Demo:
-            base_case_size: int = 4
-
-        with pytest.warns(DeprecationWarning):
-            assert Demo(m0=7).base_case_size == 7
+    def test_m0_and_kernels_are_unknown(self, cls):
+        for field in ("m0", "kernels"):
+            with pytest.raises(TypeError, match=field):
+                cls(**{field: 8})
+        assert not hasattr(cls(), "m0")
 
 
 class TestSharedHelpers:

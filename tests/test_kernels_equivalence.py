@@ -1,13 +1,9 @@
-"""The kernel layer's bit-identity matrix.
+"""The kernel layer's bit-identity matrix across dtypes and engines.
 
-The tentpole contract of ``repro.kernels``: every backend is
-bit-identical to the numpy reference on every op, and therefore every
-(backend x dtype x engine x workers) combination of a run produces the
-same neighbors, the same tree shape, the same (depth, work) ledger, the
-same per-phase sections and the same event counters.  The numba half of
-the matrix runs only where numba is importable (the CI ``kernels`` job
-installs the ``repro[perf]`` extra for exactly this purpose); the
-skip-gated tests still pin the numpy-vs-numpy diagonal everywhere.
+Every (dtype x engine x workers) combination of a run produces the same
+neighbors, the same tree shape, the same (depth, work) ledger, the same
+per-phase sections and the same event counters as the serial engine on
+the same dtype.
 
 Also here: the dtype plumbing guarantees — float32 storage is preserved
 end to end (no hidden float64 upcasts of the stored arrays, no silent
@@ -20,25 +16,10 @@ import numpy as np
 import pytest
 
 import repro
+from repro.cli import main
 from repro.core.fast_dnc import FastDnCConfig, parallel_nearest_neighborhood
-from repro.core.simple_dnc import SimpleDnCConfig, simple_parallel_dnc
 from repro.geometry.points import as_points
-from repro.kernels import numba_available, registry, use_backend
-from repro.kernels.reference import TABLE
 from repro.workloads import uniform_cube, with_duplicates
-
-needs_numba = pytest.mark.skipif(
-    not numba_available(), reason="numba not installed (repro[perf] extra)"
-)
-
-BACKENDS = ["numpy"] + (["numba"] if numba_available() else [])
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    before = registry._ACTIVE
-    yield
-    registry._ACTIVE = before
 
 
 def _ledger(res):
@@ -66,100 +47,20 @@ def _assert_same_run(a, b):
 
 
 class TestBackendMatrix:
-    """numpy vs numba, across dtypes, engines and worker counts."""
-
-    @needs_numba
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("engine", ["recursive", "frontier"])
-    def test_fast_backend_identity(self, engine, dtype):
-        pts = uniform_cube(900, 2, seed=21)
-        runs = {}
-        for backend in ("numpy", "numba"):
-            cfg = FastDnCConfig(engine=engine, kernels=backend, dtype=dtype)
-            runs[backend] = parallel_nearest_neighborhood(
-                pts, 3, seed=21, config=cfg
-            )
-        _assert_same_run(runs["numpy"], runs["numba"])
-
-    @needs_numba
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_fast_mp_backend_identity(self, workers):
-        pts = uniform_cube(1200, 2, seed=22)
-        runs = {}
-        for backend in ("numpy", "numba"):
-            cfg = FastDnCConfig(
-                engine="frontier-mp", workers=workers, kernels=backend
-            )
-            runs[backend] = parallel_nearest_neighborhood(
-                pts, 2, seed=22, config=cfg
-            )
-        _assert_same_run(runs["numpy"], runs["numba"])
-
-    @needs_numba
-    def test_simple_backend_identity(self):
-        pts = uniform_cube(700, 2, seed=23)
-        runs = {}
-        for backend in ("numpy", "numba"):
-            cfg = SimpleDnCConfig(engine="frontier", kernels=backend)
-            runs[backend] = simple_parallel_dnc(pts, 2, seed=23, config=cfg)
-        _assert_same_run(runs["numpy"], runs["numba"])
-
-    @needs_numba
-    def test_per_op_tables_bit_identical(self):
-        """Every op in the numba table reproduces the reference exactly."""
-        rng = np.random.default_rng(31)
-        n, d = 3000, 2
-        pts = rng.random((n, d))
-        center = np.full(d, 0.5)
-        normal = np.array([1.0, 0.0])
-        radii = np.sqrt(rng.random(n)) * 0.05
-        flat_ids = rng.permutation(n).astype(np.int64)
-        seg_ids = np.sort(rng.integers(0, 12, size=n)).astype(np.int64)
-        sides = np.where(rng.random(n) < 0.5, -1, 1).astype(np.int8)
-        rows = (seg_ids % 6).astype(np.int64)
-        sep_centers = rng.random((6, d))
-        sep_radii = np.full(6, 0.25)
-        sub = pts[:300]
-        cand_rows = rng.integers(0, 50, size=2000).astype(np.int64)
-        cand_idx = rng.integers(-1, n, size=2000).astype(np.int64)
-        cand_sq = rng.random(2000)
-        cases = {
-            "sphere_side": (pts, center, 0.4),
-            "hyperplane_side": (pts, normal, 0.5),
-            "classify_balls_sphere": (pts, radii, center, 0.4),
-            "classify_balls_hyperplane": (pts, radii, normal, 0.5),
-            "classify_level_spheres": (
-                pts, flat_ids, rows, sep_centers, sep_radii, radii
-            ),
-            "segmented_split_sides": (flat_ids, sides, seg_ids),
-            "block_topk": (sub, 7),
-            "brute_topk": (pts, 4, 1024),
-            "merge_candidate_stream": (cand_rows, cand_idx, cand_sq, 50, 3),
-        }
-        numba_table = registry.kernel_table("numba")
-        for op, args in cases.items():
-            ref = TABLE[op](*args)
-            got = numba_table[op](*args)
-            ref = ref if isinstance(ref, tuple) else (ref,)
-            got = got if isinstance(got, tuple) else (got,)
-            for r, g in zip(ref, got):
-                np.testing.assert_array_equal(r, g, err_msg=op)
-                assert r.dtype == g.dtype, op
+    """The serial frontier engine vs frontier-mp, per dtype."""
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_numpy_mp_matches_serial_per_dtype(self, dtype, workers):
-        """The numpy diagonal of the matrix, runnable without numba."""
         pts = uniform_cube(1000, 2, seed=24)
         serial = parallel_nearest_neighborhood(
             pts, 2, seed=24,
-            config=FastDnCConfig(engine="frontier", kernels="numpy", dtype=dtype),
+            config=FastDnCConfig(engine="frontier", dtype=dtype),
         )
         mp = parallel_nearest_neighborhood(
             pts, 2, seed=24,
             config=FastDnCConfig(
-                engine="frontier-mp", workers=workers, kernels="numpy",
-                dtype=dtype,
+                engine="frontier-mp", workers=workers, dtype=dtype,
             ),
         )
         _assert_same_run(serial, mp)
@@ -232,6 +133,12 @@ class TestFloat32Exactness:
         np.testing.assert_array_equal(sq, ref_sq)
         np.testing.assert_array_equal(idx, ref_idx)
 
+    def test_dtype_flag_accepted_by_knn(self, capsys):
+        rc = main(["knn", "-n", "300", "-k", "1", "--dtype", "float32",
+                   "--check"])
+        assert rc == 0
+        assert "OK" in capsys.readouterr().out
+
 
 class TestDtypePreservation:
     """Satellite: no hidden float64 upcasts, no silent copies."""
@@ -274,19 +181,3 @@ class TestDtypePreservation:
         assert ix.points.dtype == np.float32
         idx, sq = ix.execute("knn", uniform_cube(60, 2, seed=93))
         assert sq.dtype == np.float64
-
-
-class TestWorkerBackendPinning:
-    def test_master_ships_resolved_backend(self):
-        """Workers receive the resolved name, never 'auto'."""
-        pts = uniform_cube(900, 2, seed=32)
-        with use_backend("numpy"):
-            res = parallel_nearest_neighborhood(
-                pts, 2, seed=32,
-                config=FastDnCConfig(engine="frontier-mp", workers=2,
-                                     kernels="numpy"),
-            )
-        ref = parallel_nearest_neighborhood(
-            pts, 2, seed=32, config=FastDnCConfig(engine="frontier")
-        )
-        _assert_same_run(res, ref)

@@ -327,25 +327,6 @@ class TestDrain:
         with pytest.raises((ConnectionError, OSError)):
             _request(st.port, "/healthz", method="GET", timeout_s=2.0)
 
-    def test_event_loop_fallback_warns_once(self, monkeypatch):
-        """The repro[net] uvloop extra mirrors the repro[perf] numba
-        pattern: a missing accelerator warns once and falls back."""
-        import warnings
-
-        import repro.net as net
-
-        monkeypatch.setattr(net, "_UVLOOP_OK", False)
-        monkeypatch.setattr(net, "_WARNED_FALLBACK", False)
-        assert net.install_event_loop("asyncio") == "asyncio"
-        with pytest.warns(RuntimeWarning, match=r"repro\[net\]"):
-            assert net.install_event_loop("uvloop") == "asyncio"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second call must stay silent
-            assert net.install_event_loop("uvloop") == "asyncio"
-            assert net.install_event_loop("auto") == "asyncio"
-        with pytest.raises(ValueError, match="unknown uvloop mode"):
-            net.install_event_loop("twisted")
-
     def test_pooled_server_drains_leak_free(self):
         before = set(glob.glob(f"/dev/shm/{SHM_PREFIX}*"))
         server = _server(k=1, serve_workers=2)

@@ -142,7 +142,7 @@ class TestEventLog:
         with machine.span("run", n=10):
             with machine.span("frontier.level", phase="build", level=0):
                 machine.charge(Cost(1.0, 10.0))
-            with machine.span("frontier.shard", worker=0, phase="build"):
+            with machine.span("parallel.subtree", worker=0, phase="build"):
                 pass
             with machine.span("frontier.level", phase="correct", level=0,
                               punts=2):

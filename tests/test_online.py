@@ -316,7 +316,40 @@ class TestIndexFacade:
         ref = repro.build_index(index.points, 2, seed=7).covering(probe)
         np.testing.assert_array_equal(np.sort(cov1), np.sort(ref))
 
-    def test_knn_index_alias_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="KNNIndex is deprecated"):
-            alias = repro.api.KNNIndex
-        assert alias is repro.api.Index
+    @pytest.mark.parametrize("rows", [1, 64])
+    def test_query_matches_knn_query(self, rows):
+        pts = uniform_cube(500, 2, seed=30)
+        index = repro.build_index(pts, 2, seed=11)
+        qs = uniform_cube(rows, 2, seed=31)
+        idx, sq = index.query(qs)
+        ref_idx, ref_sq = repro.knn_query(index.mutable.layout, index.points, qs, 2)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(sq, ref_sq)
+
+    def test_query_rejects_bad_queries(self):
+        index = repro.build_index(uniform_cube(50, 2, seed=32), 2, seed=12)
+        with pytest.raises(ValueError, match="non-finite"):
+            index.query(np.array([[0.5, np.nan]]))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            index.query(np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="1 <= k <= n"):
+            index.query(np.zeros((1, 2)), k=51)
+
+    def test_query_does_not_recheck_the_data(self, monkeypatch):
+        import repro.core.query_points as query_points
+
+        index = repro.build_index(uniform_cube(300, 2, seed=33), 2, seed=13)
+        qs = uniform_cube(8, 2, seed=34)
+        seen = []
+        real = query_points.as_points
+
+        def spy(arr, *args, **kwargs):
+            seen.append(arr)
+            return real(arr, *args, **kwargs)
+
+        monkeypatch.setattr(query_points, "as_points", spy)
+        index.query(qs)
+        assert seen and not any(a is index.points for a in seen)
+        # the public knn_query still validates the data array it is given
+        repro.knn_query(index.mutable.layout, index.points, qs, 2)
+        assert any(a is index.points for a in seen)

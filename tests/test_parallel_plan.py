@@ -1,93 +1,20 @@
-"""Shard planner: contiguity, coverage, balance and determinism.
+"""Subtree planner: cut target, solve-cost weights and the LPT
+subtree-to-worker assignment.
 
-The multiprocess engine's bit-identity contract needs exactly one thing
-from the planner — contiguous shards in segment order — and its load
-balance only affects wall-clock.  These tests pin the contract properties
-for arbitrary weight vectors.
+The assignment decides only which process solves a subtree, never what
+is computed, so the multiprocess engine's bit-identity contract does not
+depend on it; these tests pin determinism, coverage and balance.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.parallel import Shard, plan_shards
 from repro.parallel.plan import (
     SUBTREE_FACTOR,
     SUBTREE_TARGET_ENV,
-    build_weight,
-    correct_weight,
     plan_subtree_assignment,
     subtree_target,
     subtree_weight,
 )
-
-
-def _check_partition(shards, n, workers):
-    """Shards tile [0, n) contiguously, nonempty, at most ``workers``."""
-    assert 1 <= len(shards) <= workers
-    assert shards[0].start == 0
-    assert shards[-1].stop == n
-    for a, b in zip(shards, shards[1:]):
-        assert a.stop == b.start
-    for s in shards:
-        assert len(s) >= 1
-
-
-class TestPlanShards:
-    def test_empty_level(self):
-        assert plan_shards([], 4) == []
-
-    def test_single_worker_single_shard(self):
-        assert plan_shards([1.0, 2.0, 3.0], 1) == [Shard(0, 3)]
-
-    def test_single_segment(self):
-        assert plan_shards([5.0], 8) == [Shard(0, 1)]
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 100])
-    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 9])
-    def test_partition_properties(self, n, workers):
-        weights = [float((i * 7919) % 13 + 1) for i in range(n)]
-        shards = plan_shards(weights, workers)
-        _check_partition(shards, n, workers)
-
-    def test_fewer_segments_than_workers(self):
-        shards = plan_shards([1.0, 1.0], 8)
-        _check_partition(shards, 2, 8)
-        assert len(shards) == 2
-
-    def test_uniform_weights_balance(self):
-        shards = plan_shards([1.0] * 100, 4)
-        assert len(shards) == 4
-        sizes = [len(s) for s in shards]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_heavy_head_does_not_starve_tail(self):
-        # one huge segment up front must not swallow the whole level
-        shards = plan_shards([1000.0] + [1.0] * 9, 4)
-        _check_partition(shards, 10, 4)
-        assert len(shards) >= 2
-        assert len(shards[0]) == 1
-
-    def test_deterministic(self):
-        weights = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
-        assert plan_shards(weights, 3) == plan_shards(weights, 3)
-
-    def test_zero_weights_still_partition(self):
-        shards = plan_shards([0.0] * 10, 3)
-        _check_partition(shards, 10, 3)
-
-
-class TestWeights:
-    def test_build_weight_leaf_quadratic(self):
-        assert build_weight(10, True, 32) == 100.0
-        assert build_weight(20, True, 32) == 400.0
-
-    def test_build_weight_active_near_linear(self):
-        small, big = build_weight(100, False, 32), build_weight(200, False, 32)
-        assert big - small == pytest.approx(400.0)
-
-    def test_correct_weight_monotone(self):
-        assert correct_weight(10) < correct_weight(100) < correct_weight(1000)
 
 
 class TestSubtreeTarget:

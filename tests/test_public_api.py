@@ -1,6 +1,5 @@
-"""Public API surface: exports resolve, __all__ lists are truthful, the
-``repro.api`` facade keeps its pinned signature surface, and deprecated
-config spellings keep working (with a warning)."""
+"""Public API surface: exports resolve, __all__ lists are truthful, and
+the ``repro.api`` facade keeps its pinned signature surface."""
 
 from __future__ import annotations
 
@@ -59,15 +58,6 @@ class TestExports:
         ):
             assert getattr(repro, name) is getattr(api, name)
 
-    def test_knnindex_shim_warns_and_aliases_index(self):
-        import repro.api as api
-
-        with pytest.warns(DeprecationWarning, match="KNNIndex is deprecated"):
-            shim = repro.KNNIndex
-        assert shim is api.Index
-        with pytest.warns(DeprecationWarning, match="build_index"):
-            assert api.KNNIndex is api.Index
-
     @pytest.mark.parametrize("name", PACKAGES)
     def test_module_docstrings_present(self, name):
         mod = importlib.import_module(name)
@@ -95,7 +85,7 @@ class TestFacadeSurface:
         sig = inspect.signature(repro.all_knn)
         assert list(sig.parameters) == [
             "points", "k", "method", "config", "machine", "seed", "engine",
-            "workers", "kernels", "dtype",
+            "workers", "dtype",
         ]
         assert sig.parameters["method"].kind is inspect.Parameter.KEYWORD_ONLY
         assert sig.parameters["method"].default == "fast"
@@ -103,8 +93,6 @@ class TestFacadeSurface:
         assert sig.parameters["engine"].default is None
         assert sig.parameters["workers"].kind is inspect.Parameter.KEYWORD_ONLY
         assert sig.parameters["workers"].default is None
-        assert sig.parameters["kernels"].kind is inspect.Parameter.KEYWORD_ONLY
-        assert sig.parameters["kernels"].default is None
         assert sig.parameters["dtype"].kind is inspect.Parameter.KEYWORD_ONLY
         assert sig.parameters["dtype"].default is None
 
@@ -159,31 +147,8 @@ class TestAPIStabilityLint:
         )
 
 
-class TestDeprecatedConfigNames:
-    """Renamed config fields: old spellings still work, warning once."""
-
-    def test_m0_constructor_kwarg(self):
-        from repro.core import FastDnCConfig, SimpleDnCConfig
-
-        with pytest.warns(DeprecationWarning, match="m0"):
-            cfg = FastDnCConfig(m0=17)
-        assert cfg.base_case_size == 17
-        with pytest.warns(DeprecationWarning, match="m0"):
-            cfg2 = SimpleDnCConfig(m0=9)
-        assert cfg2.base_case_size == 9
-
-    def test_m0_read_property(self):
-        from repro.core import FastDnCConfig
-
-        cfg = FastDnCConfig(base_case_size=21)
-        with pytest.warns(DeprecationWarning, match="m0"):
-            assert cfg.m0 == 21
-
-    def test_both_spellings_rejected(self):
-        from repro.core import FastDnCConfig
-
-        with pytest.raises(TypeError):
-            FastDnCConfig(m0=8, base_case_size=16)
+class TestConfigBase:
+    """The algorithm configs share one base dataclass."""
 
     def test_configs_share_common_base(self):
         from repro.core import CommonConfig, FastDnCConfig, QueryConfig, SimpleDnCConfig

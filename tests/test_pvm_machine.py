@@ -178,6 +178,77 @@ class TestCounters:
         assert m.total == Cost(7, 15)
 
 
+def _machine_slice(machine: Machine) -> dict:
+    prefix = "machine."
+    return {
+        name[len(prefix):]: value
+        for name, value in machine.metrics.counters.items()
+        if name.startswith(prefix)
+    }
+
+
+class TestOneCounterStore:
+    """``Machine.counters`` reads the metrics registry's ``machine.*``
+    counters; no path keeps a second copy that could drift from it."""
+
+    def test_direct_bumps(self):
+        m = Machine()
+        m.bump("punts")
+        m.bump("separator_attempts", 4)
+        assert m.counters == _machine_slice(m) == {
+            "punts": 1, "separator_attempts": 4,
+        }
+        # a fresh dict: writing to it cannot fork the store
+        m.counters["punts"] = 99
+        assert m.counters["punts"] == 1
+
+    def test_frontier_punt_sub_machine(self):
+        from repro.core.fast_dnc import FastDnCConfig, parallel_nearest_neighborhood
+        from repro.workloads import uniform_cube
+
+        pts = uniform_cube(400, 2, seed=8)
+        runs = {
+            engine: parallel_nearest_neighborhood(
+                pts, 1, seed=31,
+                config=FastDnCConfig(engine=engine, iota_factor=1e-9),
+            )
+            for engine in ("recursive", "frontier")
+        }
+        fro = runs["frontier"]
+        assert fro.machine.metrics.counter("fast.punt_corrections") > 0
+        assert fro.machine.counters == _machine_slice(fro.machine)
+        assert fro.machine.counters == runs["recursive"].machine.counters
+
+    def test_frontier_mp_two_workers(self):
+        from repro.core.fast_dnc import FastDnCConfig, parallel_nearest_neighborhood
+        from repro.workloads import uniform_cube
+
+        pts = uniform_cube(1200, 2, seed=22)
+        serial = parallel_nearest_neighborhood(
+            pts, 2, seed=22, config=FastDnCConfig(engine="frontier")
+        )
+        mp = parallel_nearest_neighborhood(
+            pts, 2, seed=22, config=FastDnCConfig(engine="frontier-mp", workers=2)
+        )
+        assert mp.machine.metrics.gauge("parallel.subtrees") > 0
+        assert mp.machine.counters == _machine_slice(mp.machine)
+        assert mp.machine.counters == serial.machine.counters
+
+    def test_online_replay(self):
+        import numpy as np
+
+        from repro.core.online import MutableIndex
+        from repro.workloads import uniform_cube
+
+        index = MutableIndex(uniform_cube(400, 2, seed=1), k=2, seed=9,
+                             churn_threshold=0.2)
+        index.insert(np.random.default_rng(5).random((6, 2)))
+        info = index.commit()
+        assert info.reused_subtrees > 0
+        assert index.machine.counters == _machine_slice(index.machine)
+        assert index.machine.counters == index.fresh_like().machine.counters
+
+
 class TestSections:
     def test_costs_attributed_and_still_charged(self):
         m = Machine()

@@ -192,7 +192,7 @@ class TestGraftMechanics:
         }
 
     def _shard(self, start=10.0, end=11.0):
-        return Span(name="frontier.shard", attrs={"worker": 0},
+        return Span(name="parallel.subtree", attrs={"worker": 0},
                     wall_start=start, wall_end=end)
 
     def test_epoch_rebasing(self):
