@@ -12,6 +12,7 @@ Acceptance: >= 2x speedup for the fast algorithm at n >= 20_000.
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -37,6 +38,7 @@ def _timed_run(points, k, engine):
 
 @table_bench
 def test_a3_engine_speedup_table():
+    cores = os.cpu_count() or 1
     rows = []
     speedup_at_20k = None
     for n in SIZES:
@@ -52,7 +54,7 @@ def test_a3_engine_speedup_table():
             "a3_frontier_engine", m_fro,
             params={"n": n, "d": 2, "k": 1, "engine": "frontier"},
             extra={"wall_recursive_s": t_rec, "wall_frontier_s": t_fro,
-                   "speedup": speedup},
+                   "speedup": speedup, "host_cores": cores},
         )
         rows.append((n, f"{t_rec:.3f}", f"{t_fro:.3f}", f"{speedup:.2f}x",
                      f"{rec.cost.depth:.0f}", "bitwise-equal"))
@@ -63,7 +65,8 @@ def test_a3_engine_speedup_table():
     )
     write_table(
         "a3_frontier_engine",
-        "A3  recursive vs frontier engine wall-clock (fast DnC, d=2, k=1)",
+        f"A3  recursive vs frontier engine wall-clock (fast DnC, d=2, k=1; "
+        f"{cores}-core host)",
         ["n", "recursive s", "frontier s", "speedup", "depth", "ledger"],
         rows,
     )

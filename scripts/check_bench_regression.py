@@ -55,12 +55,18 @@ BASELINE_PATH = os.path.join(
 
 #: The gate registry: small, fully seeded, engine-diverse workloads.
 #: Each entry must be cheap enough for CI (< a few seconds) while
-#: covering both algorithms and all three engines.
+#: covering both algorithms and all three engines.  An optional
+#: ``config`` dict overrides fields of the method's default config.
 GATE_RUNS = (
     {"run": "fast_recursive", "method": "fast", "n": 1500, "d": 2, "k": 2,
      "seed": 42, "engine": "recursive", "workers": None},
     {"run": "fast_frontier", "method": "fast", "n": 3000, "d": 2, "k": 2,
      "seed": 42, "engine": "frontier", "workers": None},
+    # small budgets: one level mixes fast corrections, failed marches
+    # (query-structure punts) and straddler-count punts
+    {"run": "fast_frontier_punty", "method": "fast", "n": 3000, "d": 2, "k": 2,
+     "seed": 42, "engine": "frontier", "workers": None,
+     "config": {"iota_factor": 0.8, "active_factor": 0.3}},
     {"run": "fast_frontier_mp_w2", "method": "fast", "n": 3000, "d": 2,
      "k": 2, "seed": 42, "engine": "frontier-mp", "workers": 2},
     {"run": "fast_d3", "method": "fast", "n": 2000, "d": 3, "k": 1,
@@ -74,6 +80,7 @@ def run_gates(names: Optional[List[str]] = None) -> List[Dict[str, Any]]:
     """Execute the gate registry, returning obs-summary records."""
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
     from repro.api import all_knn
+    from repro.core import FastDnCConfig, SimpleDnCConfig
     from repro.pvm import Machine
     from repro.workloads import uniform_cube
 
@@ -84,8 +91,10 @@ def run_gates(names: Optional[List[str]] = None) -> List[Dict[str, Any]]:
         pts = uniform_cube(spec["n"], spec["d"], spec["seed"])
         machine = Machine()
         t0 = time.perf_counter()
+        config_cls = FastDnCConfig if spec["method"] == "fast" else SimpleDnCConfig
         all_knn(
             pts, spec["k"], method=spec["method"], machine=machine,
+            config=config_cls(**spec.get("config", {})),
             seed=spec["seed"], engine=spec["engine"], workers=spec["workers"],
         )
         wall = time.perf_counter() - t0

@@ -17,7 +17,12 @@ passes:
   over the concatenated ids of the level;
 - base cases resolve segment-by-segment as the frontier reaches them;
 - the same :class:`~repro.core.partition_tree.PartitionNode` tree is then
-  reconstructed and correction runs level-by-level bottom-up.
+  reconstructed and correction runs level-by-level bottom-up: ball
+  classification is one pass per level, every Fast Correction of a
+  level is one lockstep :meth:`~repro.kernels.layout.FlatTree.march`
+  over the tree flattened once per sweep (one march per (node, side),
+  each under the node's active cap), and a level's candidate merges
+  are one flush.
 
 Equivalence contract
 --------------------
@@ -51,13 +56,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .. import kernels
 from ..geometry.balls import BallSystem
 from ..geometry.spheres import Sphere
+from ..kernels.layout import FlatMarchResult, FlatTree
 from ..pvm.cost import Cost, ZERO
 from ..pvm.machine import Machine
 from ..separators.batch import (
@@ -72,7 +78,6 @@ from ..util.rng import path_rng
 from .correction import (
     apply_candidate_pairs,
     apply_candidate_pairs_batch,
-    march_balls,
     query_correction_pairs,
 )
 from .neighborhood import brute_force_neighbors
@@ -403,8 +408,9 @@ class _FastFrontier(_FrontierBase):
 
     def _correct_levels(self, levels: List[List[_Seg]]) -> None:
         """Level-batched override: classify every segment's balls against
-        its separator in one pass, run the per-node correction decisions,
-        and defer all candidate-pair merges to one vectorised flush.
+        its separator in one pass, march every fast correction of the
+        level in one lockstep pass over the flattened tree, and defer all
+        candidate-pair merges to one vectorised flush.
 
         Deferring within a level is bitwise-safe because same-level nodes
         hold disjoint index sets: every read a correction performs (ball
@@ -413,6 +419,8 @@ class _FastFrontier(_FrontierBase):
         happens before the parent level runs, preserving the recursive
         post-order's child-before-parent dependency.
         """
+        flat: Optional[FlatTree] = None
+        preorder: Dict[int, int] = {}
         for level_segs in reversed(levels):
             internal = [s for s in level_segs if not s.is_leaf]
             if not internal:
@@ -423,14 +431,17 @@ class _FastFrontier(_FrontierBase):
                 level=internal[0].level,
                 segments=len(internal),
             ) as span:
+                if flat is None:
+                    # the tree is complete before the sweep: flatten it
+                    # once, inside a level span so the correct phase's
+                    # wall-clock includes it
+                    flat, nodes = FlatTree.flatten(levels[0][0].node)
+                    preorder = {id(node): i for i, node in enumerate(nodes)}
                 punts_before = self.stats.punts_iota + self.stats.punts_marching
                 classified = self._classify_level(internal)
                 self._pending_owners: List[np.ndarray] = []
                 self._pending_cands: List[np.ndarray] = []
-                straddlers = 0
-                for seg, (cls_in, cls_ex) in zip(internal, classified):
-                    straddlers += self._correct_node(seg, cls_in, cls_ex)
-                    self.machine.attribute("correct", seg.post_cost)
+                straddlers = self._correct_level(internal, classified, flat, preorder)
                 self._flush_level_pairs()
                 if span is not None:
                     span.attrs["straddlers"] = int(straddlers)
@@ -503,65 +514,124 @@ class _FastFrontier(_FrontierBase):
         self._pending_owners = []
         self._pending_cands = []
 
-    def _correct_node(self, seg: _Seg, cls_in: np.ndarray, cls_ex: np.ndarray) -> int:
+    def _correct_level(
+        self,
+        internal: List[_Seg],
+        classified,
+        flat: FlatTree,
+        preorder: Dict[int, int],
+    ) -> int:
+        """Correct one level's nodes; returns the level's straddler count.
+
+        Each node first decides, from its straddlers, between no
+        correction, an iota punt and Fast Correction.  Every (node, side)
+        march of the level then runs as one :meth:`FlatTree.march`: the
+        level's opposite subtrees are disjoint, so each tree node sees
+        only its own march's balls, in the order a per-node pointer walk
+        would hand them.  Last, the nodes settle in order: cost folds,
+        stats, and the query-structure punt of any failed march (in-side
+        before ex-side, so each node's generator is drawn in the
+        recursive order).  ``preorder`` maps ``id(node)`` to the node's
+        index in ``flat``.
+        """
+        plans = []
+        marches: List[np.ndarray] = []
+        starts: List[int] = []
+        caps: List[float] = []
+        iotas = 0
+        for seg, (cls_in, cls_ex) in zip(internal, classified):
+            node = seg.node
+            m = node.size
+            straddle_in = seg.left.ids[cls_in == 0]
+            straddle_ex = seg.right.ids[cls_ex == 0]
+            iota = straddle_in.shape[0] + straddle_ex.shape[0]
+            iotas += iota
+            self.stats.straddler_fraction.append((m, iota))
+            node.meta["iota"] = iota
+            node.meta["punted"] = False
+            sides = None
+            if 0 < iota < self.config.iota_budget(m, self.dim, self.k):
+                cap = self.config.active_cap(m, self.dim, self.k)
+                sides = []
+                for straddlers, opposite in (
+                    (straddle_in, node.right),
+                    (straddle_ex, node.left),
+                ):
+                    if straddlers.shape[0]:
+                        sides.append((straddlers, opposite, len(marches)))
+                        marches.append(straddlers)
+                        starts.append(preorder[id(opposite)])
+                        caps.append(cap)
+            plans.append((seg, iota, straddle_in, straddle_ex, sides))
+        marched = self._march_level(flat, marches, starts, caps) if marches else None
+        for seg, iota, straddle_in, straddle_ex, sides in plans:
+            seg.post_cost = self._settle_node(
+                seg, iota, straddle_in, straddle_ex, sides, marched
+            )
+            self.machine.attribute("correct", seg.post_cost)
+        return iotas
+
+    def _march_level(
+        self,
+        flat: FlatTree,
+        marches: List[np.ndarray],
+        starts: List[int],
+        caps: List[float],
+    ) -> FlatMarchResult:
+        """One lockstep march of every straddler set of a level, each from
+        its opposite subtree's root; queues the pairs of the marches that
+        stayed under their caps."""
+        balls = np.concatenate(marches)
+        sizes = [s.shape[0] for s in marches]
+        marched = flat.march(
+            self.points,
+            self.points[balls],
+            np.sqrt(self.nbr_sq[balls, -1]),
+            starts=np.repeat(starts, sizes),
+            march_of=np.repeat(np.arange(len(marches)), sizes),
+            caps=np.asarray(caps, dtype=np.float64),
+        )
+        self._pending_owners.append(balls[marched.ball_rows])
+        self._pending_cands.append(marched.point_ids)
+        return marched
+
+    def _settle_node(
+        self, seg: _Seg, iota: int, straddle_in, straddle_ex, sides, marched
+    ) -> Cost:
+        """One node's correction cost, stats and punts, in recursive order."""
         node = seg.node
         m = node.size
         machine = self.machine
-        in_ids = seg.left.ids
-        ex_ids = seg.right.ids
         cost = ZERO.then(machine.ewise_cost(m, 2.0)).then(machine.scan_cost(m))
-        straddle_in = in_ids[cls_in == 0]
-        straddle_ex = ex_ids[cls_ex == 0]
-        iota = straddle_in.shape[0] + straddle_ex.shape[0]
-        self.stats.straddler_fraction.append((m, iota))
-        node.meta["iota"] = iota
-        node.meta["punted"] = False
         if iota == 0:
             self.stats.corrections_none += 1
-            seg.post_cost = cost
-            return iota
-        if iota >= self.config.iota_budget(m, self.dim, self.k):
+            return cost
+        if sides is None:
             self.stats.punts_iota += 1
             node.meta["punted"] = True
-            cost = self._query_correct(cost, straddle_in, ex_ids, self._rng_of(seg))
-            cost = self._query_correct(cost, straddle_ex, in_ids, self._rng_of(seg))
-            seg.post_cost = cost
-            return iota
-        cost, ok_a = self._fast_correct(cost, seg, straddle_in, node.right, m)
-        cost, ok_b = self._fast_correct(cost, seg, straddle_ex, node.left, m)
-        if ok_a and ok_b:
+            cost = self._query_correct(cost, straddle_in, seg.right.ids, self._rng_of(seg))
+            return self._query_correct(cost, straddle_ex, seg.left.ids, self._rng_of(seg))
+        ok = True
+        for straddlers, opposite, j in sides:
+            self.stats.marching_level_active.append((m, marched.level_active[j]))
+            if not marched.succeeded[j]:
+                ok = False
+                self.stats.punts_marching += 1
+                cost = self._query_correct(
+                    cost, straddlers, opposite.indices, self._rng_of(seg)
+                )
+                continue
+            work = float(
+                int(marched.label_tests[j])
+                + int(marched.leaf_tests[j])
+                + int(marched.pairs[j]) * (self.k + 1)
+            )
+            cost = cost.then(Cost(self.config.fc_depth + self.select_depth, max(work, 1.0)))
+        if ok:
             self.stats.corrections_fast += 1
         else:
             node.meta["punted"] = True
-        seg.post_cost = cost
-        return iota
-
-    def _fast_correct(
-        self,
-        cost: Cost,
-        seg: _Seg,
-        straddlers: np.ndarray,
-        opposite_tree: Optional[PartitionNode],
-        m: int,
-    ) -> Tuple[Cost, bool]:
-        if straddlers.shape[0] == 0 or opposite_tree is None:
-            return cost, True
-        centers = self.points[straddlers]
-        radii = np.sqrt(self.nbr_sq[straddlers, -1])
-        cap = self.config.active_cap(m, self.dim, self.k)
-        result = march_balls(opposite_tree, self.points, centers, radii, active_cap=cap)
-        self.stats.marching_level_active.append((m, list(result.level_active)))
-        if not result.succeeded:
-            self.stats.punts_marching += 1
-            cost = self._query_correct(
-                cost, straddlers, opposite_tree.indices, self._rng_of(seg)
-            )
-            return cost, False
-        work = float(result.label_tests + result.leaf_tests + result.pairs * (self.k + 1))
-        cost = cost.then(Cost(self.config.fc_depth + self.select_depth, max(work, 1.0)))
-        self._pending_owners.append(straddlers[result.ball_rows])
-        self._pending_cands.append(result.point_ids)
-        return cost, True
+        return cost
 
     def _query_correct(
         self, cost: Cost, straddlers: np.ndarray, opposite_ids: np.ndarray, rng

@@ -135,7 +135,8 @@ def knn_query_flat(
     # phase 2: march the query balls; reachability finds every point
     # within the current k-th distance, so one flat merge of the marched
     # candidates against the leaf estimates is exact
-    rows, cands = flat.march(pts, qs, radii)
+    marched = flat.march(pts, qs, radii)
+    rows, cands = marched.ball_rows, marched.point_ids
     if rows.shape[0]:
         # upcast before subtracting: float32 storage still compares in
         # float64 (copy=False keeps the f64 path allocation-free)

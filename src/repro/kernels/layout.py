@@ -12,6 +12,9 @@ right).  It is the whole structure a served index version holds:
 - :meth:`FlatTree.march` is Section 6.2's march (Lemma 6.3): balls
   move down the tree one level per step, lockstep over every
   (ball, node) instance, and leaf containment is one flat pair test.
+  One call runs any number of marches side by side, each from its own
+  start node under its own active cap: a query batch is one march from
+  the root, a frontier correction level is one march per (node, side).
 
 Every tree flattens.  A hyperplane separator (the rare MTTV great-circle
 pull-back, and every cut of the simple method) keeps its unit normal and
@@ -29,6 +32,7 @@ to :meth:`~repro.core.partition_tree.PartitionNode.leaf_of_point` and
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -37,10 +41,62 @@ from .. import kernels
 from ..geometry.spheres import Sphere
 from ..core.partition_tree import PartitionNode
 
-__all__ = ["FlatTree"]
+__all__ = ["FlatTree", "FlatMarchResult"]
 
 #: Most (ball, point) pairs one containment pass materializes.
-MARCH_PAIR_CHUNK = 1 << 20
+MARCH_PAIR_CHUNK = 1 << 16
+
+
+@dataclass
+class FlatMarchResult:
+    """Outcome of :meth:`FlatTree.march`.
+
+    ``ball_rows[i]``/``point_ids[i]`` is one containment pair of a march
+    that succeeded; a march over its cap reports none.  ``succeeded`` is
+    per march, and so are the counts
+    :class:`~repro.core.correction.MarchResult` keeps: ``level_active``
+    (the march's (ball, node) instances at each step), ``label_tests``,
+    ``leaf_tests`` and ``pairs``.  The counts are tallied from the
+    march's step records on first read, so a caller that needs only the
+    pairs (a query) never pays for them.
+    """
+
+    ball_rows: np.ndarray
+    point_ids: np.ndarray
+    succeeded: np.ndarray
+    march_of: np.ndarray
+    step_rows: List[np.ndarray]
+    inner_rows: List[np.ndarray]
+    leaf_rows: np.ndarray
+    leaf_sizes: np.ndarray
+
+    def _per_march(self, rows: np.ndarray, weights=None) -> np.ndarray:
+        n_marches = self.succeeded.shape[0]
+        counts = np.bincount(self.march_of[rows], weights, minlength=n_marches)
+        return counts.astype(np.int64, copy=False)
+
+    @cached_property
+    def level_active(self) -> List[List[int]]:
+        # a march has instances from step 0 through its last step, so its
+        # entries are its column of the per-step counts up to the first 0
+        per_step = [self._per_march(rows) for rows in self.step_rows]
+        cols = np.array(per_step, dtype=np.int64).reshape(
+            len(per_step), self.succeeded.shape[0]
+        ).T
+        depth = np.count_nonzero(cols, axis=1).tolist()
+        return [col[:dd] for col, dd in zip(cols.tolist(), depth)]
+
+    @cached_property
+    def label_tests(self) -> np.ndarray:
+        return self._per_march(np.concatenate(self.inner_rows))
+
+    @cached_property
+    def leaf_tests(self) -> np.ndarray:
+        return self._per_march(self.leaf_rows, self.leaf_sizes)
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        return self._per_march(self.ball_rows)
 
 
 @dataclass(frozen=True)
@@ -80,6 +136,13 @@ class FlatTree:
     @staticmethod
     def from_tree(tree: PartitionNode) -> "FlatTree":
         """Flatten ``tree``; hyperplane nodes are listed in ``planes``."""
+        return FlatTree.flatten(tree)[0]
+
+    @staticmethod
+    def flatten(tree: PartitionNode) -> Tuple["FlatTree", List[PartitionNode]]:
+        """:meth:`from_tree`, plus the tree's nodes in preorder: flat
+        node ``i`` is ``nodes[i]``."""
+        nodes: List[PartitionNode] = []
         centers: List[Optional[np.ndarray]] = []
         radii: List[float] = []
         left: List[int] = []
@@ -93,6 +156,7 @@ class FlatTree:
         while stack:
             node, parent, slot = stack.pop()
             my = len(left)
+            nodes.append(node)
             if parent >= 0:
                 if slot == 0:
                     left[parent] = my
@@ -146,7 +210,7 @@ class FlatTree:
             ),
             leaf_offsets=offsets,
             planes=np.asarray(planes, dtype=np.int64),
-        )
+        ), nodes
 
     def _plane_mask(self) -> Optional[np.ndarray]:
         """Per-node hyperplane flags, or ``None`` for sphere-only trees."""
@@ -192,28 +256,59 @@ class FlatTree:
     # -- the march -----------------------------------------------------------
 
     def march(
-        self, points: np.ndarray, centers: np.ndarray, radii: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        self,
+        points: np.ndarray,
+        centers: np.ndarray,
+        radii: np.ndarray,
+        starts: Optional[np.ndarray] = None,
+        march_of: Optional[np.ndarray] = None,
+        caps: Optional[np.ndarray] = None,
+    ) -> FlatMarchResult:
         """Every strict containment pair of balls ``B(centers[r], radii[r])``.
 
-        ``points`` is the data array the leaf ids refer to.  One step per
-        tree level moves every active (ball, node) instance into each
-        child its ball can meet (both when it straddles the separator,
-        Lemma 6.3's reachability), and the instances that reached leaves
-        are tested against their leaf members in one flat pass.  An
-        infinite radius reaches every leaf and contains every point.
+        ``points`` is the data array the leaf ids refer to.  Ball ``r``
+        belongs to march ``march_of[r]`` and starts at preorder node
+        ``starts[r]``; march ``j`` may hold at most ``caps[j]`` active
+        (ball, node) instances per step.  The default is one march from
+        the root with no cap.  One step per tree level moves every active
+        instance into each child its ball can meet (both when it
+        straddles the separator, Lemma 6.3's reachability), and the
+        instances that reached leaves are tested against their leaf
+        members in one flat pass.  An infinite radius reaches every leaf
+        and contains every point.
 
-        Returns ``(ball_rows, point_ids)``: the same multiset of pairs
-        :func:`~repro.core.correction.march_balls` finds on the pointer
-        tree, in a different order.
+        Each march counts exactly as
+        :func:`~repro.core.correction.march_balls` does on the subtree
+        under its start node: a march over its cap at some step stops
+        there, with that step's count as its last ``level_active`` entry,
+        and its pairs are dropped.  Pairs come in a different order.
+        When the marches start at distinct nodes and list each march's
+        balls in the order ``march_balls`` would get them, a hyperplane
+        node's classification sees the same row block too.
         """
         nb = centers.shape[0]
-        node = np.zeros(nb, dtype=np.int64)
+        if march_of is None:
+            march_of = np.zeros(nb, dtype=np.int64)
+        n_marches = 1 if caps is None else caps.shape[0]
+        failed = np.zeros(n_marches, dtype=bool)
+        any_failed = False
+        node = np.zeros(nb, dtype=np.int64) if starts is None else starts
         row = np.arange(nb, dtype=np.int64)
-        leaf_nodes: List[np.ndarray] = []
-        leaf_rows: List[np.ndarray] = []
+        empty = np.empty(0, dtype=np.int64)
+        step_rows: List[np.ndarray] = []
+        inner_rows: List[np.ndarray] = [empty]
+        leaf_nodes: List[np.ndarray] = [empty]
+        leaf_rows: List[np.ndarray] = [empty]
         plane_mask = self._plane_mask()
-        while node.shape[0]:
+        while row.shape[0]:
+            step_rows.append(row)
+            if caps is not None:
+                over = np.bincount(march_of[row], minlength=n_marches) > caps
+                if over.any():
+                    failed |= over
+                    any_failed = True
+                    keep = ~over[march_of[row]]
+                    node, row = node[keep], row[keep]
             child = self.left[node]
             at_leaf = child < 0
             if at_leaf.any():
@@ -221,15 +316,29 @@ class FlatTree:
                 leaf_rows.append(row[at_leaf])
                 inner = ~at_leaf
                 node, row, child = node[inner], row[inner], child[inner]
-                if not node.shape[0]:
-                    break
+            inner_rows.append(row)
+            if not row.shape[0]:
+                break
             to_left, to_right = self._sides(centers, radii, node, row, plane_mask)
             node = np.concatenate((child[to_left], self.right[node[to_right]]))
             row = np.concatenate((row[to_left], row[to_right]))
-        if not leaf_rows:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        return self._contained(
-            points, centers, radii, np.concatenate(leaf_nodes), np.concatenate(leaf_rows)
+        leaf_row = np.concatenate(leaf_rows)
+        ords = self.leaf_ord[np.concatenate(leaf_nodes)]
+        first = self.leaf_offsets[ords]
+        sizes = self.leaf_offsets[ords + 1] - first
+        ok = ~failed[march_of[leaf_row]] if any_failed else slice(None)
+        ball_rows, point_ids = self._contained(
+            points, centers, radii, leaf_row[ok], first[ok], sizes[ok]
+        )
+        return FlatMarchResult(
+            ball_rows=ball_rows,
+            point_ids=point_ids,
+            succeeded=~failed,
+            march_of=march_of,
+            step_rows=step_rows,
+            inner_rows=inner_rows,
+            leaf_rows=leaf_row,
+            leaf_sizes=sizes,
         )
 
     def _sides(
@@ -255,10 +364,11 @@ class FlatTree:
         to_right = s >= -r
         if plane_mask is None:
             return to_left, to_right
-        # a node's instances sit in ascending row order (the root starts
-        # with arange, and every step filters order-preservingly), so a
-        # stable sort by node hands each hyperplane the row group — and
-        # hence the gemv — the pointer walk gives it
+        # a node's instances sit in ascending row order (rows start in
+        # order at their start nodes, and every step filters
+        # order-preservingly), so a stable sort by node hands each
+        # hyperplane the row group — and hence the gemv — the pointer
+        # walk gives it
         pl = np.flatnonzero(plane_mask[node])
         pl = pl[np.argsort(node[pl], kind="stable")]
         for group in np.split(pl, np.flatnonzero(np.diff(node[pl])) + 1):
@@ -277,22 +387,28 @@ class FlatTree:
         points: np.ndarray,
         centers: np.ndarray,
         radii: np.ndarray,
-        leaf_nodes: np.ndarray,
         leaf_rows: np.ndarray,
+        starts: np.ndarray,
+        counts: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Strict containment over every (ball, leaf member) pair.
 
-        Diff-based and row-local like the leaf test of
+        Ball ``leaf_rows[i]`` reached a leaf holding
+        ``leaf_ids[starts[i]:starts[i] + counts[i]]``.  Diff-based and
+        row-local like the leaf test of
         :func:`~repro.core.correction.march_balls` (upcast before
         subtracting, so float32 storage compares in float64), in passes
         of at most :data:`MARCH_PAIR_CHUNK` pairs.
         """
-        ords = self.leaf_ord[leaf_nodes]
-        starts = self.leaf_offsets[ords]
-        counts = self.leaf_offsets[ords + 1] - starts
         ends = np.cumsum(counts)
-        out_rows: List[np.ndarray] = []
-        out_ids: List[np.ndarray] = []
+        # the ball side of each pair, once per (ball, leaf) instance
+        ball_centers = centers[leaf_rows].astype(np.float64, copy=False)
+        ball_radii = radii[leaf_rows]
+        ball_sq_radii = np.square(ball_radii)
+        infinite = np.isinf(ball_radii)
+        any_infinite = infinite.any()
+        out_rows: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        out_ids: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
         lo = 0
         while lo < counts.shape[0]:
             done = int(ends[lo - 1]) if lo else 0
@@ -302,13 +418,12 @@ class FlatTree:
             first = np.repeat(starts[lo:hi] - (ends[lo:hi] - cnt - done), cnt)
             ids = self.leaf_ids[first + np.arange(total, dtype=np.int64)]
             rows = np.repeat(leaf_rows[lo:hi], cnt)
-            diff = centers[rows].astype(np.float64, copy=False) - points[ids].astype(
-                np.float64, copy=False
-            )
+            diff = np.repeat(ball_centers[lo:hi], cnt, axis=0)
+            diff -= points[ids].astype(np.float64, copy=False)
             sq = np.einsum("md,md->m", diff, diff)
-            r = radii[rows]
-            inside = sq < np.square(r)
-            inside |= np.isinf(r)
+            inside = sq < np.repeat(ball_sq_radii[lo:hi], cnt)
+            if any_infinite:
+                inside |= np.repeat(infinite[lo:hi], cnt)
             out_rows.append(rows[inside])
             out_ids.append(ids[inside])
             lo = hi

@@ -51,6 +51,33 @@ def _assert_identical_runs(method: str, points, k: int, seed: int, **cfg):
     return rec, fro
 
 
+def _level_active_multiset(res):
+    return sorted((m, tuple(a)) for m, a in res.stats.marching_level_active)
+
+
+def _correction_outcomes_by_level(tree, config, d, k):
+    """Level -> the correction outcomes of that level's internal nodes,
+    read back from each node's ``iota``/``punted`` meta."""
+    levels = {}
+    stack = [(tree, 0)]
+    while stack:
+        node, level = stack.pop()
+        if node.is_leaf:
+            continue
+        iota, punted = node.meta["iota"], node.meta["punted"]
+        if iota == 0:
+            kind = "none"
+        elif not punted:
+            kind = "fast"
+        elif iota >= config.iota_budget(node.size, d, k):
+            kind = "iota_punt"
+        else:
+            kind = "march_punt"
+        levels.setdefault(level, set()).add(kind)
+        stack += [(node.left, level + 1), (node.right, level + 1)]
+    return levels
+
+
 WORKLOADS = [
     ("uniform2d", lambda: uniform_cube(500, 2, seed=1)),
     ("uniform3d", lambda: uniform_cube(400, 3, seed=2)),
@@ -81,6 +108,24 @@ class TestEngineEquivalence:
             "fast", uniform_cube(400, 2, seed=9), 1, seed=37, active_factor=1e-9
         )
         assert rec.stats.punts_marching > 0
+
+    def test_identical_with_mixed_correction_outcomes(self):
+        """Fast corrections, failed marches and iota punts side by side
+        within one level."""
+        cfg = dict(iota_factor=0.8, active_factor=0.3)
+        rec, fro = _assert_identical_runs(
+            "fast", uniform_cube(3000, 2, seed=42), 2, seed=42, **cfg
+        )
+        # section depths sum in post-order here and level by level there,
+        # so only the (integer) section works compare exactly
+        assert {name: c.work for name, c in rec.machine.sections.items()} == {
+            name: c.work for name, c in fro.machine.sections.items()
+        }
+        assert _level_active_multiset(rec) == _level_active_multiset(fro)
+        outcomes = _correction_outcomes_by_level(fro.tree, FastDnCConfig(**cfg), 2, 2)
+        assert any(
+            {"fast", "march_punt", "iota_punt"} <= kinds for kinds in outcomes.values()
+        )
 
     def test_identical_stats_multisets(self):
         """Series observed in different orders must still agree as multisets."""

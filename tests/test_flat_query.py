@@ -66,6 +66,12 @@ def sorted_pairs(rows, ids):
     return np.stack([rows[order], ids[order]])
 
 
+def flat_pairs(flat, pts, centers, radii):
+    """The sorted pairs of one uncapped ``FlatTree.march`` from the root."""
+    got = flat.march(pts, centers, radii)
+    return sorted_pairs(got.ball_rows, got.point_ids)
+
+
 def pointer_knn(tree, pts, qs, k):
     """knn over the pointer tree: scalar descent, then ``march_balls``."""
     nq = qs.shape[0]
@@ -110,9 +116,8 @@ class TestMarchDifferential:
         radii[::7] = np.inf
         radii[::11] = 0.0
         ref = march_balls(tree, pts, qs, radii)
-        got = flat.march(pts, qs, radii)
         np.testing.assert_array_equal(
-            sorted_pairs(ref.ball_rows, ref.point_ids), sorted_pairs(*got)
+            sorted_pairs(ref.ball_rows, ref.point_ids), flat_pairs(flat, pts, qs, radii)
         )
 
     def test_queries_on_a_separator_sphere(self):
@@ -127,7 +132,7 @@ class TestMarchDifferential:
         flat = FlatTree.from_tree(res.tree)
         np.testing.assert_array_equal(
             sorted_pairs(ref.ball_rows, ref.point_ids),
-            sorted_pairs(*flat.march(pts, on, radii)),
+            flat_pairs(flat, pts, on, radii),
         )
         for r in range(on.shape[0]):
             leaf = res.tree.leaf_of_point(on[r])
@@ -152,7 +157,7 @@ class TestMarchDifferential:
             ref = march_balls(tree, data, exact, radii)
             np.testing.assert_array_equal(
                 sorted_pairs(ref.ball_rows, ref.point_ids),
-                sorted_pairs(*flat.march(data, exact, radii)),
+                flat_pairs(flat, data, exact, radii),
             )
         idx, sq = knn_query(flat, data, exact, 3)
         ref_idx, ref_sq = pointer_knn(tree, data, exact, 3)
@@ -163,11 +168,11 @@ class TestMarchDifferential:
     def test_no_balls_and_single_leaf(self):
         pts = uniform_cube(20, 2, seed=1)
         flat = FlatTree.from_tree(PartitionNode(indices=np.arange(20)))
-        rows, ids = flat.march(pts, np.empty((0, 2)), np.empty(0))
-        assert rows.shape == ids.shape == (0,)
-        rows, ids = flat.march(pts, pts[:3], np.full(3, np.inf))
-        assert rows.shape[0] == 60
-        np.testing.assert_array_equal(np.bincount(rows), [20, 20, 20])
+        got = flat.march(pts, np.empty((0, 2)), np.empty(0))
+        assert got.ball_rows.shape == got.point_ids.shape == (0,)
+        got = flat.march(pts, pts[:3], np.full(3, np.inf))
+        assert got.ball_rows.shape[0] == 60
+        np.testing.assert_array_equal(np.bincount(got.ball_rows), [20, 20, 20])
 
     def test_pair_chunking_is_invisible(self, monkeypatch):
         from repro.kernels import layout
@@ -176,9 +181,97 @@ class TestMarchDifferential:
         flat = FlatTree.from_tree(tree)
         qs = rng.random((60, 2))
         radii = np.full(60, np.inf)
-        whole = sorted_pairs(*flat.march(pts, qs, radii))
+        whole = flat_pairs(flat, pts, qs, radii)
         monkeypatch.setattr(layout, "MARCH_PAIR_CHUNK", 7)
-        np.testing.assert_array_equal(whole, sorted_pairs(*flat.march(pts, qs, radii)))
+        np.testing.assert_array_equal(whole, flat_pairs(flat, pts, qs, radii))
+
+
+def disjoint_roots(tree, rng):
+    """Roots of disjoint subtrees, from a random cut below the root."""
+    roots, stack = [], [tree.left, tree.right]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf or rng.random() < 0.3:
+            roots.append(node)
+        else:
+            stack += [node.left, node.right]
+    return roots
+
+
+def cap_for(scenario, level_active):
+    """An active cap that lets a march run free (0), stop at step 0 (1),
+    stop at a later step (2), or run exactly at its largest count (3)."""
+    if scenario == 1:
+        return 0.0
+    if scenario == 2:
+        for s in range(1, len(level_active)):
+            if level_active[s] > max(level_active[:s]):
+                return level_active[s] - 1.0
+    if scenario == 3 and level_active:
+        return float(max(level_active))
+    return np.inf
+
+
+class TestManyMarches:
+    """One ``FlatTree.march`` of several capped marches from disjoint
+    subtrees, checked march by march against ``march_balls`` on the
+    subtree under each start node."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_each_march_matches_march_balls(self, d, dtype, seed):
+        rng, pts, tree = mixed_case(d, dtype, seed)
+        flat, nodes = FlatTree.flatten(tree)
+        preorder = {id(node): i for i, node in enumerate(nodes)}
+        # largest subtree first, so it gets the cap that stops a march
+        # after step 0; the last march is empty
+        roots = sorted(disjoint_roots(tree, rng), key=lambda node: -node.size)
+        roots.append(roots[0])
+        balls, caps = [], []
+        for j, root in enumerate(roots):
+            nb = 0 if j == len(roots) - 1 else (25, 6, 12, 1)[j % 4]
+            centers = rng.random((nb, d)).astype(dtype)
+            centers[: nb // 3] = pts[rng.choice(pts.shape[0], nb // 3)]
+            radii = rng.random(nb) * 0.3
+            radii[::5] = np.inf
+            radii[1::7] = 0.0
+            free = march_balls(root, pts, centers, radii)
+            balls.append((centers, radii))
+            caps.append(cap_for((2, 1, 0, 3)[j % 4], free.level_active))
+        sizes = [c.shape[0] for c, _ in balls]
+        march_of = np.repeat(np.arange(len(roots)), sizes)
+        got = flat.march(
+            pts,
+            np.concatenate([c for c, _ in balls]),
+            np.concatenate([r for _, r in balls]),
+            starts=np.repeat([preorder[id(root)] for root in roots], sizes),
+            march_of=march_of,
+            caps=np.asarray(caps),
+        )
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        stops = set()
+        for j, root in enumerate(roots):
+            centers, radii = balls[j]
+            ref = march_balls(root, pts, centers, radii, active_cap=caps[j])
+            assert got.succeeded[j] == ref.succeeded
+            assert got.level_active[j] == ref.level_active
+            assert got.label_tests[j] == ref.label_tests
+            assert got.leaf_tests[j] == ref.leaf_tests
+            mine = march_of[got.ball_rows] == j
+            if not ref.succeeded:
+                stops.add(len(ref.level_active) - 1)
+                assert got.pairs[j] == 0 and not mine.any()
+                continue
+            assert got.pairs[j] == ref.pairs
+            np.testing.assert_array_equal(
+                sorted_pairs(got.ball_rows[mine] - offsets[j], got.point_ids[mine]),
+                sorted_pairs(ref.ball_rows, ref.point_ids),
+            )
+        # the caps stopped marches at step 0 and at a later step
+        assert 0 in stops and max(stops) > 0
+        assert got.level_active[-1] == [] and got.succeeded[-1]
+        assert flat.planes.shape[0] > 0
 
 
 class TestKnnBitIdentity:

@@ -90,6 +90,24 @@ class TestBitIdentity:
         )
         assert ref.stats.punts_marching > 0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_identical_with_mixed_correction_outcomes(self, workers):
+        """Fast corrections, failed marches and iota punts side by side
+        within one level, on the master's levels and the workers'
+        (``test_engine_equivalence`` pins the same case against
+        ``recursive``)."""
+        ref, got = _assert_mp_identical(
+            "fast", uniform_cube(3000, 2, seed=42), 2, 42, workers,
+            iota_factor=0.8, active_factor=0.3,
+        )
+        assert sorted((m, tuple(a)) for m, a in ref.stats.marching_level_active) == \
+            sorted((m, tuple(a)) for m, a in got.stats.marching_level_active)
+        counts = (got.stats.corrections_fast, got.stats.punts_marching, got.stats.punts_iota)
+        assert counts == (
+            ref.stats.corrections_fast, ref.stats.punts_marching, ref.stats.punts_iota
+        )
+        assert min(counts) > 0
+
     def test_series_agree_as_multisets(self):
         pts = uniform_cube(500, 2, seed=10)
         ref = _run("fast", pts, 2, 41, engine="frontier")
