@@ -71,6 +71,9 @@ GATE_RUNS = (
      "k": 2, "seed": 42, "engine": "frontier-mp", "workers": 2},
     {"run": "fast_d3", "method": "fast", "n": 2000, "d": 3, "k": 1,
      "seed": 7, "engine": "frontier", "workers": None},
+    # d = 1: the shortest stacked BLAS vectors of the frontier build
+    {"run": "fast_frontier_d1", "method": "fast", "n": 3000, "d": 1, "k": 2,
+     "seed": 42, "engine": "frontier", "workers": None},
     {"run": "simple_frontier", "method": "simple", "n": 2000, "d": 2,
      "k": 1, "seed": 11, "engine": "frontier", "workers": None},
 )

@@ -82,7 +82,7 @@ from .api import (
     run_traced,
 )
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 __all__ = [
     "analysis",

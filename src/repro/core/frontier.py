@@ -8,14 +8,21 @@ partition tree is one **frontier** — a segmented vector of point ids plus
 segment offsets — and the whole frontier advances with batched numpy
 passes:
 
-- separator search runs in lockstep rounds across every active segment,
-  with sampler construction (the iterated-Radon centerpoint SVDs — the
-  dominant cost) batched via :func:`~repro.separators.batch.prepare_samplers`
-  and candidate evaluation batched via
+- separator search runs in lockstep rounds across every active segment:
+  each segment's sampler is one row of a
+  :class:`~repro.separators.batch.SamplerStack` built by
+  :func:`~repro.separators.batch.prepare_samplers` (one gather and one
+  stacked LAPACK SVD per iterated-Radon round, one centering pass), each
+  round draws every searching segment's candidate with one
+  :meth:`~repro.separators.batch.SamplerStack.draw`, and candidate
+  evaluation is batched via
   :func:`~repro.separators.batch.batched_side_of_points`;
 - the divide step is one :func:`~repro.pvm.primitives.segmented_split`
   over the concatenated ids of the level;
-- base cases resolve segment-by-segment as the frontier reaches them;
+- base cases record their stats and cost as the frontier reaches them,
+  and each level's leaves are brute-forced together after its divide:
+  one :func:`repro.kernels.block_topk` call per leaf size (and chunk) via
+  :func:`~repro.core.neighborhood.brute_force_leaves`;
 - the same :class:`~repro.core.partition_tree.PartitionNode` tree is then
   reconstructed and correction runs level-by-level bottom-up: ball
   classification is one pass per level, every Fast Correction of a
@@ -35,8 +42,10 @@ identical (depth, work) ledger.  Three mechanisms make this exact:
    so streams don't depend on traversal order.
 2. **Bit-stable batching** — every batched numpy pass is bitwise equal to
    its per-node counterpart (row-local sphere tests; stacked LAPACK SVDs;
-   integer segmented splits).  Hyperplane candidates, whose BLAS product
-   is not batch-stable, are evaluated per segment.
+   stacked ``matmul`` norms and rotations, which make the per-node BLAS
+   calls; leaf-local base-case blocks; integer segmented splits).
+   Hyperplane candidates, whose BLAS product is not batch-stable, are
+   evaluated per segment.
 3. **Analytic per-node cost folds** — the frontier never charges the
    machine while executing; it replays each node's charge sequence as a
    local Cost fold (punt-path costs are captured on a sub-machine seeded
@@ -80,7 +89,7 @@ from .correction import (
     apply_candidate_pairs_batch,
     query_correction_pairs,
 )
-from .neighborhood import brute_force_neighbors
+from .neighborhood import brute_force_leaves
 from .partition_tree import PartitionNode
 
 __all__ = ["run_fast_frontier", "run_simple_frontier"]
@@ -190,8 +199,18 @@ class _FrontierBase:
             seg.rng = path_rng(self.root_ss, seg.path)
         return seg.rng
 
+    def _build_level(self, segs: List[_Seg], span) -> List[_Seg]:
+        """Build one level: divide its segments, then brute-force all the
+        leaves it made in stacked passes, before any correction reads a
+        neighbor radius.  Returns the next level's segments."""
+        children = self._divide_level(segs, span)
+        leaves = [s.ids for s in segs if s.is_leaf]
+        brute_force_leaves(self.points, leaves, self.k, self.nbr_idx, self.nbr_sq)
+        return children
+
     def _leaf(self, seg: _Seg) -> None:
-        """Resolve a segment as a base case (mirrors the recursive brute)."""
+        """Resolve a segment as a base case (mirrors the recursive brute):
+        stats, series and cost now, the brute force with its level's."""
         m = seg.ids.shape[0]
         seg.is_leaf = True
         self.stats.base_cases += 1
@@ -199,7 +218,6 @@ class _FrontierBase:
         base_cost = Cost(float(m), float(m) * float(m))
         seg.pre_cost = seg.pre_cost.then(base_cost)
         self.machine.attribute("base", base_cost)
-        brute_force_neighbors(self.points, seg.ids, self.k, self.nbr_idx, self.nbr_sq)
 
     def _split_segments(self, split_segs: List[_Seg]) -> List[_Seg]:
         """Divide every accepted segment at once: one fused classify+pack
@@ -288,7 +306,7 @@ class _FrontierBase:
 
     # -- subclass hooks --------------------------------------------------
 
-    def _build_level(self, segs: List[_Seg], span) -> List[_Seg]:
+    def _divide_level(self, segs: List[_Seg], span) -> List[_Seg]:
         raise NotImplementedError
 
     def _correct_node(self, seg: _Seg) -> int:
@@ -300,7 +318,7 @@ class _FastFrontier(_FrontierBase):
 
     _NS = "fast"
 
-    def _build_level(self, segs: List[_Seg], span) -> List[_Seg]:
+    def _divide_level(self, segs: List[_Seg], span) -> List[_Seg]:
         active: List[_Seg] = []
         for seg in segs:
             self.stats.nodes += 1
@@ -336,14 +354,17 @@ class _FastFrontier(_FrontierBase):
     def _find_separators(self, active: List[_Seg]) -> None:
         """Lockstep replication of ``find_good_separator`` across segments.
 
-        Round ``r`` performs attempt ``r`` of every still-searching
-        segment: the per-attempt charges fold into each segment's divide
-        cost in the recursive order, draw failures skip the refresh check
-        (as the recursive ``continue`` does), candidate quality is
+        Every active segment is one row of a
+        :class:`~repro.separators.batch.SamplerStack`, prepared in one
+        stacked pass.  Round ``r`` performs attempt ``r`` of every
+        still-searching segment: the per-attempt charges fold into each
+        segment's divide cost in the recursive order, one stacked draw
+        yields every segment's candidate, draw failures skip the refresh
+        check (as the recursive ``continue`` does), candidate quality is
         evaluated in one batched pass, and every 16th attempt the failed
-        segments rebuild their samplers together.  Each segment consumes
-        only its own per-node generator, so acceptance happens at exactly
-        the attempt the recursive engine would accept.
+        segments rebuild their rows together.  Each segment consumes only
+        its own per-node generator, so acceptance happens at exactly the
+        attempt the recursive engine would accept.
         """
         machine = self.machine
         config = self.config
@@ -357,8 +378,6 @@ class _FastFrontier(_FrontierBase):
         for attempt in range(1, config.max_attempts + 1):
             if not searching:
                 break
-            drew: List[int] = []
-            candidates: List[object] = []
             for i in searching:
                 m = subs[i].shape[0]
                 divide[i] = (
@@ -367,14 +386,15 @@ class _FastFrontier(_FrontierBase):
                     .then(machine.ewise_cost(m, 3.0))
                     .then(machine.scan_cost(m))
                 )
-                machine.bump("separator_attempts")
-                try:
-                    candidate = samplers[i].draw()
-                except RuntimeError:
-                    machine.bump("separator_draw_failures")
-                    continue
-                drew.append(i)
-                candidates.append(candidate)
+            machine.bump("separator_attempts", len(searching))
+            drew: List[int] = []
+            candidates: List[object] = []
+            for i, candidate in zip(searching, samplers.draw(searching)):
+                if candidate is not None:
+                    drew.append(i)
+                    candidates.append(candidate)
+            if len(drew) < len(searching):
+                machine.bump("separator_draw_failures", len(searching) - len(drew))
             accepted = set()
             if drew:
                 sides = batched_side_of_points(candidates, [subs[i] for i in drew])
@@ -392,13 +412,11 @@ class _FastFrontier(_FrontierBase):
                 # reach the recursive engine's refresh line
                 refresh = [i for i in searching if i in set(drew)]
                 if refresh:
-                    rebuilt = prepare_samplers(
+                    samplers.replace(refresh, prepare_samplers(
                         [subs[i] for i in refresh],
                         [self._rng_of(active[i]) for i in refresh],
                         sample_size=config.sample_size,
-                    )
-                    for i, sampler in zip(refresh, rebuilt):
-                        samplers[i] = sampler
+                    ))
         for i, seg in enumerate(active):
             seg.pre_cost = seg.pre_cost.then(divide[i])
             seg.divide_cost = divide[i]
@@ -657,7 +675,7 @@ class _SimpleFrontier(_FrontierBase):
 
     _NS = "simple"
 
-    def _build_level(self, segs: List[_Seg], span) -> List[_Seg]:
+    def _divide_level(self, segs: List[_Seg], span) -> List[_Seg]:
         active: List[_Seg] = []
         for seg in segs:
             self.stats.nodes += 1

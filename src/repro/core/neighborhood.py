@@ -18,6 +18,7 @@ index lists and squared distances, sorted ascending, padded with ``-1`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -30,7 +31,12 @@ __all__ = [
     "merge_neighbor_lists",
     "merge_neighbor_lists_many",
     "brute_force_neighbors",
+    "brute_force_leaves",
 ]
+
+#: Pairs one stacked base-case call may hold (leaves x m x m): bounds
+#: the call's (pairs, d) diff intermediate.
+LEAF_PAIR_CHUNK = 1 << 18
 
 
 def brute_force_neighbors(
@@ -41,24 +47,46 @@ def brute_force_neighbors(
     nbr_sq: np.ndarray,
 ) -> None:
     """All-pairs k nearest within ``points[ids]``, written into the global
-    ``(nbr_idx, nbr_sq)`` arrays — the shared base-case kernel of both
-    divide-and-conquer engines, dispatched through
-    :func:`repro.kernels.block_topk`.
+    ``(nbr_idx, nbr_sq)`` arrays — the recursive engines' base case: one
+    leaf of :func:`brute_force_leaves`, one
+    :func:`repro.kernels.block_topk` call.
 
     Rows with fewer than ``k`` candidates are padded with ``-1`` / ``inf``.
     Cost accounting and statistics are the caller's responsibility.
     """
-    m = ids.shape[0]
-    if m <= 1:
-        return
-    sub = points[ids]
-    kk = min(k, m - 1)
-    local_idx, local_sq = kernels.block_topk(sub, kk)
-    nbr_idx[ids, :kk] = ids[local_idx]
-    nbr_sq[ids, :kk] = local_sq
-    if kk < k:
-        nbr_idx[ids, kk:] = -1
-        nbr_sq[ids, kk:] = np.inf
+    brute_force_leaves(points, [ids], k, nbr_idx, nbr_sq)
+
+
+def brute_force_leaves(
+    points: np.ndarray,
+    leaves: Sequence[np.ndarray],
+    k: int,
+    nbr_idx: np.ndarray,
+    nbr_sq: np.ndarray,
+) -> None:
+    """:func:`brute_force_neighbors` for many leaves at once.
+
+    Leaves of one size stack into :func:`repro.kernels.block_topk` calls
+    of at most :data:`LEAF_PAIR_CHUNK` pairs each (a single leaf is one
+    block of one call).  Each leaf's rows come out bit for bit as from
+    its own call: the kernel's distances and selections never cross a
+    block, and leaves own disjoint rows.
+    """
+    by_size: Dict[int, List[np.ndarray]] = {}
+    for ids in leaves:
+        if ids.shape[0] > 1:
+            by_size.setdefault(ids.shape[0], []).append(ids)
+    for m, group in by_size.items():
+        kk = min(k, m - 1)
+        per_call = max(1, LEAF_PAIR_CHUNK // (m * m))
+        for lo in range(0, len(group), per_call):
+            ids = np.concatenate(group[lo : lo + per_call])
+            local_idx, local_sq = kernels.block_topk(points[ids], kk, block=m)
+            nbr_idx[ids, :kk] = ids[local_idx]
+            nbr_sq[ids, :kk] = local_sq
+            if kk < k:
+                nbr_idx[ids, kk:] = -1
+                nbr_sq[ids, kk:] = np.inf
 
 
 @dataclass(frozen=True)

@@ -93,71 +93,95 @@ def iterated_radon_centerpoint_many(
     *,
     rounds: int | None = None,
 ) -> list:
-    """Iterated-Radon centerpoints of many point sets, with the per-group
-    Radon SVDs of every active set batched into one LAPACK call per round.
+    """Iterated-Radon centerpoints of many point sets, each round one
+    gather and one stacked LAPACK SVD over every still-active set.
 
     Bit-for-bit equivalent to ``[iterated_radon_centerpoint(p, rng) for
     p, rng in zip(point_sets, rngs)]``: each set draws the same
     permutations from its own generator, forms the same groups, and hits
-    the same degenerate fallbacks; only the SVD solves are stacked across
-    sets (see :func:`repro.geometry.radon.radon_points_batch`).  This is
-    the frontier engine's batched replacement for the per-node centerpoint
+    the same degenerate fallbacks; only the gathers and the SVD solves
+    are stacked across sets (see
+    :func:`repro.geometry.radon.radon_points_batch`).  This is the
+    frontier engine's batched replacement for the per-node centerpoint
     loop — the hot path of separator construction.
     """
     if len(point_sets) != len(rngs):
         raise ValueError("need exactly one rng per point set")
     sets = [np.asarray(p, dtype=np.float64) for p in point_sets]
     results: list = [None] * len(sets)
-    current = {}
-    done_rounds = {}
+    by_dim: dict = {}
     for i, pts in enumerate(sets):
         if pts.ndim != 2:
             raise ValueError("points must be (n, m)")
         n, m = pts.shape
         if n == 0:
             raise ValueError("cannot take a centerpoint of zero points")
-        if n < m + 2:
+        if n < m + 2 or (rounds is not None and rounds < 1):
             results[i] = pts.mean(axis=0)
         else:
-            current[i] = pts
-            done_rounds[i] = 0
-    while current:
-        round_sets = []  # (i, grouped, leftovers)
-        for i in sorted(current):
-            cur = current[i]
-            k, m = cur.shape
-            group = m + 2
-            perm = rngs[i].permutation(k)
-            usable = (k // group) * group
-            grouped = cur[perm[:usable]].reshape(-1, group, m)
-            round_sets.append((i, grouped, cur[perm[usable:]]))
-        # one batched Radon pass per distinct dimensionality
-        replaced = [None] * len(round_sets)
-        by_shape: dict = {}
-        for pos, (_, grouped, _) in enumerate(round_sets):
-            by_shape.setdefault(grouped.shape[1:], []).append(pos)
-        for members in by_shape.values():
-            stacked = np.concatenate([round_sets[pos][1] for pos in members], axis=0)
-            points = radon_points_batch(stacked)
-            offset = 0
-            for pos in members:
-                g = round_sets[pos][1].shape[0]
-                replaced[pos] = points[offset : offset + g]
-                offset += g
-        for (i, grouped, leftovers), rep in zip(round_sets, replaced):
-            cur = np.concatenate([rep, leftovers], axis=0)
-            done_rounds[i] += 1
-            group = grouped.shape[1]
-            finished = (
-                cur.shape[0] == 1
-                or cur.shape[0] < group
-                or (rounds is not None and done_rounds[i] >= rounds)
-            )
-            if finished:
-                results[i] = cur.mean(axis=0)
-                del current[i]
-            else:
-                current[i] = cur
+            by_dim.setdefault(m, []).append(i)
+    for members in by_dim.values():
+        centers = _radon_rounds(
+            [sets[i] for i in members], [rngs[i] for i in members], rounds
+        )
+        for i, z in zip(members, centers):
+            results[i] = z
+    return results
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
+
+
+def _radon_rounds(sets: list, rngs: list, rounds: int | None) -> list:
+    """The Radon rounds of same-dimension sets that each hold at least
+    one group.  Every set's current points sit in one flat array, set
+    after set; a round gathers all groups and leftovers at once, then
+    lays each set out again as its Radon points followed by its
+    leftovers."""
+    m = sets[0].shape[1]
+    group = m + 2
+    current = np.concatenate(sets)
+    counts = np.array([s.shape[0] for s in sets], dtype=np.int64)
+    live = np.arange(len(sets))
+    results: list = [None] * len(sets)
+    done_rounds = 0
+    while live.size:
+        perm = np.concatenate([rngs[i].permutation(c) for i, c in zip(live, counts)])
+        starts = _starts(counts)
+        usable = (counts // group) * group
+        # per set: the first `usable` permuted rows form the groups, the
+        # rest pass through
+        grouped = np.arange(perm.shape[0]) < np.repeat(starts + usable, counts)
+        perm += np.repeat(starts, counts)
+        groups = current[perm[grouped]].reshape(-1, group, m)
+        leftovers = current[perm[~grouped]]
+        # the stacked SVD is the level's memory peak: free its inputs first
+        del current, perm, grouped
+        replaced = radon_points_batch(groups)
+        del groups
+        n_rep = usable // group
+        n_left = counts - usable
+        counts = n_rep + n_left
+        new_starts = _starts(counts)
+        current = np.empty((int(counts.sum()), m), dtype=np.float64)
+        current[
+            np.repeat(new_starts - _starts(n_rep), n_rep) + np.arange(replaced.shape[0])
+        ] = replaced
+        current[
+            np.repeat(new_starts + n_rep - _starts(n_left), n_left)
+            + np.arange(leftovers.shape[0])
+        ] = leftovers
+        done_rounds += 1
+        finished = (counts == 1) | (counts < group)
+        if rounds is not None and done_rounds >= rounds:
+            finished[:] = True
+        for j in np.flatnonzero(finished):
+            results[live[j]] = current[new_starts[j] : new_starts[j] + counts[j]].mean(axis=0)
+        keep = ~finished
+        current = current[np.repeat(keep, counts)]
+        counts = counts[keep]
+        live = live[keep]
     return results
 
 

@@ -32,6 +32,16 @@ from .stereographic import SphereCap, circle_to_separator, lift, project, separa
 
 __all__ = ["ConformalMap", "rotation_to_pole"]
 
+#: :func:`rotation_to_pole` returns the identity when ``|u - e_m|^2`` is
+#: below this (u is numerically the pole).
+REFLECTION_EPS = 1e-30
+#: :meth:`ConformalMap.centering` clamps a centerpoint norm of 1 or more
+#: to this, and maps one below ``CENTER_EPS`` by the identity.
+CENTER_CLAMP = 1.0 - 1e-9
+CENTER_EPS = 1e-12
+#: ``atol`` of the orthogonality check ``allclose(q @ q.T, I)``.
+ORTHOGONALITY_ATOL = 1e-8
+
 
 def rotation_to_pole(u: np.ndarray) -> np.ndarray:
     """Orthogonal (m, m) matrix Q with ``Q u = e_m`` for a unit vector u.
@@ -50,7 +60,7 @@ def rotation_to_pole(u: np.ndarray) -> np.ndarray:
     pole[-1] = 1.0
     v = u - pole
     vv = float(v @ v)
-    if vv < 1e-30:
+    if vv < REFLECTION_EPS:
         return np.eye(m)
     return np.eye(m) - 2.0 * np.outer(v, v) / vv
 
@@ -75,7 +85,7 @@ class ConformalMap:
         q = np.asarray(self.rotation, dtype=np.float64)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("rotation must be a square matrix")
-        if not np.allclose(q @ q.T, np.eye(q.shape[0]), atol=1e-8):
+        if not np.allclose(q @ q.T, np.eye(q.shape[0]), atol=ORTHOGONALITY_ATOL):
             raise ValueError("rotation must be orthogonal")
         if self.delta <= 0 or not np.isfinite(self.delta):
             raise ValueError(f"dilation factor must be positive finite, got {self.delta}")
@@ -95,9 +105,9 @@ class ConformalMap:
         if r >= 1.0:
             # a centerpoint of points on the sphere always lies inside, but
             # numerical noise from Radon iterations can push it out; clamp.
-            z = z * (1.0 - 1e-9) / r
-            r = 1.0 - 1e-9
-        if r < 1e-12:
+            z = z * CENTER_CLAMP / r
+            r = CENTER_CLAMP
+        if r < CENTER_EPS:
             return cls(np.eye(z.shape[0]), 1.0)
         q = rotation_to_pole(z / r)
         delta = float(np.sqrt((1.0 - r) / (1.0 + r)))

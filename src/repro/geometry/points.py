@@ -143,9 +143,12 @@ def chunked_pairs(n: int, chunk: int) -> Iterator[Tuple[int, int]]:
 def kth_smallest_per_row(sq: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """For each row, the indices and values of its k smallest entries, sorted.
 
-    Ties broken by column index (via stable ordering on (value, column)),
-    so results are deterministic.  Returns ``(indices, values)`` of shape
-    (rows, k).  Requires ``k <= sq.shape[1]``.
+    Among columns tied at the k-th value, ``argpartition`` picks which
+    get in, not necessarily the lowest; its pick depends only on the
+    row's content, so it is deterministic for a given row whatever other
+    rows share the call.  The k selected come out in (value, column)
+    order.  Returns ``(indices, values)`` of shape (rows, k).  Requires
+    ``k <= sq.shape[1]``.
     """
     m, n = sq.shape
     if not 1 <= k <= n:

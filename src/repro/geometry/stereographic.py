@@ -40,6 +40,10 @@ __all__ = ["lift", "project", "SphereCap", "circle_to_separator", "separator_to_
 
 _POLE_EPS = 1e-12
 
+#: :func:`circle_to_separator`'s default ``degenerate_eps``: a circle with
+#: ``|a_{d+1} - b|`` at most this pulls back to a hyperplane.
+DEGENERATE_EPS = 1e-9
+
 
 def lift(points: np.ndarray) -> np.ndarray:
     """Lift ``(n, d)`` points of R^d onto S^d as ``(n, d+1)`` unit vectors."""
@@ -97,7 +101,9 @@ class SphereCap:
         return np.sign(arr @ self.normal - self.offset)
 
 
-def circle_to_separator(circle: SphereCap, *, degenerate_eps: float = 1e-9) -> Union[Sphere, Hyperplane]:
+def circle_to_separator(
+    circle: SphereCap, *, degenerate_eps: float = DEGENERATE_EPS
+) -> Union[Sphere, Hyperplane]:
     """Pull a circle on S^d back to its preimage in R^d under the lift.
 
     Returns a :class:`Sphere` generically, or a :class:`Hyperplane` when the

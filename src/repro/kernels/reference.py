@@ -30,7 +30,6 @@ from ..geometry.points import (
     chunked_pairs,
     kth_smallest_per_row,
     pairwise_sq_dists,
-    pairwise_sq_dists_direct,
     refine_selected_sq_dists,
 )
 from ..pvm.primitives import segmented_split
@@ -164,17 +163,33 @@ def descend_spheres(
     return out
 
 
-def block_topk(sub: np.ndarray, kk: int) -> Tuple[np.ndarray, np.ndarray]:
-    """All-pairs k nearest within one block — the DnC base-case kernel.
+def block_topk(
+    sub: np.ndarray, kk: int, block: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """All-pairs k nearest within blocks — the DnC base-case kernel.
 
-    Diff-based distances (cancellation-safe), self excluded, selection by
-    :func:`~repro.geometry.points.kth_smallest_per_row` (deterministic
-    (value, column) tie-break).  Returns ``(local_idx, local_sq)`` of
-    shape ``(m, kk)``.
+    ``sub`` holds consecutive blocks of ``block`` rows each (default: one
+    block of all rows).  Diff-based distances (cancellation-safe), self
+    excluded, selection by
+    :func:`~repro.geometry.points.kth_smallest_per_row`.  Returns
+    ``(local_idx, local_sq)`` of shape ``(rows, kk)``; ``local_idx`` are
+    rows of ``sub``.
+
+    Every distance and every selection row is local to its block, with
+    the same content and length as a call on that block alone, so
+    stacking blocks changes no bit of the result.
     """
-    sq = pairwise_sq_dists_direct(sub, sub)
-    np.fill_diagonal(sq, np.inf)
-    return kth_smallest_per_row(sq, kk)
+    m = sub.shape[0] if block is None else block
+    d = sub.shape[1]
+    x = np.asarray(sub, dtype=np.float64).reshape(-1, m, d)
+    # per block exactly the diff and einsum of
+    # repro.geometry.points.pairwise_sq_dists_direct
+    diff = (x[:, :, None, :] - x[:, None, :, :]).reshape(-1, m, d)
+    sq = np.einsum("mnd,mnd->mn", diff, diff)
+    sq.reshape(-1, m * m)[:, :: m + 1] = np.inf  # each block's diagonal
+    local_idx, local_sq = kth_smallest_per_row(sq, kk)
+    local_idx += np.arange(0, sq.shape[0], m).repeat(m)[:, None]  # block starts
+    return local_idx, local_sq
 
 
 def brute_topk(pts: np.ndarray, k: int, chunk: int) -> Tuple[np.ndarray, np.ndarray]:

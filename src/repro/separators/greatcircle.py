@@ -14,6 +14,9 @@ from ..geometry.stereographic import SphereCap
 
 __all__ = ["random_great_circle", "random_unit_vector"]
 
+#: :func:`random_unit_vector` redraws a Gaussian vector of norm at most this.
+MIN_DRAW_NORM = 1e-12
+
 
 def random_unit_vector(rng: np.random.Generator, m: int) -> np.ndarray:
     """A uniform random point of the unit sphere in R^m."""
@@ -22,7 +25,7 @@ def random_unit_vector(rng: np.random.Generator, m: int) -> np.ndarray:
     while True:
         v = rng.standard_normal(m)
         norm = np.linalg.norm(v)
-        if norm > 1e-12:
+        if norm > MIN_DRAW_NORM:
             return v / norm
 
 

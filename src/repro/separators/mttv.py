@@ -36,9 +36,17 @@ from ..geometry.stereographic import SphereCap, circle_to_separator, lift
 from ..util.rng import as_generator
 from .greatcircle import random_great_circle
 
-__all__ = ["MTTVSeparatorSampler", "mttv_separator", "default_sample_size", "sampled_lift"]
+__all__ = [
+    "MTTVSeparatorSampler",
+    "mttv_separator",
+    "default_sample_size",
+    "subsample",
+]
 
 SeparatorLike = Union[Sphere, Hyperplane]
+
+#: Circles :meth:`MTTVSeparatorSampler.draw` tries before it gives up.
+MAX_DRAW_RETRIES = 16
 
 
 def default_sample_size(d: int) -> int:
@@ -51,24 +59,21 @@ def default_sample_size(d: int) -> int:
     return 8 * (d + 2) ** 2
 
 
-def sampled_lift(
+def subsample(
     points: np.ndarray, rng: np.random.Generator, sample_size: Optional[int]
 ) -> np.ndarray:
-    """Stage one of sampler construction: (sub)sample, then lift to S^d.
+    """The rows sampler construction lifts.
 
     When ``sample_size`` is given and smaller than ``n``, a uniform sample
     without replacement is drawn from ``rng`` (one ``choice`` call — the
-    only RNG consumption of this stage).
+    only RNG consumption of this stage); otherwise all rows.
     """
     n = points.shape[0]
     if sample_size is not None and sample_size < 1:
         raise ValueError("sample_size must be >= 1")
     if sample_size is not None and sample_size < n:
-        idx = rng.choice(n, size=sample_size, replace=False)
-        base = points[idx]
-    else:
-        base = points
-    return lift(base)
+        return points[rng.choice(n, size=sample_size, replace=False)]
+    return points
 
 
 @dataclass
@@ -103,49 +108,17 @@ class MTTVSeparatorSampler:
         self.points = pts
         self.rng = as_generator(self.seed)
         self.dim = pts.shape[1]
-        lifted = sampled_lift(pts, self.rng, self.sample_size)
+        lifted = lift(subsample(pts, self.rng, self.sample_size))
         if self.centerpoint == "radon":
             z = iterated_radon_centerpoint(lifted, self.rng)
         elif self.centerpoint == "median":
             z = coordinate_median(lifted)
         else:
             raise ValueError(f"unknown centerpoint method {self.centerpoint!r}")
-        self._finish(z)
-
-    def _finish(self, z: np.ndarray) -> None:
         self.center_estimate = z
         self.map = ConformalMap.centering(z)
 
-    @classmethod
-    def from_center_estimate(
-        cls,
-        points: np.ndarray,
-        seed: object,
-        z: np.ndarray,
-        *,
-        sample_size: Optional[int] = None,
-        centerpoint: str = "radon",
-    ) -> "MTTVSeparatorSampler":
-        """Assemble a sampler around a precomputed lifted-space centerpoint.
-
-        The frontier engine computes the centerpoints of many subproblems
-        in one batched pass (:func:`iterated_radon_centerpoint_many`) and
-        then finishes construction here; ``z`` must be exactly what
-        ``__post_init__`` would have computed for the same arguments, so
-        the assembled sampler is indistinguishable from a directly
-        constructed one.
-        """
-        sampler = cls.__new__(cls)
-        sampler.points = as_points(points, min_points=1)
-        sampler.seed = seed
-        sampler.sample_size = sample_size
-        sampler.centerpoint = centerpoint
-        sampler.rng = as_generator(seed)
-        sampler.dim = sampler.points.shape[1]
-        sampler._finish(z)
-        return sampler
-
-    def draw(self, *, max_retries: int = 16) -> SeparatorLike:
+    def draw(self, *, max_retries: int = MAX_DRAW_RETRIES) -> SeparatorLike:
         """One candidate separator: a random great circle pulled back to R^d.
 
         Retries (up to ``max_retries``) when the pull-back degenerates

@@ -78,10 +78,28 @@ def _correction_outcomes_by_level(tree, config, d, k):
     return levels
 
 
+def integer_grid(n: int, d: int) -> np.ndarray:
+    """The first ``n`` points of the integer lattice, row-major: every
+    point has many neighbors at exactly the same distance."""
+    side = int(np.ceil(n ** (1.0 / d)))
+    axes = np.meshgrid(*[np.arange(side, dtype=np.float64)] * d, indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, d)[:n]
+
+
+# The stacked separator arithmetic makes one BLAS call per vector, whose
+# result depends on the vector length: every d from 1 to 4 is covered.
 WORKLOADS = [
+    ("uniform1d", lambda: uniform_cube(500, 1, seed=6)),
     ("uniform2d", lambda: uniform_cube(500, 2, seed=1)),
     ("uniform3d", lambda: uniform_cube(400, 3, seed=2)),
+    ("uniform4d", lambda: uniform_cube(400, 4, seed=7)),
+    ("integer_grid", lambda: integer_grid(450, 2)),
     ("duplicates", lambda: with_duplicates(uniform_cube(300, 2, seed=3), 0.5, seed=3)),
+    # 3 points repeated 120 times each: searches over one repeated point
+    # refresh their samplers every 16 attempts, then fail
+    ("stacked_duplicates", lambda: np.concatenate(
+        [np.repeat(uniform_cube(3, 2, seed=14), 120, axis=0), uniform_cube(200, 2, seed=15)]
+    )),
     ("clustered", lambda: clustered(400, 2, seed=4)),
     ("collinear", lambda: collinear(260, 2, seed=5)),
 ]

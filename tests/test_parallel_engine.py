@@ -71,6 +71,17 @@ class TestBitIdentity:
     def test_identical_3d(self):
         _assert_mp_identical("fast", uniform_cube(400, 3, seed=2), 2, 17, 2)
 
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_identical_1d_and_4d(self, d):
+        _assert_mp_identical("fast", uniform_cube(500, d, seed=20 + d), 2, 23, 2)
+
+    def test_identical_on_an_integer_grid(self):
+        side = 22  # 484 lattice points, ties at every distance
+        axes = np.meshgrid(np.arange(side, dtype=np.float64), np.arange(side, dtype=np.float64))
+        pts = np.stack(axes, axis=-1).reshape(-1, 2)
+        _assert_mp_identical("fast", pts, 3, 29, 2)
+        _assert_mp_identical("simple", pts, 3, 29, 2)
+
     def test_identical_with_duplicates(self):
         pts = with_duplicates(uniform_cube(300, 2, seed=3), 0.5, seed=3)
         _assert_mp_identical("fast", pts, 2, 19, 2)
