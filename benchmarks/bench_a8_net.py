@@ -92,7 +92,7 @@ def _run_policy(mutable, policy_kwargs, levels, seed):
 def test_a8_net_table():
     pts = uniform_cube(N, D, bench_seed(81))
     t0 = time.perf_counter()
-    mutable = build_index(pts, K, seed=bench_seed(82), engine="frontier").mutable
+    mutable = build_index(pts, K, seed=bench_seed(82)).mutable
     build_s = time.perf_counter() - t0
 
     by_policy = {}

@@ -62,7 +62,7 @@ _MAX_P95_GAP = 0.15  # |server p95 - client p95| / client p95
 def test_a9_obs_rt_table():
     pts = uniform_cube(N, D, bench_seed(91))
     t0 = time.perf_counter()
-    mutable = build_index(pts, K, seed=bench_seed(92), engine="frontier").mutable
+    mutable = build_index(pts, K, seed=bench_seed(92)).mutable
     build_s = time.perf_counter() - t0
 
     machine = Machine()

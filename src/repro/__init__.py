@@ -31,8 +31,7 @@ Public surface (see README for a tour):
   :class:`~repro.serve.index.ServingIndex`, micro-batching
   :class:`~repro.serve.batcher.Batcher`, LRU result cache, the
   multiprocess serving pool (built in one call by
-  :func:`repro.api.serve`) and the versioned
-  :class:`~repro.serve.registry.SnapshotRegistry` for hot swaps;
+  :func:`repro.api.serve`), hot-swapped to each new index version;
 - :mod:`repro.net` — the network front-end over the serving stack: a
   stdlib asyncio HTTP/1.1 JSON server with admission control,
   load-adaptive micro-batch windows, multi-index tenancy, graceful
@@ -82,7 +81,7 @@ from .api import (
     run_traced,
 )
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "analysis",

@@ -279,9 +279,9 @@ class Index:
 
         The returned :class:`~repro.serve.index.ServingIndex` carries
         :attr:`version`, shares (copy-on-write) the current arrays, and
-        is unaffected by later mutations — publish it to a
-        :class:`~repro.serve.registry.SnapshotRegistry` and hot-swap
-        serving stacks to it with zero downtime.
+        is unaffected by later mutations — hot-swap serving stacks to it
+        with zero downtime (:meth:`~repro.serve.batcher.Batcher.swap_index`),
+        and keep it for as long as that version should stay queryable.
         """
         return self.mutable.snapshot(with_structure=with_structure)
 
@@ -422,11 +422,7 @@ def build_index(
     config: Optional[FastDnCConfig] = None,
     machine: Optional[Machine] = None,
     seed: object = None,
-    engine: Optional[str] = None,
-    workers: Optional[int] = None,
-    dtype: Optional[str] = None,
     churn_threshold: float = 0.05,
-    snapshot_min_size: Optional[int] = None,
 ) -> Index:
     """Build a versioned, mutable exact k-NN index over ``points``.
 
@@ -436,41 +432,36 @@ def build_index(
     :meth:`Index.commit` absorb mutations into the existing tree, and
     :meth:`Index.snapshot` freezes any version for the serving layer.
 
-    ``engine``/``workers`` are validated as in :func:`all_knn` but the
-    build always runs through the online recursive path — its per-node
-    records are what later commits reuse.  The *answers* are engine-
-    independent (exact k-NN is unique up to the canonical (distance,
-    index) order), so this changes wall-clock only, never a result.
+    The build always runs through the online recursive path — its
+    per-node records are what later commits reuse — so it takes no
+    ``engine``/``workers``; the *answers* are engine-independent anyway
+    (exact k-NN is unique up to the canonical (distance, index) order).
 
     ``churn_threshold`` is the mutation fraction above which a commit
-    punts to a full rebuild; ``snapshot_min_size`` tunes the granularity
-    of reusable subtree records (see ``docs/online_index.md``).
-    ``dtype`` must stay ``"float64"`` here — the online absorb machinery
-    is float64-only (``all_knn`` and ``ServingIndex.build`` accept
-    ``"float32"``).
+    punts to a full rebuild (see ``docs/online_index.md``).  The online
+    absorb machinery is float64-only, so a ``config`` with
+    ``dtype="float32"`` is rejected (``all_knn`` and
+    ``ServingIndex.build`` accept it).
 
     .. versionchanged:: 1.6.0
        Returns :class:`Index` (mutable, versioned) instead of the
        query-only handle; the query/covering surface is unchanged.
     """
-    if dtype == "float32" or (dtype is None and config is not None
-                              and config.dtype == "float32"):
+    cfg = config if config is not None else FastDnCConfig()
+    if cfg.dtype == "float32":
         # the online index's absorb machinery (content hashing, mixed
-        # insert vstacks) is float64-only; float32 storage is supported
-        # by all_knn and ServingIndex.build
+        # insert vstacks) is float64-only
         raise ValueError(
             "build_index supports dtype='float64' only; use all_knn or "
             "ServingIndex.build for float32 storage"
         )
     pts = as_points(points, min_points=1, dtype=None)
-    cfg = _resolve_config("fast", config, engine, workers, dtype)
     mutable = MutableIndex(
         pts,
         k,
         seed=seed if seed is not None else cfg.seed,
         config=cfg,
         churn_threshold=churn_threshold,
-        snapshot_min_size=snapshot_min_size,
         machine=machine,
     )
     return Index(mutable)
@@ -505,8 +496,7 @@ def run_traced(
 
     Telemetry sinks: ``events_out`` writes the run's JSONL event log and
     ``metrics_out`` the Prometheus exposition of its metrics registry
-    (see :mod:`repro.obs.export`).  Either falls back to the config's
-    field of the same name; ``None`` writes nothing.
+    (see :mod:`repro.obs.export`); ``None`` writes nothing.
     """
     if machine is None:
         machine = Machine()
@@ -520,10 +510,6 @@ def run_traced(
     if pre.depth == 0 and pre.work == 0:
         # fresh ledger: the root span must reproduce it exactly
         tracer.check_against(machine.total)
-    if events_out is None and config is not None:
-        events_out = getattr(config, "events_out", None)
-    if metrics_out is None and config is not None:
-        metrics_out = getattr(config, "metrics_out", None)
     if events_out is not None:
         from .obs.export import write_events_jsonl
 
@@ -549,13 +535,12 @@ def serve(
     max_batch: int = 256,
     max_wait_ms: Optional[float] = None,
     cache_size: int = 1024,
-    cache_decimals: Optional[int] = None,
 ) -> Batcher:
     """Build a serving stack over ``points``: index → cache → batcher.
 
     Runs the offline build once (the fast algorithm, via
-    ``engine``/``workers`` exactly as in :func:`build_index`), freezes it
-    as a :class:`~repro.serve.index.ServingIndex`, and returns a
+    ``engine``/``workers``/``dtype`` exactly as in :func:`all_knn`),
+    freezes it as a :class:`~repro.serve.index.ServingIndex`, and returns a
     :class:`~repro.serve.batcher.Batcher` accepting single-point requests
     of the given ``kind``:
 
@@ -567,10 +552,10 @@ def serve(
     :class:`~repro.serve.mp.ServingPool` of worker processes serving from
     one shared-memory snapshot; the batcher owns the pool and shuts it
     down on ``close()``.  ``cache_size=0`` disables the LRU result
-    cache; ``cache_decimals`` quantizes cache keys (exact by default).
-    Every knob changes only wall-clock, never an answer — serving is
-    bit-identical to the per-point query paths.  ``machine`` receives
-    ``serve.*`` metrics and (when traced) ``serve.batch`` spans.
+    cache, which keys on the exact point bytes.  Every knob changes only
+    wall-clock, never an answer — serving is bit-identical to the
+    per-point query paths.  ``machine`` receives ``serve.*`` metrics and
+    (when traced) ``serve.batch`` spans.
     """
     index = ServingIndex.build(
         points,
@@ -583,7 +568,7 @@ def serve(
         dtype=dtype,
         with_structure=(kind == "covering"),
     )
-    cache = ResultCache(cache_size, cache_decimals) if cache_size > 0 else None
+    cache = ResultCache(cache_size) if cache_size > 0 else None
     pool = (
         ServingPool(index, serve_workers, machine=machine)
         if serve_workers is not None
@@ -610,8 +595,6 @@ def net_serve(
     config: Optional[FastDnCConfig] = None,
     machine: Optional[Machine] = None,
     seed: object = None,
-    engine: Optional[str] = None,
-    workers: Optional[int] = None,
     churn_threshold: float = 0.05,
 ):
     """Build the full network serving stack; returns an unstarted server.
@@ -621,8 +604,8 @@ def net_serve(
     per entry of ``tenants`` (``{name: points}``, same ``k`` and build
     knobs) — and wires them behind a
     :class:`~repro.net.server.NetServer`: admission control,
-    load-adaptive micro-batch windows, per-tenant caches and registries,
-    graceful drain.  Every front-end knob lives on ``net`` (a
+    load-adaptive micro-batch windows, per-tenant caches, graceful drain.
+    Every front-end knob lives on ``net`` (a
     :class:`~repro.net.config.NetConfig`; defaults when ``None``).
 
     The server is returned *unstarted* so the caller picks the loop:
@@ -657,8 +640,6 @@ def net_serve(
             config=config,
             machine=tenant_machine,
             seed=seed,
-            engine=engine,
-            workers=workers,
             churn_threshold=churn_threshold,
         )
         manager.add(name, index.mutable, machine=tenant_machine)

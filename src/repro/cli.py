@@ -184,9 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "waited this long (default: batch-size only)")
     serve.add_argument("--cache-size", type=int, default=1024,
                        help="LRU result-cache entries (0 disables caching)")
-    serve.add_argument("--cache-decimals", type=int, default=None,
-                       help="quantize cache keys to this many decimals "
-                            "(default: exact-point keys)")
     serve.add_argument("--serve-workers", type=int, default=None, metavar="N",
                        help="fan batches across N serving worker processes "
                             "(default: serve on this process)")
@@ -229,9 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     update.add_argument("--churn-threshold", type=float, default=0.05,
                         help="mutation fraction above which a commit rebuilds "
                              "from scratch instead of absorbing")
-    update.add_argument("--snapshot-min-size", type=int, default=None,
-                        help="smallest subtree recording a replay snapshot "
-                             "(default: the brute-force leaf size)")
     update.add_argument("--check", action="store_true",
                         help="verify every commit is bit-identical (neighbors, "
                              "tree, ledger, counters) to a from-scratch build")
@@ -247,18 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     netsub = net.add_subparsers(dest="net_command", required=True)
 
-    def add_net_build_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--engine", default=None, choices=list(ENGINES),
-                       help="DnC execution engine for the index build")
-        p.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="worker processes for --engine frontier-mp")
-
     nserve = netsub.add_parser(
         "serve", help="serve k-NN over HTTP (asyncio front-end; SIGTERM drains)"
     )
     add_workload_args(nserve)
     nserve.add_argument("-k", "--k", type=int, default=1, help="neighbors per query")
-    add_net_build_args(nserve)
     nserve.add_argument("--host", default="127.0.0.1", help="listen address")
     nserve.add_argument("--port", type=int, default=8377,
                         help="listen port (0 binds an ephemeral port)")
@@ -285,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "past it; default: none)")
     nserve.add_argument("--cache-size", type=int, default=1024,
                         help="LRU result-cache entries per tenant (0 disables)")
-    nserve.add_argument("--cache-decimals", type=int, default=None,
-                        help="quantize cache keys to this many decimals")
     nserve.add_argument("--serve-workers", type=int, default=None, metavar="N",
                         help="fan batches across N serving worker processes")
     nserve.add_argument("--drain-timeout-s", type=float, default=10.0,
@@ -304,18 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "(SLO tracking needs --slo-p95-ms)")
     nserve.add_argument("--slo-error-objective", type=float, default=0.999,
                         help="availability objective for the error burn rate")
-    nserve.add_argument("--window-latency-source", default="ring",
-                        choices=["ring", "slo"],
-                        help="p95 feed for the adaptive window: the "
-                             "controller's private ring, or the SLO tracker's "
-                             "rolling histogram (needs --slo-p95-ms)")
 
     nload = netsub.add_parser(
         "load", help="open-loop fixed-QPS load sweep against a net server"
     )
     add_workload_args(nload)
     nload.add_argument("-k", "--k", type=int, default=1, help="neighbors per query")
-    add_net_build_args(nload)
     nload.add_argument("--self-serve", action="store_true",
                        help="start an in-process loopback server over the "
                             "workload and load-test it (default: target "
@@ -718,7 +697,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
     index = MutableIndex(
         pts, args.k, seed=args.seed,
         churn_threshold=args.churn_threshold,
-        snapshot_min_size=args.snapshot_min_size,
         trace_commits=bool(args.trace_out or args.events_out),
     )
     build_s = time.perf_counter() - t0
@@ -798,6 +776,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.mutations_file and args.dtype == "float32":
         raise SystemExit("--mutations-file serves through the online index, "
                          "which is float64-only; drop --dtype float32")
+    if args.mutations_file and (args.engine is not None or args.workers is not None):
+        raise SystemExit("--mutations-file serves through the online index, "
+                         "which builds with its own profile; drop --engine "
+                         "and --workers")
 
     mut_groups = (_load_mutation_stream(args.mutations_file)
                   if args.mutations_file else [])
@@ -829,8 +811,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"saved index {args.save_index}")
 
     queries = _load_queries(args, index.d)
-    cache = (ResultCache(args.cache_size, args.cache_decimals)
-             if args.cache_size > 0 else None)
+    cache = ResultCache(args.cache_size) if args.cache_size > 0 else None
     pool = (ServingPool(index, args.serve_workers, machine=machine)
             if args.serve_workers is not None else None)
     batcher = Batcher(index, kind=args.kind, k=args.k,
@@ -940,15 +921,13 @@ def _net_config_from_args(args: argparse.Namespace):
         max_wait_ms=args.max_wait_ms, adaptive=not args.no_adaptive,
         slo_p95_ms=args.slo_p95_ms, rate=args.rate, burst=args.burst,
         max_inflight=args.max_inflight, deadline_ms=args.deadline_ms,
-        cache_size=args.cache_size, cache_decimals=args.cache_decimals,
-        serve_workers=args.serve_workers,
+        cache_size=args.cache_size, serve_workers=args.serve_workers,
         drain_timeout_s=args.drain_timeout_s,
         trace_requests=not args.no_trace_requests,
         recorder_capacity=args.recorder_capacity,
         recorder_slow_k=args.recorder_slow_k,
         slo_objective=args.slo_objective,
         slo_error_objective=args.slo_error_objective,
-        window_latency_source=args.window_latency_source,
     )
 
 
@@ -960,8 +939,7 @@ def _cmd_net_serve(args: argparse.Namespace) -> int:
 
     pts = _load_points(args)
     cfg = _net_config_from_args(args)
-    server = net_serve(pts, args.k, net=cfg, seed=args.seed,
-                       engine=args.engine, workers=args.workers)
+    server = net_serve(pts, args.k, net=cfg, seed=args.seed)
 
     async def _run() -> dict:
         host, port = await server.start()
@@ -1108,8 +1086,7 @@ def _cmd_net_load(args: argparse.Namespace) -> int:
         for mode in args.modes:
             cfg = NetConfig(port=0, max_batch=args.max_batch,
                             **policies[mode])
-            server = net_serve(pts, args.k, net=cfg, seed=args.seed,
-                               engine=args.engine, workers=args.workers)
+            server = net_serve(pts, args.k, net=cfg, seed=args.seed)
             with ServerThread(server) as st:
                 _sweep("127.0.0.1", st.port,
                        f"net load  window={mode} (self-serve n={pts.shape[0]:,} "

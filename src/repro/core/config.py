@@ -102,14 +102,6 @@ class CommonConfig:
         Worker-process count for parallel engines (``frontier-mp``).
         ``None`` means one worker per available CPU; serial engines
         ignore it.
-    events_out:
-        Default path for the JSONL telemetry event log written by
-        :func:`repro.api.run_traced` (and the ``--events-out`` CLI
-        flag).  ``None`` (the default) writes nothing.
-    metrics_out:
-        Default path for the Prometheus text exposition of the run's
-        metrics registry written by :func:`repro.api.run_traced` (and
-        the ``--metrics-out`` CLI flag).  ``None`` writes nothing.
     dtype:
         Point storage dtype: ``"float64"`` (default) or ``"float32"``
         (half the memory/bandwidth; coordinates are stored in float32
@@ -122,8 +114,6 @@ class CommonConfig:
     seed: object = None
     engine: str = "recursive"
     workers: Optional[int] = None
-    events_out: Optional[str] = None
-    metrics_out: Optional[str] = None
     dtype: str = "float64"
 
     def __post_init__(self):

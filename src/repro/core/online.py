@@ -81,6 +81,13 @@ __all__ = [
 #: Key under which a node's replay record lives in ``PartitionNode.meta``.
 _REC_KEY = "online_record"
 
+#: Subtrees of at least ``max(base, _SNAPSHOT_MIN)`` points record a replay
+#: snapshot; smaller reused subtrees are rebuilt fresh (bit-identical
+#: either way).  Replay granularity reaches down to the brute-force
+#: leaves, which caps the recompute cost of one mutation at its root-leaf
+#: path; records store one neighbor-row copy per recorded tree level.
+_SNAPSHOT_MIN = 32
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
@@ -200,8 +207,8 @@ class _OnlineRunner(_Runner):
     - randomness is content-addressed (see module docstring) instead of
       path-addressed, so the build is a pure function of the point values
       (plus the index salt) and unchanged subsets rebuild identically;
-    - nodes of at least ``snapshot_min`` points record a replay
-      :class:`_NodeRecord`, and ``solve`` accepts a *hint* node from the
+    - nodes of at least ``max(base, _SNAPSHOT_MIN)`` points record a
+      replay :class:`_NodeRecord`, and ``solve`` accepts a *hint* node from the
       previous version — when the hint's (remapped) subset equals the new
       one, the whole subtree is reused and its record replayed.
 
@@ -223,13 +230,12 @@ class _OnlineRunner(_Runner):
         *,
         keys: np.ndarray,
         salt: int,
-        snapshot_min: int,
         idmap: Optional[np.ndarray] = None,
     ) -> None:
         super().__init__(points, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base)
         self.keys = keys
         self.salt = int(salt)
-        self.snapshot_min = max(1, int(snapshot_min))
+        self.snapshot_min = max(base, _SNAPSHOT_MIN)
         self.idmap = idmap
         self.reused_subtrees = 0
         self.reused_points = 0
@@ -633,21 +639,13 @@ class MutableIndex:
         committed mutations, which is the absorb-equivalence guarantee.
     config:
         :class:`~repro.core.fast_dnc.FastDnCConfig`; the online build
-        always executes the recursive profile (the ``engine`` field is
-        validated but does not change the build — see
+        always executes the recursive profile (the ``engine`` and
+        ``workers`` fields do not change the build — see
         ``docs/online_index.md``).
     churn_threshold:
         Commits whose churn fraction ``(inserts + deletes) / n`` exceeds
         this punt to a full rebuild (the absorb machinery stops paying for
         itself well below 1.0; see the benchmark table).
-    snapshot_min_size:
-        Smallest subtree (in points) that records a replay snapshot;
-        smaller reused subtrees are rebuilt fresh (bit-identical either
-        way).  Default ``max(base_case_size, 32)`` — replay granularity
-        down to the brute-force leaves, which caps the recompute cost of
-        one mutation at its root-leaf path.  Raising it trades commit
-        speed for record memory (records store one neighbor-row copy per
-        recorded tree level, ``O(n k)`` each).
     machine:
         Optional ledger for the *initial* build; every commit gets a fresh
         one (so ``index.machine.total`` always equals the from-scratch
@@ -668,7 +666,6 @@ class MutableIndex:
         seed: object = 0,
         config: Optional[FastDnCConfig] = None,
         churn_threshold: float = 0.05,
-        snapshot_min_size: Optional[int] = None,
         machine: Optional[Machine] = None,
         trace_commits: bool = False,
     ) -> None:
@@ -682,13 +679,6 @@ class MutableIndex:
         self.config = config if config is not None else FastDnCConfig()
         self.churn_threshold = float(churn_threshold)
         self._base = self.config.base_size(self.k)
-        self.snapshot_min_size = (
-            int(snapshot_min_size)
-            if snapshot_min_size is not None
-            else max(self._base, 32)
-        )
-        if self.snapshot_min_size < 1:
-            raise ValueError("snapshot_min_size must be >= 1")
         self._seed = seed
         self.trace_commits = bool(trace_commits)
         root_ss = seed_sequence_root(seed)
@@ -755,7 +745,6 @@ class MutableIndex:
             seed=self._seed,
             config=self.config,
             churn_threshold=self.churn_threshold,
-            snapshot_min_size=self.snapshot_min_size,
         )
 
     # -- mutation intake ---------------------------------------------------
@@ -921,7 +910,6 @@ class MutableIndex:
             self._base,
             keys=keys,
             salt=self._salt,
-            snapshot_min=self.snapshot_min_size,
             idmap=idmap,
         )
         self.stats = stats

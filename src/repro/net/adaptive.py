@@ -17,9 +17,10 @@ continuously:
   proportionally, trading throughput back for latency until the SLO
   holds.
 
-Every decision is exported as the ``net.window_ms`` gauge plus a
-``net.window_ticks`` series sample, so the controller's behavior under
-any load trace is auditable from the metrics sinks alone.  The
+Every decision is exported as the ``net.window_ms`` gauge plus one
+observation of the ``net.window_ticks`` histogram, so the controller's
+behavior under any load trace is auditable from the metrics sinks alone,
+in constant memory however long the server runs.  The
 controller is pure arithmetic over an injectable clock — no asyncio, no
 threads — and deterministic given the same call sequence.
 """
@@ -58,17 +59,9 @@ class AdaptiveWindow:
         (0.0 keeps the classic flush-immediately behavior when idle).
     latency_window:
         Ring-buffer length for the p95 estimate.
-    latency_source:
-        Optional callable returning the current p95 estimate in
-        milliseconds (or ``None`` while unknown).  When set it replaces
-        the private ring buffer as the controller's latency eye — the
-        server wires an :class:`~repro.obs.rt.SLOTracker`'s rolling
-        histogram p95 here (``NetConfig.window_latency_source="slo"``),
-        so the window controller and the SLO report read the same
-        number.
     metrics:
         Registry receiving the ``net.window_ms`` gauge and
-        ``net.window_ticks`` series (``None`` records nothing).
+        ``net.window_ticks`` histogram (``None`` records nothing).
     clock:
         Monotonic-seconds source, injectable for tests.
     """
@@ -82,7 +75,6 @@ class AdaptiveWindow:
         alpha: float = 0.2,
         floor_ms: float = 0.0,
         latency_window: int = 256,
-        latency_source: Optional[Callable[[], Optional[float]]] = None,
         metrics: Optional[Metrics] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -101,7 +93,6 @@ class AdaptiveWindow:
         self.slo_p95_ms = slo_p95_ms
         self.alpha = float(alpha)
         self.floor_ms = float(floor_ms)
-        self.latency_source = latency_source
         self.metrics = metrics
         self.clock = clock
         self._rate = 0.0  # EWMA arrivals/second
@@ -156,11 +147,8 @@ class AdaptiveWindow:
         self._latencies.append(float(latency_ms))
 
     def observed_p95_ms(self) -> Optional[float]:
-        """The p95 estimate the window decision uses: the external
-        ``latency_source`` when one is wired, else the private ring
+        """The p95 estimate the window decision uses, over the ring
         buffer (``None`` while no latency has been observed)."""
-        if self.latency_source is not None:
-            return self.latency_source()
         if not self._latencies:
             return None
         ordered = sorted(self._latencies)
@@ -190,5 +178,5 @@ class AdaptiveWindow:
         window = min(self.ceiling_ms, window)
         if self.metrics is not None:
             self.metrics.set_gauge("net.window_ms", window)
-            self.metrics.observe("net.window_ticks", window)
+            self.metrics.observe_hist("net.window_ticks", window)
         return window

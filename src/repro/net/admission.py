@@ -39,10 +39,7 @@ class NetStats(MetricsView):
     (504), ``queries`` / ``query_points`` / ``mutations`` / ``commits``
     (endpoint traffic), ``http_errors``.
     Gauges: ``inflight`` (admitted and unanswered right now),
-    ``window_ms`` (the adaptive controller's latest batching-window
-    decision), ``draining`` (0/1), ``tenants``.
-    Series: ``window_ticks`` (every window decision, auditable via the
-    metrics sinks).
+    ``draining`` (0/1), ``tenants``.
     Histograms: ``request_ms`` — per-request wall latency, bucketed
     (mergeable, Prometheus ``histogram`` exposition, p50/p95/p99
     computable server-side; was a raw sample series before ISSUE 9).
@@ -62,8 +59,7 @@ class NetStats(MetricsView):
         "commits",
         "http_errors",
     )
-    _GAUGE_FIELDS = ("inflight", "window_ms", "draining", "tenants")
-    _SERIES_FIELDS = ("window_ticks",)
+    _GAUGE_FIELDS = ("inflight", "draining", "tenants")
     _HISTOGRAM_FIELDS = ("request_ms",)
 
 

@@ -57,10 +57,9 @@ class NetConfig:
         within it gets HTTP 504 and a ``net.deadline_exceeded`` count
         (requests may override per call, capped at this default when
         set).  ``None`` means no default deadline.
-    cache_size, cache_decimals:
-        Per-tenant :class:`~repro.serve.cache.ResultCache` knobs
-        (``cache_size=0`` disables caching), exactly as in
-        :func:`repro.api.serve`.
+    cache_size:
+        Entries of each tenant's :class:`~repro.serve.cache.ResultCache`
+        (``0`` disables caching), exactly as in :func:`repro.api.serve`.
     serve_workers:
         Fan batches across a per-tenant
         :class:`~repro.serve.mp.ServingPool` of this many worker
@@ -85,11 +84,6 @@ class NetConfig:
         ``slo_p95_ms`` (latency objective) and the availability
         objective the error burn rate is computed against.  Trackers are
         created only when ``slo_p95_ms`` is set.
-    window_latency_source:
-        Where the adaptive window's p95 estimate comes from: ``"ring"``
-        (the controller's private latency ring, the pre-ISSUE-9
-        behavior) or ``"slo"`` (the SLO tracker's rolling histogram p95;
-        requires ``slo_p95_ms``).
     """
 
     host: str = "127.0.0.1"
@@ -103,7 +97,6 @@ class NetConfig:
     max_inflight: int = 1024
     deadline_ms: Optional[float] = None
     cache_size: int = 1024
-    cache_decimals: Optional[int] = None
     serve_workers: Optional[int] = None
     drain_timeout_s: float = 10.0
     max_body_bytes: int = 8 << 20
@@ -112,7 +105,6 @@ class NetConfig:
     recorder_slow_k: int = 16
     slo_objective: float = 0.95
     slo_error_objective: float = 0.999
-    window_latency_source: str = "ring"
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -155,10 +147,3 @@ class NetConfig:
             raise ValueError(
                 f"slo_error_objective must be in (0, 1), got {self.slo_error_objective}"
             )
-        if self.window_latency_source not in ("ring", "slo"):
-            raise ValueError(
-                "window_latency_source must be 'ring' or 'slo', "
-                f"got {self.window_latency_source!r}"
-            )
-        if self.window_latency_source == "slo" and self.slo_p95_ms is None:
-            raise ValueError("window_latency_source='slo' requires slo_p95_ms")

@@ -22,9 +22,10 @@ shape as a model-inference front-end.  A request's life:
    ``repr`` floats, so float64 answers survive the wire bit-exactly.
 
 Mutations (``POST /v1/mutate``) run on the same event loop, serialized
-with queries by construction: a commit publishes the new snapshot to the
-tenant's registry and hot-swaps the batcher, which flushes the pending
-queue against the *old* version first — no torn reads mid-traffic.
+with queries by construction: a commit hot-swaps the tenant's batcher to
+the new snapshot, which flushes the pending queue against the *old*
+version first — no torn reads mid-traffic.  A rejected mutate request
+leaves the tenant's pending mutations as it found them.
 
 The server is single-loop and single-threaded; batch execution blocks
 the loop for one batch's wall time.  That is a deliberate trade — it is
@@ -227,10 +228,6 @@ class NetServer:
                     prefix=prefix,
                     clock=self.clock,
                 )
-                if window is not None and self.config.window_latency_source == "slo":
-                    # one latency eye for both: the window controller
-                    # steers by the same rolling p95 the SLO reports
-                    window.latency_source = slo.p95_ms
             state = _TenantLoop(tenant, window, slo)
             state.task = asyncio.get_running_loop().create_task(
                 self._flusher(state), name=f"repro-net-flusher-{tenant.name}"

@@ -5,9 +5,6 @@ production one, per-dataset indexes, A/B versions.  A :class:`Tenant`
 bundles everything one named index needs to serve and mutate:
 
 - the :class:`~repro.core.online.MutableIndex` (the write side),
-- a :class:`~repro.serve.registry.SnapshotRegistry` holding its
-  published versions (bounded history, so readers pinned to a recent
-  version stay valid),
 - a per-tenant :class:`~repro.serve.cache.ResultCache` and
   :class:`~repro.serve.batcher.Batcher` (the read side), optionally
   fanning batches across a :class:`~repro.serve.mp.ServingPool`,
@@ -20,7 +17,11 @@ server runs them on its event loop, and :meth:`Tenant.mutate` flushes
 the batcher against the old version before rebinding — a request
 admitted under version ``v`` is answered by version ``v``, never a torn
 read (the same contract as :meth:`~repro.serve.batcher.Batcher.
-swap_index`, which this calls).
+swap_index`, which this calls).  A tenant holds only the version it
+serves: a caller that wants to pin an older one keeps the
+:class:`~repro.serve.index.ServingIndex` that
+:meth:`~repro.core.online.MutableIndex.snapshot` returned (snapshots are
+copy-on-write, so they stay valid).
 
 The module is deliberately HTTP-free — errors are ``KeyError`` /
 ``ValueError`` and the server layer maps them to statuses — so tenants
@@ -39,7 +40,6 @@ from ..pvm.machine import Machine
 from ..serve.batcher import Batcher
 from ..serve.cache import ResultCache
 from ..serve.mp import ServingPool
-from ..serve.registry import SnapshotRegistry
 from .config import NetConfig
 
 __all__ = ["Tenant", "TenantManager", "DEFAULT_TENANT"]
@@ -62,8 +62,6 @@ class Tenant:
     machine:
         The tenant's machine; a fresh one by default.  Its metrics
         registry receives the tenant's ``serve.*`` stats.
-    registry_capacity:
-        Versions retained in the tenant's snapshot registry.
     """
 
     def __init__(
@@ -73,20 +71,13 @@ class Tenant:
         *,
         config: Optional[NetConfig] = None,
         machine: Optional[Machine] = None,
-        registry_capacity: int = 4,
     ) -> None:
         cfg = config if config is not None else NetConfig()
         self.name = name
         self.index = index
         self.machine = machine if machine is not None else Machine()
-        self.registry = SnapshotRegistry(capacity=registry_capacity)
         snapshot = index.snapshot()
-        self.registry.publish(snapshot)
-        self.cache = (
-            ResultCache(cfg.cache_size, cfg.cache_decimals)
-            if cfg.cache_size > 0
-            else None
-        )
+        self.cache = ResultCache(cfg.cache_size) if cfg.cache_size > 0 else None
         pool = (
             ServingPool(snapshot, cfg.serve_workers, machine=self.machine)
             if cfg.serve_workers is not None
@@ -152,25 +143,30 @@ class Tenant:
         Returns ``(commit_info, flushed)`` where ``commit_info`` is
         ``None`` without ``commit=True`` and ``flushed`` counts the
         pending requests answered by the *old* version before the swap.
-        On commit the new snapshot is published to the tenant's registry
-        and the batcher swaps to it — zero downtime, and the
-        version-keyed cache makes stale hits impossible.
+        On commit the batcher swaps to the new snapshot — zero downtime,
+        and the version-keyed cache makes stale hits impossible.
+
+        One call is all-or-nothing: when any step raises ``ValueError``
+        (a bad id, a commit that would leave ``n <= k``), the index's
+        pending buffers are restored to their state before the call, so
+        a rejected request never leaks into a later commit.
         """
         if self._closed:
             raise RuntimeError(f"tenant {self.name!r} is closed")
-        if inserts is not None and len(inserts):
-            self.index.insert(inserts)
-        if deletes is not None and len(deletes):
-            self.index.delete(deletes)
-        if not commit:
-            return None, 0
-        info = self.index.commit()
-        if info.noop:
+        index = self.index
+        pending = (list(index._pending_inserts), set(index._pending_deletes))
+        try:
+            if inserts is not None and len(inserts):
+                index.insert(inserts)
+            if deletes is not None and len(deletes):
+                index.delete(deletes)
+            info = index.commit() if commit else None
+        except ValueError:
+            index._pending_inserts, index._pending_deletes = pending
+            raise
+        if info is None or info.noop:
             return info, 0
-        snapshot = self.index.snapshot()
-        self.registry.publish(snapshot)
-        flushed = self.batcher.swap_index(snapshot)
-        return info, flushed
+        return info, self.batcher.swap_index(index.snapshot())
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -192,7 +188,6 @@ class Tenant:
             "version": int(self.version),
             "pending_mutations": int(ins + dels),
             "queue_depth": int(self.batcher.pending),
-            "versions_retained": self.registry.versions(),
         }
 
 

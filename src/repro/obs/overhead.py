@@ -187,7 +187,7 @@ def measure_net_overhead(
     import numpy as np
 
     pts = uniform_cube(n, d, seed)
-    mutable = build_index(pts, k, seed=seed, engine="frontier").mutable
+    mutable = build_index(pts, k, seed=seed).mutable
     rng = np.random.default_rng(seed + 1)
     rows = rng.integers(0, pts.shape[0], size=requests).tolist()
 

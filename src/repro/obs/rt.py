@@ -153,9 +153,7 @@ class SLOTracker:
     (``bin_s`` wide); ``attainment``/``burn_rate``/``error_rate`` fold
     the bins covering the requested window.  Windows are whole-bin, so
     numbers are exact counts, not decayed estimates.  ``p95_ms()``
-    merges the bins of the shortest window and is cached per bin advance
-    — cheap enough for the :class:`~repro.net.adaptive.AdaptiveWindow`
-    to call on every window decision.
+    merges the bins of the shortest window and is cached per bin advance.
 
     When ``metrics``/``prefix`` are given, :meth:`export` publishes
     ``<prefix>.attainment_5m``-style gauges into the registry (the

@@ -11,17 +11,17 @@ query) turned into a throughput story:
   batches bit-identically to the per-point paths; picklable
   (``save``/``load``) and shm-snapshotable for worker pools;
 - :class:`~repro.serve.cache.ResultCache` — LRU result cache keyed on
-  (optionally quantized) query-point bytes, with hit/miss counters;
+  the exact query-point bytes;
 - :class:`~repro.serve.batcher.Batcher` — the micro-batching request
   queue: collect up to ``max_batch`` (or ``max_wait_ms``), execute via
   the vectorized batch descent, fulfill per-request
   :class:`~repro.serve.batcher.Ticket` objects;
 - :class:`~repro.serve.mp.ServingPool` — multiprocess serving over the
-  :mod:`repro.parallel` pool + shared-memory arena;
-- :class:`~repro.serve.registry.SnapshotRegistry` — versioned snapshot
-  publication for online updates: :class:`~repro.core.online.MutableIndex`
-  commits publish here, serving stacks hot-swap to ``latest`` with zero
-  downtime (``Batcher.swap_index`` / ``ServingPool.swap``).
+  :mod:`repro.parallel` pool + shared-memory arena.
+
+Online updates hot-swap a serving stack to each new
+:meth:`~repro.core.online.MutableIndex.snapshot` with zero downtime
+(``Batcher.swap_index`` / ``ServingPool.swap``).
 
 Entry points: :func:`repro.api.serve` builds the whole stack in one
 call, and the ``repro serve`` CLI subcommand drives it over workload
@@ -33,7 +33,6 @@ from .batcher import Batcher, ServeStats, Ticket
 from .cache import ResultCache
 from .index import KINDS, ServingIndex
 from .mp import ServingPool
-from .registry import SnapshotRegistry
 
 __all__ = [
     "Batcher",
@@ -42,6 +41,5 @@ __all__ = [
     "ServeStats",
     "ServingIndex",
     "ServingPool",
-    "SnapshotRegistry",
     "Ticket",
 ]

@@ -34,14 +34,9 @@ import numpy as np
 from ..obs.metrics import MetricsView
 from ..pvm.machine import Machine
 from .cache import ResultCache
-from .index import BatchResponse, ServingIndex
+from .index import ServingIndex
 
 __all__ = ["Batcher", "ServeStats", "Ticket"]
-
-#: Executes one batch: ``(kind, queries, k) -> BatchResponse``.  The
-#: default is ``ServingIndex.execute``; :class:`~repro.serve.mp.
-#: ServingPool` provides the multiprocess one.
-Executor = Callable[[str, np.ndarray, Optional[int]], BatchResponse]
 
 
 class ServeStats(MetricsView):
@@ -54,14 +49,13 @@ class ServeStats(MetricsView):
     Gauges: ``queue_depth`` (pending requests right now), ``qps``
     (served+cached requests over the wall-clock since the first submit),
     ``last_batch_ms``, ``index_version`` (the version currently served).
-    Series: ``queue_depth_flush`` — the queue depth sampled at each
-    batch-flush trigger (what the adaptive batching controller and the
-    sinks see as the *served* depth distribution, as opposed to the
-    instantaneous gauge).
     Histograms: ``batch_ms`` (execute wall per batch), ``queue_wait_ms``
     (submit-to-execute-start per ticket), ``request_ms``
     (submit-to-fulfill per ticket, cache hits included at ~0) — the
-    server-side latency distributions p50/p95/p99 are computed from.
+    server-side latency distributions p50/p95/p99 are computed from —
+    and ``queue_depth_flush``, the queue depth sampled at each
+    batch-flush trigger (the *served* depth distribution, as opposed to
+    the instantaneous gauge).
     """
 
     _NS = "serve"
@@ -75,8 +69,7 @@ class ServeStats(MetricsView):
         "dropped",
     )
     _GAUGE_FIELDS = ("queue_depth", "qps", "last_batch_ms", "index_version")
-    _SERIES_FIELDS = ("queue_depth_flush",)
-    _HISTOGRAM_FIELDS = ("batch_ms", "queue_wait_ms", "request_ms")
+    _HISTOGRAM_FIELDS = ("batch_ms", "queue_wait_ms", "request_ms", "queue_depth_flush")
 
 
 class Ticket:
@@ -148,12 +141,10 @@ class Batcher:
     machine:
         Optional machine whose tracer records ``serve.batch`` spans and
         whose metrics registry receives the ``serve.*`` stats.
-    executor:
-        Batch executor override; defaults to ``pool.execute`` when a
-        ``pool`` is given, else ``index.execute``.
     pool:
         Optional :class:`~repro.serve.mp.ServingPool` the batcher owns:
         batches fan out across its workers and ``close()`` shuts it down.
+        Without one, batches execute on ``index``.
     clock:
         Monotonic-seconds source, injectable for tests.
     """
@@ -168,7 +159,6 @@ class Batcher:
         max_wait_ms: Optional[float] = None,
         cache: Optional[ResultCache] = None,
         machine: Optional[Machine] = None,
-        executor: Optional[Executor] = None,
         pool: Optional[Any] = None,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
@@ -184,12 +174,9 @@ class Batcher:
         self.cache = cache
         self.machine = machine
         self.pool = pool
-        if executor is not None:
-            self.executor: Executor = executor
-        elif pool is not None:
-            self.executor = pool.execute
-        else:
-            self.executor = index.execute
+        #: Executes one batch, ``(kind, queries, k) -> BatchResponse``: the
+        #: pool when the batcher owns one, else the served index.
+        self.executor = pool.execute if pool is not None else index.execute
         self.clock = clock
         self.stats = ServeStats(metrics=machine.metrics if machine is not None else None)
         self.stats.index_version = index.version
@@ -268,9 +255,9 @@ class Batcher:
         if self._queue_tickets:
             # sample the depth at the flush trigger (before executing):
             # the distribution of served batch sizes, exported as the
-            # serve.queue_depth_flush series through both sinks
+            # serve.queue_depth_flush histogram through both sinks
             self.stats.queue_depth = self.pending
-            self.stats.queue_depth_flush.append(self.pending)
+            self.stats.queue_depth_flush.observe(self.pending)
         while self._queue_tickets:
             chunk = min(self.max_batch, len(self._queue_tickets))
             points = self._queue_points[:chunk]
@@ -325,12 +312,12 @@ class Batcher:
         submitted after this call are answered by the new index, and the
         version-keyed cache guarantees no stale entry can match them.
 
-        When the batcher drives a :class:`~repro.serve.mp.ServingPool`
-        (and the executor wasn't overridden), the pool's workers are
-        re-seeded via :meth:`~repro.serve.mp.ServingPool.swap` before the
-        batcher rebinds; with the default in-process executor the rebind
-        alone suffices.  A custom ``executor`` is left untouched — the
-        caller owns its lifecycle.
+        When the batcher drives a :class:`~repro.serve.mp.ServingPool`,
+        the pool's workers are re-seeded via
+        :meth:`~repro.serve.mp.ServingPool.swap` before the batcher
+        rebinds; in-process the rebind alone suffices.  The batcher keeps
+        no reference to the old index, so a superseded version is freed
+        once its last caller lets go of it.
 
         Returns the number of pending requests flushed against the old
         index.
@@ -344,10 +331,9 @@ class Batcher:
         if self.kind == "covering" and index.system is None:
             raise ValueError("covering batcher needs an index with a k-neighborhood system")
         flushed = self.flush()
-        old = self.index
         if self.pool is not None:
             self.pool.swap(index)
-        if self.executor == old.execute:  # default executor follows the index
+        else:
             self.executor = index.execute
         self.index = index
         self.stats.swaps += 1

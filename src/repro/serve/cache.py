@@ -10,17 +10,13 @@ makes hot swaps safe: after :meth:`~repro.serve.batcher.Batcher.
 swap_index` the old version's entries can no longer match and simply
 age out.
 
-Keys are exact by default: two points share an entry only when their
-float64 representations are bit-equal, so a cache hit returns the exact
-arrays a fresh execution would — serving stays bit-identical whatever
-the cache state.  ``decimals`` optionally *quantizes* keys (rounding
-coordinates to that many decimals before hashing) so near-duplicate
-probes coalesce; that trades exactness for hit rate and is off unless a
-deployment opts in.
+Keys are exact: two points share an entry only when their float64
+representations are bit-equal, so a cache hit returns the exact arrays
+a fresh execution would — serving stays bit-identical whatever the
+cache state.
 
-Hit/miss counts live on the cache; the :class:`~repro.serve.batcher.
-Batcher` mirrors them into its ``serve.cache_hits`` / ``serve.cache_misses``
-metrics.
+The :class:`~repro.serve.batcher.Batcher` counts every lookup once, as
+its ``serve.cache_hits`` / ``serve.cache_misses`` metrics.
 """
 
 from __future__ import annotations
@@ -41,20 +37,12 @@ class ResultCache:
     capacity:
         Maximum number of entries; ``0`` disables storage (every lookup
         misses, which keeps the calling code uniform).
-    decimals:
-        ``None`` (default) keys on the exact float64 bytes of the point;
-        an integer rounds coordinates to that many decimals first, so
-        near-identical probes share an entry (approximate — see module
-        docstring).
     """
 
-    def __init__(self, capacity: int = 1024, decimals: Optional[int] = None) -> None:
+    def __init__(self, capacity: int = 1024) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = int(capacity)
-        self.decimals = decimals
-        self.hits = 0
-        self.misses = 0
         self._entries: "OrderedDict[bytes, Any]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -64,7 +52,7 @@ class ResultCache:
         self, kind: str, k: Optional[int], point: np.ndarray, version: int = 0
     ) -> bytes:
         """The cache key for one request: kind + k + index version +
-        (quantized) point bytes.
+        point bytes.
 
         ``version`` is the serving index's
         :attr:`~repro.serve.index.ServingIndex.version`.  Baking it into
@@ -73,19 +61,14 @@ class ResultCache:
         answers age out of the LRU instead of being served.
         """
         p = np.ascontiguousarray(point, dtype=np.float64)
-        if self.decimals is not None:
-            p = np.round(p, self.decimals) + 0.0  # +0.0 folds -0.0 into +0.0
         return f"{kind}:{k}:v{version}:".encode() + p.tobytes()
 
     def get(self, key: bytes) -> Any:
         """The stored response for ``key`` (marking it recently used), or
-        ``None`` on a miss.  Counts the lookup either way."""
+        ``None`` on a miss."""
         entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
+        if entry is not None:
+            self._entries.move_to_end(key)
         return entry
 
     def put(self, key: bytes, value: Any) -> None:
@@ -99,7 +82,7 @@ class ResultCache:
             self._entries.popitem(last=False)
 
     def clear(self) -> None:
-        """Drop every entry (counters are preserved)."""
+        """Drop every entry."""
         self._entries.clear()
 
     def evict_stale(self, version: int) -> int:
@@ -118,14 +101,5 @@ class ResultCache:
             del self._entries[key]
         return len(stale)
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits over total lookups so far (0.0 before any lookup)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ResultCache(size={len(self)}/{self.capacity}, "
-            f"hits={self.hits}, misses={self.misses})"
-        )
+        return f"ResultCache(size={len(self)}/{self.capacity})"

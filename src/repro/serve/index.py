@@ -23,9 +23,8 @@ A built index is *frozen*: it holds no machine, no RNG state that
 queries consume, and no pointer tree — only arrays (points, flat tree,
 neighbor lists) plus the optional covering structure, so a retained
 version costs a few MB and no replay records.  :meth:`ServingIndex.save`
-/ :meth:`ServingIndex.load` write it to disk (format 2: the arrays;
-format-1 files, which pickled the pointer tree, are flattened on load),
-and :meth:`ServingIndex.shm_snapshot` exports every array as a
+/ :meth:`ServingIndex.load` write it to disk (format 2: the arrays), and
+:meth:`ServingIndex.shm_snapshot` exports every array as a
 shared-memory segment so a pool of worker processes can serve from one
 copy without rebuilding (see :mod:`repro.serve.mp`).
 """
@@ -266,21 +265,16 @@ class ServingIndex:
     @classmethod
     def _from_state(cls, state: Dict[str, Any]) -> "ServingIndex":
         version = state.get("version")
-        if version == 1:  # the pointer tree itself; flattened by __init__
-            tree: Union[FlatTree, PartitionNode] = state["tree"]
-        elif version == _SNAPSHOT_VERSION:
-            tree = FlatTree(**state["layout"])
-        else:
+        if version != _SNAPSHOT_VERSION:
             raise ValueError(f"unsupported serving snapshot version {version!r}")
         return cls(
             state["points"],
-            tree,
+            FlatTree(**state["layout"]),
             state["k"],
             system=state["system"],
             structure=state["structure"],
             structure_seed=state["structure_seed"],
-            # absent in pre-1.6 snapshots, which were all version 0
-            version=state.get("index_version", 0),
+            version=state["index_version"],
         )
 
     def save(self, path: str) -> None:
@@ -290,7 +284,7 @@ class ServingIndex:
 
     @classmethod
     def load(cls, path: str) -> "ServingIndex":
-        """Reload an index saved by :meth:`save` (format 2 or 1)."""
+        """Reload an index saved by :meth:`save` (format 2)."""
         with open(path, "rb") as fh:
             state = pickle.load(fh)
         return cls._from_state(state)

@@ -78,7 +78,7 @@ def serve_init(payload: Dict[str, Any]) -> bool:
         system=system,
         structure=payload["structure"],
         structure_seed=payload["structure_seed"],
-        version=payload.get("index_version", 0),
+        version=payload["index_version"],
     )
     return True
 

@@ -234,6 +234,14 @@ class TestUpdateCommand:
         assert "v0" in out and "v2" in out  # per-version latency table
         assert "p99 ms" in out  # per-version table carries the tail too
 
+    @pytest.mark.parametrize("flag", [["--engine", "frontier"], ["--workers", "2"],
+                                      ["--dtype", "float32"]])
+    def test_serve_mutations_file_rejects_offline_build_flags(self, tmp_path, flag):
+        mf = tmp_path / "muts.jsonl"
+        mf.write_text('{"op": "commit"}\n')
+        with pytest.raises(SystemExit, match="online index"):
+            main(["serve", "-n", "200", "--mutations-file", str(mf), *flag])
+
 
 class TestNetCommand:
     def test_parser_defaults(self):
@@ -241,9 +249,22 @@ class TestNetCommand:
         assert args.net_command == "serve"
         assert args.port == 8377 and args.max_batch == 256
         assert not args.no_adaptive and not hasattr(args, "uvloop")
+        # the online build takes no engine/workers, cache keys are exact
+        # and the adaptive window reads p95 from its own ring
+        for gone in ("engine", "workers", "cache_decimals", "window_latency_source"):
+            assert not hasattr(args, gone), gone
         args = build_parser().parse_args(["net", "load", "--self-serve"])
         assert args.net_command == "load"
         assert args.qps == [200.0, 1000.0] and args.modes == ["adaptive"]
+        assert not hasattr(args, "engine") and not hasattr(args, "workers")
+        for argv in (["net", "serve", "--engine", "frontier"],
+                     ["net", "serve", "--cache-decimals", "3"],
+                     ["net", "serve", "--window-latency-source", "slo"],
+                     ["net", "load", "--workers", "2"],
+                     ["serve", "--cache-decimals", "3"],
+                     ["update", "--snapshot-min-size", "64"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_net_requires_subcommand(self):
         with pytest.raises(SystemExit):

@@ -190,15 +190,6 @@ class TestEngineAPI:
         ref = repro.all_knn(pts, 1, method="fast", seed=5, engine="frontier")
         np.testing.assert_array_equal(res.indices, ref.indices)
 
-    def test_build_index_engine(self):
-        pts = uniform_cube(200, 2, seed=13)
-        a = repro.build_index(pts, 2, seed=17, engine="recursive")
-        b = repro.build_index(pts, 2, seed=17, engine="frontier")
-        qa = a.query(pts[:7])
-        qb = b.query(pts[:7])
-        np.testing.assert_array_equal(qa[0], qb[0])
-        np.testing.assert_array_equal(qa[1], qb[1])
-
 
 class TestFrontierObservability:
     def test_frontier_level_spans(self):

@@ -337,23 +337,6 @@ class TestSnapshotFormat:
         for a, b in zip(loaded.execute("knn", qs), index.execute("knn", qs)):
             np.testing.assert_array_equal(a, b)
 
-    def test_v1_files_are_flattened_on_load(self, tmp_path):
-        pts = uniform_cube(400, 2, seed=44)
-        res = parallel_nearest_neighborhood(pts, 2, seed=45)
-        index = ServingIndex(res.system.points, res.tree, 2, system=res.system, version=3)
-        state = index._state()
-        del state["layout"]
-        state.update(version=1, tree=res.tree)  # what a format-1 file held
-        path = str(tmp_path / "v1.pkl")
-        with open(path, "wb") as fh:
-            pickle.dump(state, fh)
-        loaded = ServingIndex.load(path)
-        assert loaded.version == 3 and isinstance(loaded.layout, FlatTree)
-        assert not any(isinstance(v, PartitionNode) for v in vars(loaded).values())
-        qs = uniform_cube(64, 2, seed=46)
-        for a, b in zip(loaded.execute("knn", qs), index.execute("knn", qs)):
-            np.testing.assert_array_equal(a, b)
-
     def test_unknown_format_rejected(self):
         index = ServingIndex.build(uniform_cube(100, 2, seed=47), 1, seed=48)
         state = index._state()

@@ -103,6 +103,8 @@ class TestFloat32Exactness:
     def test_build_index_rejects_f32(self):
         pts = uniform_cube(100, 2, seed=29)
         with pytest.raises(ValueError, match="float64' only"):
+            repro.build_index(pts, k=2, seed=29, config=FastDnCConfig(dtype="float32"))
+        with pytest.raises(TypeError):
             repro.build_index(pts, k=2, seed=29, dtype="float32")
 
     def test_f32_query_path(self):

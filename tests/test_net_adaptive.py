@@ -129,7 +129,10 @@ class TestExportAndValidation:
         for _ in range(3):
             value = win.window_ms()
         assert metrics.gauges["net.window_ms"] == pytest.approx(value)
-        assert len(metrics.samples("net.window_ticks")) == 3
+        ticks = metrics.histograms["net.window_ticks"]
+        assert ticks.count == 3
+        assert ticks.sum == pytest.approx(3 * value)
+        assert metrics.series == {}
 
     def test_validation(self):
         with pytest.raises(ValueError, match="ceiling_ms"):

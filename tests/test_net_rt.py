@@ -210,18 +210,6 @@ class TestMetricsAndDrain:
         assert summary["clean"]
         assert tenant.batcher.stats.queue_depth == 0
 
-    def test_window_latency_source_slo_serves(self):
-        cfg = dict(slo_p95_ms=50.0, window_latency_source="slo")
-        with ServerThread(_server(**cfg)) as st:
-            for i in range(5):
-                status, _, _, _ = _fetch(st.port, "/v1/query", _point(i))
-                assert status == 200
-            state = st.server._loops["default"]
-            assert state.window is not None and state.slo is not None
-            assert state.window.latency_source is not None
-            # the window's p95 feed is the tracker's rolling histogram
-            assert state.window.observed_p95_ms() == state.slo.p95_ms()
-
 
 class TestLoadgenRoundTrip:
     def test_seeded_ids_round_trip_with_zero_mismatches(self):

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.api import net_serve
+from repro.core.online import equivalence_report
 from repro.net import NetConfig, ServerThread, http_request
 from repro.parallel.shm import SHM_PREFIX
 from repro.workloads import uniform_cube
@@ -199,6 +200,49 @@ class TestLoopbackEquivalence:
                 "delete": ["x"],
             })
             assert status == 400
+
+    @pytest.mark.parametrize("rejected,fragment", [
+        ({"insert": [[0.1, 0.1]], "delete": [N]}, "delete ids"),
+        ({"delete": list(range(N - 1)), "commit": True}, "commit would leave"),
+    ])
+    def test_rejected_mutate_leaves_pending_unchanged(self, rejected, fragment):
+        """One ``/v1/mutate`` request is all-or-nothing: a 400 restores
+        the pending buffers an earlier request left, and the next commit
+        applies exactly the accepted mutations."""
+        server = _server(k=2)
+        tenant = server.tenants.get()
+        points = tenant.index.points
+        buffered, committed = [0.7, 0.7], [0.2, 0.3]
+        with ServerThread(server) as st:
+            status, body, _ = _request(st.port, "/v1/mutate", {"insert": [buffered]})
+            assert status == 200 and body["pending"] == {"inserts": 1, "deletes": 0}
+            status, body, _ = _request(st.port, "/v1/mutate", rejected)
+            assert status == 400 and fragment in body["error"]
+            assert tenant.index.pending == (1, 0)
+            status, body, _ = _request(
+                st.port, "/v1/mutate", {"insert": [committed], "commit": True})
+            assert status == 200, body
+            assert body["commit"]["inserted"] == 2 and body["commit"]["deleted"] == 0
+        expected = np.vstack([points, [buffered, committed]])
+        assert equivalence_report(
+            tenant.index, tenant.index.fresh_like(expected)) == []
+
+    def test_requests_leave_metric_series_bounded(self):
+        """A long-running server keeps its decision records as histograms:
+        no request appends to a sample series in any registry."""
+        server = _server(k=1)
+        registries = [server.metrics, server.tenants.get().machine.metrics]
+        probes = uniform_cube(200, D, seed=53)
+        with ServerThread(server) as st:
+            _request(st.port, "/v1/query", {"point": probes[0].tolist()})
+            before = [{k: len(v) for k, v in m.series.items()} for m in registries]
+            for probe in probes:
+                status, _, _ = _request(st.port, "/v1/query", {"point": probe.tolist()})
+                assert status == 200
+            after = [{k: len(v) for k, v in m.series.items()} for m in registries]
+        assert after == before
+        # every request still records its window decision
+        assert server.metrics.histograms["net.window_ticks"].count >= 200
 
     def test_queued_requests_answered_by_old_version_across_swap(self):
         """A request admitted under version v is answered by version v,

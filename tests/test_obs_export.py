@@ -210,14 +210,6 @@ class TestRunTracedSinks:
         text = prom.read_text()
         assert "# TYPE repro_fast_nodes_total counter" in text
 
-    def test_config_fields_used_as_fallback(self, tmp_path):
-        from repro.core import FastDnCConfig
-
-        ev = tmp_path / "e.jsonl"
-        cfg = FastDnCConfig(events_out=str(ev))
-        repro.run_traced(_points(), 1, seed=3, config=cfg)
-        assert ev.exists() and ev.read_text().strip()
-
     def test_no_sinks_by_default(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         repro.run_traced(_points(), 1, seed=3)

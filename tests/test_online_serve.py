@@ -1,5 +1,5 @@
-"""Serving-layer integration of online updates: version-keyed caching,
-batcher/pool hot swaps and the snapshot registry.
+"""Serving-layer integration of online updates: version-keyed caching
+and batcher/pool hot swaps.
 
 The invariants under test: a result cached against one index version can
 never answer a query after a swap (keys embed the version); a request
@@ -13,13 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.online import MutableIndex
-from repro.serve import (
-    Batcher,
-    ResultCache,
-    ServingIndex,
-    ServingPool,
-    SnapshotRegistry,
-)
+from repro.serve import Batcher, ResultCache, ServingIndex, ServingPool
 from repro.workloads import uniform_cube
 
 
@@ -157,59 +151,6 @@ class TestPoolHotSwap:
             pool.swap(index)
 
 
-class TestSnapshotRegistry:
-    def test_publish_get_latest(self):
-        pts = uniform_cube(150, 2, seed=19)
-        mutable = MutableIndex(pts, k=1, seed=20, churn_threshold=0.5)
-        reg = SnapshotRegistry(capacity=2)
-        assert len(reg) == 0
-        assert reg.latest_version is None
-        with pytest.raises(LookupError):
-            reg.latest
-        assert reg.publish(mutable.snapshot()) == 0
-        _mutated(mutable, seed=21)
-        assert reg.publish(mutable.snapshot()) == 1
-        assert reg.latest.version == 1
-        assert reg.versions() == [0, 1]
-        assert reg.get(0).version == 0
-        assert reg.get().version == 1
-
-    def test_capacity_prunes_oldest(self):
-        pts = uniform_cube(150, 2, seed=22)
-        mutable = MutableIndex(pts, k=1, seed=23, churn_threshold=0.5)
-        reg = SnapshotRegistry(capacity=2)
-        reg.publish(mutable.snapshot())
-        for s in (24, 25):
-            _mutated(mutable, seed=s)
-            reg.publish(mutable.snapshot())
-        assert reg.versions() == [1, 2]
-        with pytest.raises(LookupError, match="not retained"):
-            reg.get(0)
-
-    def test_rejects_stale_or_duplicate_versions(self):
-        pts = uniform_cube(120, 2, seed=26)
-        mutable = MutableIndex(pts, k=1, seed=27, churn_threshold=0.5)
-        reg = SnapshotRegistry()
-        snap = mutable.snapshot()
-        reg.publish(snap)
-        with pytest.raises(ValueError, match="already published"):
-            reg.publish(snap)
-
-    def test_subscriber_drives_hot_swap(self):
-        pts = uniform_cube(200, 2, seed=28)
-        mutable = MutableIndex(pts, k=1, seed=29, churn_threshold=0.5)
-        reg = SnapshotRegistry()
-        batcher = Batcher(mutable.snapshot(), kind="knn", k=1)
-        unsubscribe = reg.subscribe(batcher.swap_index)
-        _mutated(mutable, seed=30)
-        reg.publish(mutable.snapshot())
-        assert batcher.index.version == 1
-        unsubscribe()
-        _mutated(mutable, seed=31)
-        reg.publish(mutable.snapshot())
-        assert batcher.index.version == 1  # no longer following
-
-
 class TestSnapshotPersistence:
     def test_pickle_round_trip_keeps_version(self, tmp_path):
         pts = uniform_cube(130, 2, seed=32)
@@ -221,13 +162,6 @@ class TestSnapshotPersistence:
         loaded = ServingIndex.load(path)
         assert loaded.version == 1
         np.testing.assert_array_equal(loaded.points, snap.points)
-
-    def test_pre_16_snapshots_default_to_version_zero(self):
-        pts = uniform_cube(90, 2, seed=35)
-        snap = ServingIndex.build(pts, 1, seed=36)
-        state = snap._state()
-        del state["index_version"]  # what a pre-1.6 pickle looks like
-        assert ServingIndex._from_state(state).version == 0
 
 
 class TestCacheSwapMemory:

@@ -361,12 +361,6 @@ class TestFacadeAndObservability:
             repro.all_knn(uniform_cube(32, 2, 0), 1,
                           engine="frontier-mp", workers=-1)
 
-    def test_build_index_mp(self):
-        pts = uniform_cube(240, 2, seed=6)
-        a = repro.build_index(pts, 2, seed=17, engine="frontier")
-        b = repro.build_index(pts, 2, seed=17, engine="frontier-mp", workers=2)
-        np.testing.assert_array_equal(a.query(pts[:5])[0], b.query(pts[:5])[0])
-
     def test_subtree_spans_and_parallel_metrics(self):
         pts = uniform_cube(400, 2, seed=7)
         result, tracer = repro.run_traced(

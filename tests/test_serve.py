@@ -114,7 +114,7 @@ def test_save_load_roundtrip(tmp_path, index, queries):
 # -- ResultCache ----------------------------------------------------------
 
 
-def test_cache_lru_eviction_and_counters():
+def test_cache_lru_eviction_and_counters(index):
     cache = ResultCache(capacity=2)
     ka = cache.make_key("knn", 1, np.array([0.5, 0.5]))
     kb = cache.make_key("knn", 1, np.array([0.25, 0.75]))
@@ -126,8 +126,17 @@ def test_cache_lru_eviction_and_counters():
     cache.put(kc, "C")  # evicts B
     assert cache.get(kb) is None
     assert cache.get(ka) == "A" and cache.get(kc) == "C"
-    assert cache.hits == 3 and cache.misses == 2
-    assert cache.hit_rate == pytest.approx(0.6)
+    # lookups are counted once, by the batcher, as serve.cache_*
+    assert not hasattr(cache, "hits")
+    machine = Machine()
+    batcher = Batcher(index, kind="knn", k=1, max_batch=1,
+                      cache=ResultCache(capacity=2), machine=machine)
+    a, b, c = np.array([0.5, 0.5]), np.array([0.25, 0.75]), np.array([0.75, 0.25])
+    for point in (a, b, a, c, b, a):  # c evicts b, then b evicts a
+        batcher.submit(point)
+    batcher.close()
+    assert machine.metrics.counter("serve.cache_hits") == 1
+    assert machine.metrics.counter("serve.cache_misses") == 5
 
 
 def test_cache_exact_keys_distinguish_close_points():
@@ -137,17 +146,6 @@ def test_cache_exact_keys_distinguish_close_points():
     assert cache.make_key("knn", 1, p) != cache.make_key("knn", 1, p + 1e-15)
     assert cache.make_key("knn", 1, p) != cache.make_key("knn", 2, p)
     assert cache.make_key("knn", 1, p) != cache.make_key("covering", 1, p)
-
-
-def test_cache_quantized_keys_coalesce():
-    cache = ResultCache(capacity=8, decimals=3)
-    p = np.array([0.1, 0.2])
-    assert cache.make_key("knn", 1, p) == cache.make_key("knn", 1, p + 1e-9)
-    assert cache.make_key("knn", 1, p) != cache.make_key("knn", 1, p + 1e-2)
-    # -0.0 and +0.0 quantize to the same key
-    assert cache.make_key("knn", 1, np.array([0.0, -1e-9])) == cache.make_key(
-        "knn", 1, np.array([0.0, 0.0])
-    )
 
 
 def test_cache_zero_capacity_disables_storage():
@@ -310,9 +308,9 @@ def test_api_serve_end_to_end(queries):
 
 
 def test_queue_depth_sampled_at_flush(queries):
-    """Satellite of ISSUE 8: the ``serve.queue_depth`` gauge is sampled at
-    batch-flush time (the depth that triggered execution), and every
-    flush appends to the ``serve.queue_depth_flush`` series."""
+    """The ``serve.queue_depth`` gauge is sampled at batch-flush time (the
+    depth that triggered execution), and every flush observes that depth
+    into the ``serve.queue_depth_flush`` histogram."""
     machine = Machine()
     pts = repro.workloads.uniform_cube(400, 2, seed=21)
     index = ServingIndex.build(pts, 1, machine=machine, seed=22)
@@ -322,14 +320,17 @@ def test_queue_depth_sampled_at_flush(queries):
     for row in queries[16:23]:  # partial batch -> explicit flush at depth 7
         batcher.submit(row)
     batcher.flush()
-    assert machine.metrics.samples("serve.queue_depth_flush") == [16, 7]
+    depths = machine.metrics.histograms["serve.queue_depth_flush"]
+    assert (depths.count, depths.sum, depths.max) == (2, 23.0, 16)
     # the live gauge returns to 0 once the queue has executed...
     assert batcher.stats.queue_depth == 0
     # ...and an empty flush records nothing
     batcher.flush()
-    assert machine.metrics.samples("serve.queue_depth_flush") == [16, 7]
+    assert (depths.count, depths.sum) == (2, 23.0)
     batcher.close()
-    # both sinks: the series reaches the Prometheus exposition too
+    assert not [key for key in machine.metrics.series if key.startswith("serve.")]
+    # both sinks: the histogram reaches the Prometheus exposition too
     text = machine.metrics.to_prometheus()
+    assert "# TYPE repro_serve_queue_depth_flush histogram" in text
     assert 'repro_serve_queue_depth_flush_count{key="serve.queue_depth_flush"} 2.0' in text
-    assert 'repro_serve_queue_depth_flush_max{key="serve.queue_depth_flush"} 16.0' in text
+    assert 'repro_serve_queue_depth_flush_sum{key="serve.queue_depth_flush"} 23.0' in text

@@ -1,8 +1,8 @@
 """What a served version holds: arrays only, never the pointer tree.
 
-A snapshot published after a commit with deletions must reach no
+A snapshot taken after a commit with deletions must reach no
 :class:`~repro.core.partition_tree.PartitionNode` and no replay record,
-so a registry retaining several versions pins a few MB each, and the
+so a caller holding several versions pins a few MB each, and the
 superseded version's tree is freed as soon as the next commit replaces
 it.  The serving pool ships the same arrays through shared memory.
 """
@@ -19,8 +19,8 @@ import numpy as np
 from repro.core.online import MutableIndex, _NodeRecord
 from repro.core.partition_tree import PartitionNode
 from repro.kernels.layout import FlatTree
+from repro.net import NetConfig, Tenant
 from repro.serve import ServingPool
-from repro.serve.registry import SnapshotRegistry
 from repro.workloads import uniform_cube
 
 _OPAQUE = (
@@ -60,18 +60,16 @@ class TestRetainedSnapshots:
     def test_registry_pins_no_tree_and_superseded_trees_die(self):
         rng = np.random.default_rng(5)
         index = MutableIndex(uniform_cube(1500, 2, seed=6), k=2, seed=7)
-        registry = SnapshotRegistry(capacity=4)
-        registry.publish(index.snapshot())
+        snapshots = [index.snapshot()]
         for _ in range(6):
             old_tree = weakref.ref(index.tree)
             info = delete_commit(index, rng)
             assert info.deleted and not info.punted
-            registry.publish(index.snapshot())
+            snapshots.append(index.snapshot())
             gc.collect()
             assert old_tree() is None, "a superseded version's tree survived"
-        assert len(registry) == 4
-        for version in registry.versions():
-            snap = registry.get(version)
+        assert [snap.version for snap in snapshots] == list(range(7))
+        for snap in snapshots:
             assert isinstance(snap.layout, FlatTree)
             assert pinned_tree_objects(snap) == []
 
@@ -88,6 +86,24 @@ class TestRetainedSnapshots:
         assert snap.points is index.points
         assert snap.layout is index.layout
         assert snap.system.neighbor_indices is index.neighbor_indices
+
+
+class TestTenantRetention:
+    def test_delete_commit_frees_the_superseded_snapshot(self):
+        rng = np.random.default_rng(18)
+        index = MutableIndex(uniform_cube(1500, 2, seed=19), k=2, seed=20)
+        tenant = Tenant("default", index, config=NetConfig())
+        try:
+            old = weakref.ref(tenant.batcher.index)
+            deletes = rng.choice(index.n, 6, replace=False).tolist()
+            info, _ = tenant.mutate(rng.random((6, 2)), deletes, commit=True)
+            assert info.deleted and not info.punted
+            gc.collect()
+            assert old() is None, "the tenant kept a superseded snapshot alive"
+            assert tenant.batcher.index.version == 1
+            assert pinned_tree_objects(tenant.batcher.index) == []
+        finally:
+            tenant.close()
 
 
 class TestPoolPayload:
