@@ -78,7 +78,8 @@ def test_a6_online_absorb_table():
         record_bench_run(
             "a6_online", index.machine,
             params={"n": info.n, "d": 2, "k": K, "mode": "absorb",
-                    "batch": batch, "version": info.version},
+                    "batch": batch, "version": info.version,
+                    "host_cores": os.cpu_count() or 1},
             extra={"churn": info.churn, "punted": info.punted,
                    "reused_fraction": info.reused_fraction,
                    "touched_leaves": info.touched_leaves,
@@ -109,7 +110,8 @@ def test_a6_online_absorb_table():
     write_table(
         "a6_online",
         "A6  online commits, absorb vs from-scratch rebuild (d=2, "
-        f"k={K}, n={N_ABSORB:,}; every row re-verified bit-identical)",
+        f"k={K}, n={N_ABSORB:,}, {os.cpu_count() or 1} cores; every row "
+        "re-verified bit-identical)",
         ["n", "ver", "batch", "churn", "path", "reused", "leaves",
          "absorb_s", "rebuild_s", "speedup", "equiv"],
         rows,
@@ -185,7 +187,8 @@ def test_a6_online_hotswap_table():
     write_table(
         "a6_online_swap",
         "A6b zero-downtime hot swap under a live ServingPool stream "
-        f"(knn, d=2, k={K}, n={N_SWAP:,}, {M_SWAP_QUERIES} queries)",
+        f"(knn, d=2, k={K}, n={N_SWAP:,}, {M_SWAP_QUERIES} queries, "
+        f"{cores} cores)",
         ["n", "version", "requests", "swap_stall_ms", "notes"],
         rows,
     )

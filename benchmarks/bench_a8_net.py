@@ -35,7 +35,6 @@ from __future__ import annotations
 import asyncio
 import time
 
-import numpy as np
 
 from repro.api import build_index
 from repro.net import NetConfig, NetServer, ServerThread, TenantManager, run_load

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 
 from repro.analysis import punting_tail_bound
 from repro.core import ab_tree_trials, parallel_nearest_neighborhood, punted_weighted_depth, simulate_ab_tree

@@ -14,7 +14,8 @@ any other value re-runs the whole suite on a fresh random universe.
 Observability: machine-bearing benchmarks call :func:`record_bench_run`
 after a run, which appends the run's per-phase (depth, work) breakdown and
 a **compact** metrics summary (full counters and gauges; series reduced to
-``{count, min, max, mean}``) to ``benchmarks/results/<name>_obs.json`` and
+``{count, min, max, mean}``, histograms to ``{count, sum, min, max,
+mean}``) to ``benchmarks/results/<name>_obs.json`` and
 the repo-level ``BENCH_obs.json``.  The raw, unsummarized metric series
 can grow to tens of thousands of lines per experiment, so full dumps are
 opt-in: run with ``--trace-full`` (or ``REPRO_TRACE_FULL=1``) and each
@@ -142,7 +143,8 @@ def compact_metrics(metrics: Dict[str, Any]) -> Dict[str, Any]:
     *series* (which grows with every node of every run) is reduced to
     ``{"count": N}`` plus ``min``/``max``/``mean`` when the samples are
     plain numbers (structured samples — e.g. ``(m, iota)`` pairs — keep
-    only the count).
+    only the count); each *histogram* is reduced to
+    ``{count, sum, min, max, mean}`` (its buckets are dropped).
     """
     series = {}
     for key, values in metrics.get("series", {}).items():
@@ -152,10 +154,21 @@ def compact_metrics(metrics: Dict[str, Any]) -> Dict[str, Any]:
             summary["max"] = max(values)
             summary["mean"] = sum(values) / len(values)
         series[key] = summary
+    histograms = {
+        key: {
+            "count": hist["count"],
+            "sum": hist["sum"],
+            "min": hist["min"],
+            "max": hist["max"],
+            "mean": hist["sum"] / hist["count"] if hist["count"] else None,
+        }
+        for key, hist in metrics.get("histograms", {}).items()
+    }
     return {
         "counters": dict(metrics.get("counters", {})),
         "gauges": dict(metrics.get("gauges", {})),
         "series": series,
+        "histograms": histograms,
     }
 
 

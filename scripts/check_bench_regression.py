@@ -55,8 +55,12 @@ BASELINE_PATH = os.path.join(
 
 #: The gate registry: small, fully seeded, engine-diverse workloads.
 #: Each entry must be cheap enough for CI (< a few seconds) while
-#: covering both algorithms and all three engines.  An optional
-#: ``config`` dict overrides fields of the method's default config.
+#: covering both algorithms, all three engines and the online index.  An
+#: optional ``config`` dict overrides fields of the method's default
+#: config.  ``"method": "online"`` builds a ``MutableIndex`` and absorbs
+#: ``commits`` seeded commits of ``inserts`` inserts and ``deletes``
+#: deletes; its record is the last version's machine.  ``duplicates``
+#: makes that share of the points copies of the first one.
 GATE_RUNS = (
     {"run": "fast_recursive", "method": "fast", "n": 1500, "d": 2, "k": 2,
      "seed": 42, "engine": "recursive", "workers": None},
@@ -76,7 +80,40 @@ GATE_RUNS = (
      "seed": 42, "engine": "frontier", "workers": None},
     {"run": "simple_frontier", "method": "simple", "n": 2000, "d": 2,
      "k": 1, "seed": 11, "engine": "frontier", "workers": None},
+    {"run": "online_build", "method": "online", "n": 3000, "d": 2, "k": 2,
+     "seed": 42, "commits": 0},
+    {"run": "online_absorb", "method": "online", "n": 3000, "d": 2, "k": 2,
+     "seed": 42, "commits": 3, "inserts": 6, "deletes": 6},
+    # the punty budgets of fast_frontier_punty: iota and march punts in
+    # the build, replayed and recomputed by the absorbs
+    {"run": "online_punty", "method": "online", "n": 3000, "d": 2, "k": 2,
+     "seed": 42, "commits": 3, "inserts": 6, "deletes": 6,
+     "config": {"iota_factor": 0.8, "active_factor": 0.3}},
+    # 3/4 of the points on one spot: one search succeeds only after two
+    # sample refreshes (attempt 37) and one fails outright
+    {"run": "online_dups", "method": "online", "n": 2000, "d": 2, "k": 2,
+     "seed": 9, "duplicates": 0.75, "commits": 3, "inserts": 6, "deletes": 6},
 )
+
+
+def _online_machine(spec: Dict[str, Any], pts):
+    """The machine of the last version of a seeded ``MutableIndex``."""
+    import numpy as np
+
+    from repro.core import FastDnCConfig
+    from repro.core.online import MutableIndex
+
+    index = MutableIndex(
+        pts, spec["k"], seed=spec["seed"],
+        config=FastDnCConfig(**spec.get("config", {})),
+    )
+    rng = np.random.default_rng(spec["seed"])
+    for _ in range(spec["commits"]):
+        index.insert(rng.random((spec["inserts"], spec["d"])))
+        index.delete(rng.choice(index.n, size=spec["deletes"], replace=False))
+        if index.commit().punted:
+            raise RuntimeError(f"{spec['run']}: a gate commit punted instead of absorbing")
+    return index.machine
 
 
 def run_gates(names: Optional[List[str]] = None) -> List[Dict[str, Any]]:
@@ -92,14 +129,18 @@ def run_gates(names: Optional[List[str]] = None) -> List[Dict[str, Any]]:
         if names and spec["run"] not in names:
             continue
         pts = uniform_cube(spec["n"], spec["d"], spec["seed"])
-        machine = Machine()
+        pts[: int(spec.get("duplicates", 0.0) * spec["n"])] = pts[0]
         t0 = time.perf_counter()
-        config_cls = FastDnCConfig if spec["method"] == "fast" else SimpleDnCConfig
-        all_knn(
-            pts, spec["k"], method=spec["method"], machine=machine,
-            config=config_cls(**spec.get("config", {})),
-            seed=spec["seed"], engine=spec["engine"], workers=spec["workers"],
-        )
+        if spec["method"] == "online":
+            machine = _online_machine(spec, pts)
+        else:
+            machine = Machine()
+            config_cls = FastDnCConfig if spec["method"] == "fast" else SimpleDnCConfig
+            all_knn(
+                pts, spec["k"], method=spec["method"], machine=machine,
+                config=config_cls(**spec.get("config", {})),
+                seed=spec["seed"], engine=spec["engine"], workers=spec["workers"],
+            )
         wall = time.perf_counter() - t0
         total = machine.total
         counters = {

@@ -432,10 +432,12 @@ def build_index(
     :meth:`Index.commit` absorb mutations into the existing tree, and
     :meth:`Index.snapshot` freezes any version for the serving layer.
 
-    The build always runs through the online recursive path — its
-    per-node records are what later commits reuse — so it takes no
-    ``engine``/``workers``; the *answers* are engine-independent anyway
-    (exact k-NN is unique up to the canonical (distance, index) order).
+    The build always runs the online profile on the serial frontier
+    level loop — its per-node records are what later commits reuse, and
+    a commit absorbs as the same loop over the changed spine — so it
+    takes no ``engine``/``workers``; the *answers* are engine-independent
+    anyway (exact k-NN is unique up to the canonical (distance, index)
+    order).
 
     ``churn_threshold`` is the mutation fraction above which a commit
     punts to a full rebuild (see ``docs/online_index.md``).  The online

@@ -23,7 +23,7 @@ Both produce (ball, candidate point) pairs; :func:`apply_candidate_pairs`
 merges them into the global neighbor lists.
 
 :func:`march_balls` walks the pointer tree for one straddler set; the
-recursive engine and the online index use it.  The frontier engines
+recursive engine uses it.  The frontier engines and the online index
 march every straddler set of a level at once with
 :meth:`~repro.kernels.layout.FlatTree.march`, which counts each march
 exactly as :func:`march_balls` does (``tests/test_flat_query.py`` checks

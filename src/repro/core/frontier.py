@@ -59,12 +59,19 @@ frontier emits one ``frontier.level`` span per level and phase (``build``
 then ``correct``) with segment-count and straddler attributes; phase
 totals still accumulate in ``machine.sections`` via
 :meth:`~repro.pvm.machine.Machine.attribute`.  See ``docs/engines.md``.
+
+The online index (:mod:`repro.core.online`) runs the same level loop
+through a subclass of :class:`_FastFrontier`: per-segment hooks give it
+its own sampler rows (:meth:`_FastFrontier._sampler_rows`), correction
+generator (:meth:`_FrontierBase._rng_of`) and event sinks
+(:meth:`_FrontierBase._machine_of` / :meth:`_FrontierBase._stats_of`),
+and :meth:`_FastFrontier._level_corrected` sees each corrected level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -194,11 +201,6 @@ class _FrontierBase:
         self._compose_costs(levels)
         return levels
 
-    def _rng_of(self, seg: _Seg) -> np.random.Generator:
-        if seg.rng is None:
-            seg.rng = path_rng(self.root_ss, seg.path)
-        return seg.rng
-
     def _build_level(self, segs: List[_Seg], span) -> List[_Seg]:
         """Build one level: divide its segments, then brute-force all the
         leaves it made in stacked passes, before any correction reads a
@@ -213,20 +215,24 @@ class _FrontierBase:
         stats, series and cost now, the brute force with its level's."""
         m = seg.ids.shape[0]
         seg.is_leaf = True
-        self.stats.base_cases += 1
-        self.machine.metrics.observe(f"{self._NS}.base_case_sizes", m)
+        self._stats_of(seg).base_cases += 1
+        sink = self._machine_of(seg)
+        sink.metrics.observe(f"{self._NS}.base_case_sizes", m)
         base_cost = Cost(float(m), float(m) * float(m))
         seg.pre_cost = seg.pre_cost.then(base_cost)
-        self.machine.attribute("base", base_cost)
+        sink.attribute("base", base_cost)
 
     def _split_segments(self, split_segs: List[_Seg]) -> List[_Seg]:
         """Divide every accepted segment at once: one fused classify+pack
         kernel pass over the level's concatenated ids and raw sides
         (interior = ``side < 0`` first keeps the recursive engine's stable
-        ``ids[side < 0]`` / ``ids[side > 0]`` ordering bit-for-bit)."""
+        ``ids[side < 0]`` / ``ids[side > 0]`` ordering bit-for-bit).
+        Children are segments of their parent's class."""
         lengths = np.array([s.ids.shape[0] for s in split_segs], dtype=np.int64)
         flat_ids = np.concatenate([s.ids for s in split_segs])
         sides = np.concatenate([s.side for s in split_segs])
+        for seg in split_segs:
+            seg.side = None  # a view of its search round's sides: let it go
         seg_ids = np.repeat(np.arange(len(split_segs)), lengths)
         out, false_counts = kernels.segmented_split_sides(flat_ids, sides, seg_ids)
         offsets = np.concatenate(([0], np.cumsum(lengths)))
@@ -234,8 +240,8 @@ class _FrontierBase:
         for j, seg in enumerate(split_segs):
             lo, hi = int(offsets[j]), int(offsets[j + 1])
             cut = lo + int(false_counts[j])
-            seg.left = _Seg(ids=out[lo:cut], level=seg.level + 1, path=seg.path + (0,))
-            seg.right = _Seg(ids=out[cut:hi], level=seg.level + 1, path=seg.path + (1,))
+            seg.left = type(seg)(ids=out[lo:cut], level=seg.level + 1, path=seg.path + (0,))
+            seg.right = type(seg)(ids=out[cut:hi], level=seg.level + 1, path=seg.path + (1,))
             children.append(seg.left)
             children.append(seg.right)
         return children
@@ -286,21 +292,42 @@ class _FrontierBase:
                     seg.total_cost = seg.pre_cost.then(branches).then(seg.post_cost)
         return levels[0][0].total_cost
 
+    # -- per-segment hooks -----------------------------------------------
+
+    def _machine_of(self, seg: _Seg) -> Machine:
+        """The machine ``seg``'s own counters, series and phase totals go
+        to: the run's.  The online index keeps them per segment and folds
+        them in recursion order (:mod:`repro.core.online`)."""
+        return self.machine
+
+    def _stats_of(self, seg: _Seg):
+        """The stats view over :meth:`_machine_of`'s registry."""
+        return self.stats
+
+    def _rng_of(self, seg: _Seg) -> np.random.Generator:
+        """The node's generator: its separator samplers and its
+        correction punts draw from it, as in the recursive engine."""
+        if seg.rng is None:
+            seg.rng = path_rng(self.root_ss, seg.path)
+        return seg.rng
+
     # -- punt-path capture ----------------------------------------------
 
-    def _captured_query_pairs(self, cost: Cost, system: BallSystem, opposite_ids, rng):
+    def _captured_query_pairs(self, seg: _Seg, cost: Cost, system: BallSystem, opposite_ids):
         """Run the query-structure correction on a sub-machine seeded with
         the node's cost fold so far.
 
         Seeding keeps the float association of subsequent charges identical
         to the recursive engine, where they fold flat into the same frame.
-        The sub-machine shares the metrics registry, so its counter bumps
-        land in this run's registry directly.
+        The sub-machine shares the segment's metrics registry, so its
+        counter bumps land there directly.
         """
-        sub = Machine(scan=self.machine.scan_policy, metrics=self.machine.metrics)
+        sink = self._machine_of(seg)
+        sub = Machine(scan=sink.scan_policy, metrics=sink.metrics)
         sub.charge(cost)
         ball_rows, point_ids = query_correction_pairs(
-            system, self.points[opposite_ids], opposite_ids, sub, rng, self.config.query
+            system, self.points[opposite_ids], opposite_ids, sub, self._rng_of(seg),
+            self.config.query,
         )
         return sub, ball_rows, point_ids
 
@@ -321,7 +348,7 @@ class _FastFrontier(_FrontierBase):
     def _divide_level(self, segs: List[_Seg], span) -> List[_Seg]:
         active: List[_Seg] = []
         for seg in segs:
-            self.stats.nodes += 1
+            self._stats_of(seg).nodes += 1
             if seg.ids.shape[0] <= self.base:
                 self._leaf(seg)
             else:
@@ -336,7 +363,7 @@ class _FastFrontier(_FrontierBase):
             if seg.separator is None:
                 # pathological multiset: brute-force this segment, exactly
                 # like the recursive SeparatorFailure handler.
-                self.stats.punts_separator += 1
+                self._stats_of(seg).punts_separator += 1
                 self._leaf(seg)
         if span is not None:
             span.attrs["separator_failures"] = len(active) - len(split_segs)
@@ -363,16 +390,15 @@ class _FastFrontier(_FrontierBase):
         check (as the recursive ``continue`` does), candidate quality is
         evaluated in one batched pass, and every 16th attempt the failed
         segments rebuild their rows together.  Each segment consumes only
-        its own per-node generator, so acceptance happens at exactly the
-        attempt the recursive engine would accept.
+        its own generators (:meth:`_sampler_rows`), so acceptance happens
+        at exactly the attempt the recursive engine would accept.
         """
         machine = self.machine
         config = self.config
         target = default_delta(self.dim, config.epsilon)
         subs = [self.points[seg.ids] for seg in active]
-        samplers = prepare_samplers(
-            subs, [self._rng_of(seg) for seg in active], sample_size=config.sample_size
-        )
+        sets, rngs, size = self._sampler_rows(active, subs, 1)
+        samplers = prepare_samplers(sets, rngs, sample_size=size)
         divide: List[Cost] = [ZERO] * len(active)
         searching = list(range(len(active)))
         for attempt in range(1, config.max_attempts + 1):
@@ -386,15 +412,15 @@ class _FastFrontier(_FrontierBase):
                     .then(machine.ewise_cost(m, 3.0))
                     .then(machine.scan_cost(m))
                 )
-            machine.bump("separator_attempts", len(searching))
+                self._machine_of(active[i]).bump("separator_attempts")
             drew: List[int] = []
             candidates: List[object] = []
             for i, candidate in zip(searching, samplers.draw(searching)):
                 if candidate is not None:
                     drew.append(i)
                     candidates.append(candidate)
-            if len(drew) < len(searching):
-                machine.bump("separator_draw_failures", len(searching) - len(drew))
+                else:
+                    self._machine_of(active[i]).bump("separator_draw_failures")
             accepted = set()
             if drew:
                 sides = batched_side_of_points(candidates, [subs[i] for i in drew])
@@ -404,7 +430,7 @@ class _FastFrontier(_FrontierBase):
                         seg.separator = candidate
                         seg.side = side
                         seg.attempts = attempt
-                        self.stats.separator_attempts += attempt
+                        self._stats_of(seg).separator_attempts += attempt
                         accepted.add(i)
             searching = [i for i in searching if i not in accepted]
             if attempt % _REFRESH_EVERY == 0:
@@ -412,15 +438,22 @@ class _FastFrontier(_FrontierBase):
                 # reach the recursive engine's refresh line
                 refresh = [i for i in searching if i in set(drew)]
                 if refresh:
-                    samplers.replace(refresh, prepare_samplers(
-                        [subs[i] for i in refresh],
-                        [self._rng_of(active[i]) for i in refresh],
-                        sample_size=config.sample_size,
-                    ))
+                    sets, rngs, size = self._sampler_rows(
+                        [active[i] for i in refresh], [subs[i] for i in refresh], attempt + 1
+                    )
+                    samplers.replace(refresh, prepare_samplers(sets, rngs, sample_size=size))
         for i, seg in enumerate(active):
             seg.pre_cost = seg.pre_cost.then(divide[i])
             seg.divide_cost = divide[i]
-            machine.attribute("divide", divide[i])
+            self._machine_of(seg).attribute("divide", divide[i])
+
+    def _sampler_rows(self, segs: List[_Seg], subs: List[np.ndarray], attempt: int):
+        """What :func:`prepare_samplers` builds the rows of ``segs`` from
+        when their search (re)starts at ``attempt``: ``(point sets,
+        generators, sample size)``.  Here every node subsamples its own
+        points (``subs``) with its path generator, as
+        :func:`~repro.separators.unit_time.find_good_separator` does."""
+        return subs, [self._rng_of(seg) for seg in segs], self.config.sample_size
 
     # -- correction (mirrors _Runner.correct) ----------------------------
 
@@ -436,38 +469,42 @@ class _FastFrontier(_FrontierBase):
         no other same-level node's merge can alter.  The flush still
         happens before the parent level runs, preserving the recursive
         post-order's child-before-parent dependency.
+
+        The flattened tree stays on ``self.flat`` (``None`` when no level
+        has an internal segment), and :meth:`_level_corrected` sees every
+        level once its rows are final for the subtrees it roots.
         """
-        flat: Optional[FlatTree] = None
+        self.flat: Optional[FlatTree] = None
         preorder: Dict[int, int] = {}
         for level_segs in reversed(levels):
             internal = [s for s in level_segs if not s.is_leaf]
-            if not internal:
-                continue
-            with self.machine.span(
-                "frontier.level",
-                phase="correct",
-                level=internal[0].level,
-                segments=len(internal),
-            ) as span:
-                if flat is None:
-                    # the tree is complete before the sweep: flatten it
-                    # once, inside a level span so the correct phase's
-                    # wall-clock includes it
-                    flat, nodes = FlatTree.flatten(levels[0][0].node)
-                    preorder = {id(node): i for i, node in enumerate(nodes)}
-                punts_before = self.stats.punts_iota + self.stats.punts_marching
-                classified = self._classify_level(internal)
-                self._pending_owners: List[np.ndarray] = []
-                self._pending_cands: List[np.ndarray] = []
-                straddlers = self._correct_level(internal, classified, flat, preorder)
-                self._flush_level_pairs()
-                if span is not None:
-                    span.attrs["straddlers"] = int(straddlers)
-                    span.attrs["punts"] = int(
-                        self.stats.punts_iota
-                        + self.stats.punts_marching
-                        - punts_before
+            if internal:
+                with self.machine.span(
+                    "frontier.level",
+                    phase="correct",
+                    level=internal[0].level,
+                    segments=len(internal),
+                ) as span:
+                    if self.flat is None:
+                        # the tree is complete before the sweep: flatten it
+                        # once, inside a level span so the correct phase's
+                        # wall-clock includes it
+                        self.flat, nodes = FlatTree.flatten(levels[0][0].node)
+                        preorder = {id(node): i for i, node in enumerate(nodes)}
+                    classified = self._classify_level(internal)
+                    self._pending_owners: List[np.ndarray] = []
+                    self._pending_cands: List[np.ndarray] = []
+                    straddlers, punts = self._correct_level(
+                        internal, classified, self.flat, preorder
                     )
+                    self._flush_level_pairs()
+                    if span is not None:
+                        span.attrs["straddlers"] = int(straddlers)
+                        span.attrs["punts"] = punts
+            self._level_corrected(level_segs)
+
+    def _level_corrected(self, level_segs: List[_Seg]) -> None:
+        """Called after each level of the sweep, deepest first."""
 
     def _classify_level(self, internal: List[_Seg]):
         """Both-side ball classification for every internal segment of one
@@ -538,8 +575,9 @@ class _FastFrontier(_FrontierBase):
         classified,
         flat: FlatTree,
         preorder: Dict[int, int],
-    ) -> int:
-        """Correct one level's nodes; returns the level's straddler count.
+    ) -> Tuple[int, int]:
+        """Correct one level's nodes; returns the level's straddler and
+        punt counts.
 
         Each node first decides, from its straddlers, between no
         correction, an iota punt and Fast Correction.  Every (node, side)
@@ -564,7 +602,7 @@ class _FastFrontier(_FrontierBase):
             straddle_ex = seg.right.ids[cls_ex == 0]
             iota = straddle_in.shape[0] + straddle_ex.shape[0]
             iotas += iota
-            self.stats.straddler_fraction.append((m, iota))
+            self._stats_of(seg).straddler_fraction.append((m, iota))
             node.meta["iota"] = iota
             node.meta["punted"] = False
             sides = None
@@ -582,12 +620,14 @@ class _FastFrontier(_FrontierBase):
                         caps.append(cap)
             plans.append((seg, iota, straddle_in, straddle_ex, sides))
         marched = self._march_level(flat, marches, starts, caps) if marches else None
+        punts = 0
         for seg, iota, straddle_in, straddle_ex, sides in plans:
-            seg.post_cost = self._settle_node(
+            seg.post_cost, node_punts = self._settle_node(
                 seg, iota, straddle_in, straddle_ex, sides, marched
             )
-            self.machine.attribute("correct", seg.post_cost)
-        return iotas
+            punts += node_punts
+            self._machine_of(seg).attribute("correct", seg.post_cost)
+        return iotas, punts
 
     def _march_level(
         self,
@@ -615,29 +655,29 @@ class _FastFrontier(_FrontierBase):
 
     def _settle_node(
         self, seg: _Seg, iota: int, straddle_in, straddle_ex, sides, marched
-    ) -> Cost:
-        """One node's correction cost, stats and punts, in recursive order."""
+    ) -> Tuple[Cost, int]:
+        """One node's correction cost, stats and punts, in recursive order;
+        returns the cost and the number of punts."""
         node = seg.node
         m = node.size
         machine = self.machine
+        stats = self._stats_of(seg)
         cost = ZERO.then(machine.ewise_cost(m, 2.0)).then(machine.scan_cost(m))
         if iota == 0:
-            self.stats.corrections_none += 1
-            return cost
+            stats.corrections_none += 1
+            return cost, 0
         if sides is None:
-            self.stats.punts_iota += 1
+            stats.punts_iota += 1
             node.meta["punted"] = True
-            cost = self._query_correct(cost, straddle_in, seg.right.ids, self._rng_of(seg))
-            return self._query_correct(cost, straddle_ex, seg.left.ids, self._rng_of(seg))
-        ok = True
+            cost = self._query_correct(seg, cost, straddle_in, seg.right.ids)
+            return self._query_correct(seg, cost, straddle_ex, seg.left.ids), 1
+        punts = 0
         for straddlers, opposite, j in sides:
-            self.stats.marching_level_active.append((m, marched.level_active[j]))
+            stats.marching_level_active.append((m, marched.level_active[j]))
             if not marched.succeeded[j]:
-                ok = False
-                self.stats.punts_marching += 1
-                cost = self._query_correct(
-                    cost, straddlers, opposite.indices, self._rng_of(seg)
-                )
+                punts += 1
+                stats.punts_marching += 1
+                cost = self._query_correct(seg, cost, straddlers, opposite.indices)
                 continue
             work = float(
                 int(marched.label_tests[j])
@@ -645,22 +685,22 @@ class _FastFrontier(_FrontierBase):
                 + int(marched.pairs[j]) * (self.k + 1)
             )
             cost = cost.then(Cost(self.config.fc_depth + self.select_depth, max(work, 1.0)))
-        if ok:
-            self.stats.corrections_fast += 1
-        else:
+        if punts:
             node.meta["punted"] = True
-        return cost
+        else:
+            stats.corrections_fast += 1
+        return cost, punts
 
     def _query_correct(
-        self, cost: Cost, straddlers: np.ndarray, opposite_ids: np.ndarray, rng
+        self, seg: _Seg, cost: Cost, straddlers: np.ndarray, opposite_ids: np.ndarray
     ) -> Cost:
         if straddlers.shape[0] == 0 or opposite_ids.shape[0] == 0:
             return cost
-        self.machine.metrics.inc("fast.punt_corrections")
+        self._machine_of(seg).metrics.inc("fast.punt_corrections")
         radii = np.sqrt(self.nbr_sq[straddlers, -1])
         system = BallSystem(self.points[straddlers], radii)
         sub, ball_rows, point_ids = self._captured_query_pairs(
-            cost, system, opposite_ids, rng
+            seg, cost, system, opposite_ids
         )
         sub.charge(
             Cost(self.select_depth, float(max(1, point_ids.shape[0] * (self.k + 1))))
@@ -766,7 +806,7 @@ class _SimpleFrontier(_FrontierBase):
                 self.points[straddlers], np.sqrt(self.nbr_sq[straddlers, -1])
             )
             sub, ball_rows, point_ids = self._captured_query_pairs(
-                cost, system, opposite, self._rng_of(seg)
+                seg, cost, system, opposite
             )
             sub.charge(
                 Cost(self.select_depth, float(max(1, point_ids.shape[0] * (self.k + 1))))

@@ -25,21 +25,30 @@ choices make that possible:
    to the paths the mutations actually touch.  The correction path's punt
    randomness is likewise seeded from the subset hash.
 
-2. **Recorded subtrees.**  The recording build captures, per sufficiently
-   large node, everything a replay needs: the subtree's post-subtree
-   neighbor rows, its exact composed :class:`~repro.pvm.cost.Cost` (via
-   :meth:`~repro.pvm.machine.Machine.measure`), its section events and
-   its metric deltas (the ``machine.*`` event counters among them).
-   Absorbing a commit replays reused subtrees from the
-   record — one ``charge`` instead of thousands — and re-runs the paper's
-   straddler-correction machinery (:meth:`_Runner.correct`) at every
-   recomputed ancestor, exactly as a fresh build would.
+2. **Recorded subtrees.**  The build captures, per sufficiently large
+   node, everything a replay needs: the subtree's neighbor rows after its
+   own correction, its exact composed :class:`~repro.pvm.cost.Cost`, its
+   section events and its metric deltas (the ``machine.*`` event counters
+   among them).
+
+Both run on the frontier level loop of :mod:`repro.core.frontier`
+(:class:`_OnlineFrontier`): each level's separator searches are rows of
+one stacked sampler pass, its leaves are brute-forced together and its
+Fast Corrections run as one lockstep march.  Absorbing a commit is the
+same level loop over the new point set with the previous version's nodes
+as hints: a subtree whose subset is unchanged is resolved from its record
+when its parent divides — one ``charge`` instead of thousands — and only
+the recomputed spine is divided and corrected, exactly as a fresh build
+would.  Each node's counters, series and phase totals fold into the run
+in the recursive engine's depth-first order, which is the order a record
+carries them in.
 
 Versions are copy-on-write: each commit allocates fresh neighbor arrays and
 fresh nodes along the recomputed spine, *sharing* unchanged subtrees with
 the previous version (insert-only commits share node objects outright;
 commits with deletions clone reused subtrees with monotonically remapped
-ids, which preserves every (distance, index) tie-break).  Each version is
+ids, which preserves every (distance, index) tie-break, and share their
+records).  Each version is
 flattened once into a :class:`~repro.kernels.FlatTree`, and snapshots
 hold only that and the version's arrays — never the pointer tree or its
 replay records — so they stay valid forever while a superseded tree is
@@ -58,14 +67,11 @@ from ..geometry.points import as_points
 from ..geometry.spheres import Hyperplane, Sphere
 from ..kernels.layout import FlatTree
 from ..obs.metrics import Metrics, MetricsView
-from ..pvm.cost import Cost, ZERO
+from ..pvm.cost import Cost
 from ..pvm.machine import Machine
-from ..separators.mttv import MTTVSeparatorSampler
-from ..separators.quality import default_delta, is_good_point_split
-from ..separators.unit_time import _ATTEMPT_SERIAL_COST, SeparatorFailure
-from ..util.recursion import estimated_tree_levels, recursion_guard
 from ..util.rng import seed_sequence_root
-from .fast_dnc import FastDnCConfig, FastDnCStats, _Runner
+from .fast_dnc import FastDnCConfig, FastDnCStats
+from .frontier import _REFRESH_EVERY, _FastFrontier, _Seg
 from .neighborhood import KNeighborhoodSystem
 from .partition_tree import PartitionNode
 
@@ -147,342 +153,273 @@ def _fold_keys(keys: np.ndarray) -> int:
     return int(np.bitwise_xor.reduce(mixed))
 
 
-def _remap_rows(rows: np.ndarray, idmap: np.ndarray) -> np.ndarray:
-    """Remap neighbor-id rows through ``idmap``, preserving ``-1`` padding."""
-    out = rows.copy()
-    real = rows >= 0
-    out[real] = idmap[rows[real]]
-    return out
-
-
 class _NodeRecord:
-    """Everything needed to replay one recorded subtree bit-identically."""
+    """Everything needed to replay one recorded subtree bit-identically:
+    its composed (depth, work) ``cost``, its ``(phase, cost)`` section
+    events and its counter and series deltas (``metrics``) in the
+    recursive engine's depth-first order, and its neighbor rows after its
+    own correction.
 
-    __slots__ = (
-        "cost",
-        "section_events",
-        "metric_counters",
-        "metric_gauges",
-        "metric_series",
-        "nbr_idx",
-        "nbr_sq",
-    )
+    The rows' neighbor ids are kept as positions into the subtree's own
+    ids (``local``, int32; the subtree's rows name only its own points),
+    so a record stays valid when a commit renumbers the ids and is shared
+    by every copy of its node.
+    """
+
+    __slots__ = ("cost", "sections", "metrics", "local", "nbr_sq")
 
     def __init__(
         self,
         cost: Cost,
-        section_events: List[tuple],
-        metric_counters: Dict[str, float],
-        metric_gauges: Dict[str, float],
-        metric_series: Dict[str, list],
-        nbr_idx: np.ndarray,
+        sections: List[Tuple[str, Cost]],
+        metrics: Metrics,
+        local: np.ndarray,
         nbr_sq: np.ndarray,
     ) -> None:
         self.cost = cost
-        self.section_events = section_events
-        self.metric_counters = metric_counters
-        self.metric_gauges = metric_gauges
-        self.metric_series = metric_series
-        self.nbr_idx = nbr_idx
+        self.sections = sections
+        self.metrics = metrics
+        self.local = local
         self.nbr_sq = nbr_sq
 
-    def remapped(self, idmap: np.ndarray) -> "_NodeRecord":
-        """A copy with neighbor ids pushed through ``idmap`` (COW clones)."""
-        return _NodeRecord(
-            self.cost,
-            self.section_events,
-            self.metric_counters,
-            self.metric_gauges,
-            self.metric_series,
-            _remap_rows(self.nbr_idx, idmap),
-            self.nbr_sq,
-        )
+
+@dataclass
+class _OnlineSeg(_Seg):
+    """A frontier segment with the online build's per-node state:
+    ``hint`` is the previous version's node at the same place, ``sink``
+    holds the node's own events until its level is corrected, and
+    ``events`` then holds its subtree's ``(sections, metrics)`` until its
+    parent's level takes them."""
+
+    hint: Optional[PartitionNode] = None
+    sink: Optional["_Sink"] = None
+    events: Optional[Tuple[List[Tuple[str, Cost]], Metrics]] = None
 
 
-class _OnlineRunner(_Runner):
-    """The recording/absorbing variant of the recursive fast-DnC runner.
+class _Sink(Machine):
+    """One node's own counters, series and phase totals."""
 
-    Differs from :class:`~repro.core.fast_dnc._Runner` in exactly two ways:
+    def __init__(self, scan: str) -> None:
+        super().__init__(scan)
+        self.stats = FastDnCStats(metrics=self.metrics)
 
-    - randomness is content-addressed (see module docstring) instead of
-      path-addressed, so the build is a pure function of the point values
-      (plus the index salt) and unchanged subsets rebuild identically;
-    - nodes of at least ``max(base, _SNAPSHOT_MIN)`` points record a
-      replay :class:`_NodeRecord`, and ``solve`` accepts a *hint* node from the
-      previous version — when the hint's (remapped) subset equals the new
-      one, the whole subtree is reused and its record replayed.
 
-    Base cases, straddler correction, marching and the punt paths are
-    inherited unchanged — the paper's machinery is untouched.
+class _OnlineFrontier(_FastFrontier):
+    """The online build profile on the frontier level loop.
+
+    It runs :class:`~repro.core.frontier._FastFrontier`'s levels (stacked
+    separator rounds, stacked leaf brute force, one lockstep march per
+    correction level) and differs in three ways:
+
+    - randomness is content-addressed (see the module docstring): a
+      node's sampler rows come from its rendezvous sample, each with a
+      generator seeded by the sample's hash fold, and its correction
+      punts draw from a generator seeded by its subset's hash fold, made
+      only when the node punts;
+    - with a hint tree (absorb), a child whose remapped subset equals its
+      hint's replays the hint's record: it is resolved when its parent
+      divides, its rows are written then, and it joins no level;
+    - each node's own events go to its :class:`_Sink`; after its level's
+      correction flush they join its children's into its subtree's
+      events, in the recursive engine's depth-first order, and nodes of
+      at least ``max(base, _SNAPSHOT_MIN)`` points record their subtree
+      (:meth:`_level_corrected`).  The root's events fold into the run.
     """
 
     def __init__(
-        self,
-        points: np.ndarray,
-        k: int,
-        machine: Machine,
-        root_ss: np.random.SeedSequence,
-        config: FastDnCConfig,
-        stats: FastDnCStats,
-        nbr_idx: np.ndarray,
-        nbr_sq: np.ndarray,
-        base: int,
-        *,
-        keys: np.ndarray,
-        salt: int,
-        idmap: Optional[np.ndarray] = None,
+        self, points, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base,
+        *, keys: np.ndarray, salt: int, idmap: Optional[np.ndarray] = None,
     ) -> None:
         super().__init__(points, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base)
         self.keys = keys
         self.salt = int(salt)
-        self.snapshot_min = max(base, _SNAPSHOT_MIN)
         self.idmap = idmap
+        #: every point's key re-salted for refresh round ``q``, made on first use
+        self._salted_keys: Dict[int, np.ndarray] = {}
+        #: scratch: a recorded node's position of each of its ids; the
+        #: extra last slot maps the -1 padding id to -1
+        self._positions = np.empty(points.shape[0] + 1, dtype=np.int32)
+        self._positions[-1] = -1
+        self.snapshot_min = max(base, _SNAPSHOT_MIN)
+        self.sample_size = (
+            config.sample_size if config.sample_size is not None else online_sample_size(self.dim)
+        )
         self.reused_subtrees = 0
         self.reused_points = 0
-        if machine.section_log is None:
-            machine.section_log = []
 
-    # -- recording ---------------------------------------------------------
+    def build(self, hint: Optional[PartitionNode]) -> PartitionNode:
+        """Build the version, absorbing into ``hint``'s tree when given;
+        returns the root node."""
+        n = self.points.shape[0]
+        root = _OnlineSeg(ids=np.arange(n, dtype=np.int64), level=0, path=(), hint=hint)
+        levels = self._build_levels([root])
+        self._link_nodes(levels)
+        self._correct_levels(levels)
+        sections, metrics = root.events
+        self._fold_sections(sections)
+        self.machine.metrics.merge(metrics)
+        with self.machine.span("frontier.total"):
+            self.machine.charge(root.total_cost)
+        return root.node
 
-    def _pre_state(self) -> tuple:
-        mx = self.machine
-        met = mx.metrics
-        return (
-            len(mx.section_log),  # type: ignore[arg-type]
-            dict(met.counters),
-            dict(met.gauges),
-            {k: len(v) for k, v in met.series.items()},
-        )
-
-    def _attach_record(self, node: PartitionNode, ids: np.ndarray, pre: tuple, cost: Cost) -> None:
-        log0, mc0, g0, sl0 = pre
-        mx = self.machine
-        met = mx.metrics
-        events = list(mx.section_log[log0:])  # type: ignore[index]
-        mcounters = {
-            k: v - mc0.get(k, 0) for k, v in met.counters.items() if v != mc0.get(k, 0)
+    def _fold_sections(self, events: List[Tuple[str, Cost]]) -> None:
+        """``machine.attribute(name, cost)`` for each event in order: the
+        same float additions, without a ``Cost`` per step."""
+        totals = {
+            name: [cost.depth, cost.work] for name, cost in self.machine.sections.items()
         }
-        gauges = {k: v for k, v in met.gauges.items() if k not in g0 or g0[k] != v}
-        series: Dict[str, list] = {}
-        for k, v in met.series.items():
-            start = sl0.get(k, 0)
-            if len(v) > start:
-                series[k] = list(v[start:])
-        node.meta[_REC_KEY] = _NodeRecord(
-            cost,
-            events,
-            mcounters,
-            gauges,
-            series,
-            self.nbr_idx[ids].copy(),
-            self.nbr_sq[ids].copy(),
-        )
+        for name, cost in events:
+            acc = totals.setdefault(name, [0.0, 0.0])
+            acc[0] += cost.depth
+            acc[1] += cost.work
+        for name, (depth, work) in totals.items():
+            self.machine.sections[name] = Cost(depth, work)
 
-    def _replay(self, rec: _NodeRecord, ids: np.ndarray) -> None:
-        """Re-apply a recorded subtree: the ledger, sections, counters,
-        metrics and neighbor rows end up exactly as a fresh build's."""
-        mx = self.machine
-        mx.charge(rec.cost)
-        for name, c in rec.section_events:
-            mx.sections[name] = mx.sections.get(name, ZERO).then(c)
-            if mx.section_log is not None:
-                mx.section_log.append((name, c))
-        met = mx.metrics
-        for name, v in rec.metric_counters.items():
-            met.inc(name, v)
-        for name, v in rec.metric_gauges.items():
-            met.set_gauge(name, v)
-        for name, vals in rec.metric_series.items():
-            met.samples(name).extend(vals)
-        self.nbr_idx[ids] = rec.nbr_idx
+    # -- hints and replays -------------------------------------------------
+
+    def _divide_level(self, segs, span):
+        """Divide as the frontier does, then give each child its hint's
+        child; the children that replay a record join no level."""
+        super()._divide_level(segs, span)
+        children = []
+        for seg in segs:
+            hint, seg.hint = seg.hint, None
+            if seg.left is None:
+                continue
+            for child, child_hint in (
+                (seg.left, None if hint is None else hint.left),
+                (seg.right, None if hint is None else hint.right),
+            ):
+                if child_hint is not None and self._replay(child, child_hint):
+                    continue
+                child.hint = child_hint
+                children.append(child)
+        return children
+
+    def _replay(self, seg: _OnlineSeg, hint: PartitionNode) -> bool:
+        """Resolve ``seg`` from ``hint``'s record when the hint's
+        (remapped) subset equals ``seg.ids``.
+
+        Validity rests on the online build being a pure function of subset
+        values: equal subsets — however they were produced — rebuild to
+        the identical subtree, so replaying the record *is* the fresh
+        build.
+        """
+        rec: Optional[_NodeRecord] = hint.meta.get(_REC_KEY)
+        ids = seg.ids
+        if rec is None or hint.indices.shape[0] != ids.shape[0]:
+            return False
+        mapped = hint.indices if self.idmap is None else self.idmap[hint.indices]
+        if not np.array_equal(mapped, ids):
+            return False
+        seg.node = hint if self.idmap is None else _clone_remap(hint, self.idmap)
+        seg.total_cost = rec.cost
+        seg.events = (rec.sections, rec.metrics)
+        # position -1 (padding) picks the appended -1
+        self.nbr_idx[ids] = np.append(ids, -1)[rec.local]
         self.nbr_sq[ids] = rec.nbr_sq
         self.reused_subtrees += 1
         self.reused_points += int(ids.shape[0])
-
-    def _try_reuse(self, ids: np.ndarray, hint: PartitionNode) -> Optional[PartitionNode]:
-        """Reuse ``hint``'s subtree when its (remapped) subset equals ``ids``.
-
-        Validity rests on the online build being a pure function of subset
-        values: equal subsets — however they were produced — rebuild to the
-        identical subtree, so replaying the record *is* the fresh build.
-        """
-        rec: Optional[_NodeRecord] = hint.meta.get(_REC_KEY)
-        if rec is None or hint.indices.shape[0] != ids.shape[0]:
-            return None
-        mapped = hint.indices if self.idmap is None else self.idmap[hint.indices]
-        if not np.array_equal(mapped, ids):
-            return None
-        node = hint if self.idmap is None else _clone_remap(hint, self.idmap)
-        self._replay(node.meta[_REC_KEY], ids)
-        return node
-
-    # -- recursion ---------------------------------------------------------
-
-    def solve(  # type: ignore[override]
-        self,
-        ids: np.ndarray,
-        level: int = 0,
-        path: Tuple[int, ...] = (),
-        hint: Optional[PartitionNode] = None,
-    ) -> PartitionNode:
-        m = int(ids.shape[0])
-        if hint is not None:
-            reused = self._try_reuse(ids, hint)
-            if reused is not None:
-                return reused
-        if m < self.snapshot_min:
-            with self.machine.span("fast.node", level=level, m=m) as span:
-                return self._solve_online(ids, level, path, span, hint)
-        pre = self._pre_state()
-        with self.machine.measure() as region_cost:
-            with self.machine.span("fast.node", level=level, m=m) as span:
-                node = self._solve_online(ids, level, path, span, hint)
-        self._attach_record(node, ids, pre, region_cost())
-        return node
-
-    def _solve_online(
-        self,
-        ids: np.ndarray,
-        level: int,
-        path: Tuple[int, ...],
-        span,
-        hint: Optional[PartitionNode],
-    ) -> PartitionNode:
-        m = ids.shape[0]
-        self.stats.nodes += 1
-        if m <= self.base:
-            self.brute_force(ids)
-            return PartitionNode(indices=ids)
-        sub = self.points[ids]
-        keys = self.keys[ids]
-        node_key = _fold_keys(keys)
-        try:
-            with self.machine.section("divide"):
-                separator, attempts = self._find_stable_separator(sub, keys)
-            self.stats.separator_attempts += attempts
-            if span is not None:
-                span.attrs["separator_attempts"] = attempts
-        except SeparatorFailure:
-            self.stats.punts_separator += 1
-            if span is not None:
-                span.attrs["punted"] = True
-            self.brute_force(ids)
-            return PartitionNode(indices=ids)
-        side = separator.side_of_points(sub)
-        self.machine.charge(self.machine.ewise_cost(m, 2.0))
-        self.machine.charge(self.machine.scan_cost(m).then(self.machine.permute_cost(m)))
-        in_ids = ids[side < 0]
-        ex_ids = ids[side > 0]
-        hint_left = hint.left if hint is not None else None
-        hint_right = hint.right if hint is not None else None
-        children: List[Optional[PartitionNode]] = [None, None]
-        with self.machine.parallel() as par:
-            with par.branch():
-                children[0] = self.solve(in_ids, level + 1, path + (0,), hint_left)
-            with par.branch():
-                children[1] = self.solve(ex_ids, level + 1, path + (1,), hint_right)
-        node = PartitionNode(
-            indices=ids, separator=separator, left=children[0], right=children[1]
-        )
-        with self.machine.section("correct"):
-            self.correct(node, in_ids, ex_ids, self._correct_rng(node_key))
-        if span is not None:
-            span.attrs["iota"] = node.meta.get("iota", 0)
-            span.attrs["punted"] = node.meta.get("punted", False)
-        return node
+        return True
 
     # -- content-addressed randomness --------------------------------------
 
-    def _correct_rng(self, node_key: int) -> np.random.Generator:
-        """Generator for the correction punt path, seeded by subset content."""
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=(self.salt, node_key, 0xC0DE))
-        )
+    def _sampler_rows(self, segs, subs, attempt):
+        """Each node's rendezvous sample and its generator.
 
-    def _find_stable_separator(
-        self, sub: np.ndarray, keys: np.ndarray
-    ) -> Tuple[object, int]:
-        """The unit-time retry loop with value-stable candidate derivation.
-
-        Candidates are drawn from a sampler over the node's *rendezvous
-        sample* — the ``s`` subset points with the smallest salted content
-        hashes — seeded by the sample's own hash fold.  A mutation
-        elsewhere in the subset leaves the sample, hence the entire
-        candidate sequence and the accepted separator, unchanged; only
-        a mutation that displaces a sample member (probability ``s/m``
-        per mutated point) redraws it.  One sample serves every attempt
-        (the retry loop re-draws circles, as in
-        :class:`~repro.separators.unit_time.UnitTimeSeparator`), refreshed
-        with a re-salted sample every ``refresh_every`` failures; keeping
-        the sample fixed across attempts minimises the membership surface
-        that mutations can perturb.  Cost accounting per attempt is
-        identical to :meth:`UnitTimeSeparator.attempt`.
+        The sample is the ``s`` subset points with the smallest salted
+        content hashes, re-salted every ``_REFRESH_EVERY`` attempts, and
+        the generator is seeded by the sample's hash fold.  A mutation
+        elsewhere in the subset leaves the sample — hence the candidate
+        sequence and the accepted separator — unchanged; only one that
+        displaces a sample member (probability ``s/m`` per mutated point)
+        redraws it.  The samples are the rows' whole centerpoint samples,
+        so the returned sample size (the largest) subsamples none again.
         """
-        m, d = sub.shape
-        target = default_delta(d, self.config.epsilon)
-        size = (
-            self.config.sample_size
-            if self.config.sample_size is not None
-            else online_sample_size(d)
-        )
-        refresh_every = 16
-        machine = self.machine
-        sampler: Optional[MTTVSeparatorSampler] = None
-        with machine.span("separator.search", n=int(m), d=d) as span:
-            for attempt in range(1, self.config.max_attempts + 1):
-                if sampler is None:
-                    round_salt = np.uint64(
-                        (((attempt - 1) // refresh_every) * 0x9E3779B97F4A7C15 ^ self.salt)
-                        & 0xFFFFFFFFFFFFFFFF
-                    )
-                    akeys = _mix64(keys ^ _mix64(round_salt))
-                    if size < m:
-                        sel = np.argpartition(akeys, size - 1)[:size]
-                        sel.sort()
-                        sample = sub[sel]
-                        sample_fold = _fold_keys(akeys[sel])
-                    else:
-                        sample = sub
-                        sample_fold = _fold_keys(akeys)
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence(
-                            entropy=(self.salt, attempt - 1, sample_fold)
-                        )
-                    )
-                    sampler = MTTVSeparatorSampler(
-                        sample, seed=rng, sample_size=None, centerpoint="radon"
-                    )
-                machine.charge(machine.serial_cost(_ATTEMPT_SERIAL_COST))
-                machine.charge(machine.ewise_cost(m, 3.0))
-                machine.charge(machine.scan_cost(m))
-                machine.bump("separator_attempts")
-                try:
-                    candidate = sampler.draw()
-                except RuntimeError:
-                    machine.bump("separator_draw_failures")
-                    continue
-                if is_good_point_split(candidate, sub, target):
-                    if span is not None:
-                        span.attrs["attempts"] = attempt
-                    return candidate, attempt
-                if attempt % refresh_every == 0:
-                    sampler = None
-            if span is not None:
-                span.attrs["attempts"] = self.config.max_attempts
-                span.attrs["failed"] = True
-        raise SeparatorFailure(
-            f"no {target:.3f}-splitting separator in {self.config.max_attempts} "
-            f"stable attempts (n={m}, d={d})"
-        )
+        q = (attempt - 1) // _REFRESH_EVERY
+        salted = self._salted_keys.get(q)
+        if salted is None:
+            round_salt = np.uint64((q * 0x9E3779B97F4A7C15 ^ self.salt) & 0xFFFFFFFFFFFFFFFF)
+            salted = self._salted_keys[q] = _mix64(self.keys ^ _mix64(round_salt))
+        size = self.sample_size
+        samples, rngs = [], []
+        for seg, sub in zip(segs, subs):
+            akeys = salted[seg.ids]
+            if size < sub.shape[0]:
+                sel = np.argpartition(akeys, size - 1)[:size]
+                sel.sort()
+                sample, fold = sub[sel], _fold_keys(akeys[sel])
+            else:
+                sample, fold = sub, _fold_keys(akeys)
+            samples.append(sample)
+            rngs.append(np.random.default_rng(
+                np.random.SeedSequence(entropy=(self.salt, attempt - 1, fold))
+            ))
+        return samples, rngs, max(sample.shape[0] for sample in samples)
+
+    def _rng_of(self, seg):
+        """The correction punt generator, seeded by the subset's content."""
+        if seg.rng is None:
+            node_key = _fold_keys(self.keys[seg.ids])
+            seg.rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=(self.salt, node_key, 0xC0DE))
+            )
+        return seg.rng
+
+    # -- per-node events and records ---------------------------------------
+
+    def _machine_of(self, seg):
+        if seg.sink is None:
+            seg.sink = _Sink(self.machine.scan_policy)
+        return seg.sink
+
+    def _stats_of(self, seg):
+        return self._machine_of(seg).stats
+
+    def _level_corrected(self, level_segs) -> None:
+        """Compose the level's costs, gather each node's subtree events and
+        record the nodes below the root of at least ``snapshot_min`` points.
+
+        A node's subtree events are its own ``divide``/``base`` totals,
+        then its children's subtree events, then its ``correct`` total,
+        counters and series: the order the recursive engine closes its
+        sections and writes its stats, so phase totals fold with the same
+        float association and series come out in the same order.  Its
+        neighbor rows are final for its subtree after its level's flush.
+        """
+        self._compose_costs([level_segs])
+        pos = self._positions
+        for seg in level_segs:
+            sink, seg.sink = seg.sink, None
+            sections = [(name, c) for name, c in sink.sections.items() if name != "correct"]
+            metrics = Metrics()
+            if not seg.is_leaf:
+                for child in (seg.left, seg.right):
+                    child_sections, child_metrics = child.events
+                    child.events = None
+                    sections.extend(child_sections)
+                    metrics.merge(child_metrics)
+                sections.append(("correct", sink.sections["correct"]))
+            metrics.merge(sink.metrics)
+            seg.events = (sections, metrics)
+            ids = seg.ids
+            # the root never replays: every commit that is not a noop
+            # changes its subset
+            if ids.shape[0] >= self.snapshot_min and seg.level > 0:
+                pos[ids] = np.arange(ids.shape[0], dtype=np.int32)
+                seg.node.meta[_REC_KEY] = _NodeRecord(
+                    seg.total_cost, sections, metrics,
+                    pos[self.nbr_idx[ids]], self.nbr_sq[ids],
+                )
 
 
 def _clone_remap(node: PartitionNode, idmap: np.ndarray) -> PartitionNode:
     """Deep-copy a reused subtree with ids pushed through ``idmap``.
 
-    Separator objects are shared (they hold geometry, no ids); records are
-    copied with remapped neighbor rows.  The original subtree — part of the
-    previous version — is left untouched, which is what keeps old snapshots
-    valid (copy-on-write).  Iterative, deep-tree safe.
+    Separator objects and records are shared (they hold no global ids).
+    The original subtree — part of the previous version — is left
+    untouched, which is what keeps old snapshots valid (copy-on-write).
+    Iterative, deep-tree safe.
     """
 
     def shallow(n: PartitionNode) -> PartitionNode:
@@ -492,9 +429,6 @@ def _clone_remap(node: PartitionNode, idmap: np.ndarray) -> PartitionNode:
         clone.left = None
         clone.right = None
         clone.meta = dict(n.meta)
-        rec = clone.meta.get(_REC_KEY)
-        if rec is not None:
-            clone.meta[_REC_KEY] = rec.remapped(idmap)
         return clone
 
     root = shallow(node)
@@ -541,8 +475,9 @@ def equivalence_report(built: "MutableIndex", reference: "MutableIndex") -> List
     """Differences between a committed index and a from-scratch reference.
 
     Empty list = bit-identical: neighbor arrays, partition tree, (depth,
-    work) ledger, machine counters, and the full metrics registry.  Used by
-    the property tests and the ``repro update --check`` gate.
+    work) ledger, section events (each phase's depth and work), machine
+    counters, and the full metrics registry.  Used by the property tests
+    and the ``repro update --check`` gate.
     """
     problems: List[str] = []
     a, b = built, reference
@@ -555,6 +490,11 @@ def equivalence_report(built: "MutableIndex", reference: "MutableIndex") -> List
     ca, cb = a.machine.total, b.machine.total
     if ca.depth != cb.depth or ca.work != cb.work:
         problems.append(f"ledger differs: {(ca.depth, ca.work)} vs {(cb.depth, cb.work)}")
+    sa, sb = a.machine.sections, b.machine.sections
+    for name in sorted(set(sa) | set(sb)):
+        pa, pb = sa.get(name), sb.get(name)
+        if pa is None or pb is None or pa.depth != pb.depth or pa.work != pb.work:
+            problems.append(f"section {name!r} differs: {pa} vs {pb}")
     if a.machine.counters != b.machine.counters:
         problems.append("machine counters differ")
     ma, mb = a.machine.metrics, b.machine.metrics
@@ -639,9 +579,9 @@ class MutableIndex:
         committed mutations, which is the absorb-equivalence guarantee.
     config:
         :class:`~repro.core.fast_dnc.FastDnCConfig`; the online build
-        always executes the recursive profile (the ``engine`` and
-        ``workers`` fields do not change the build — see
-        ``docs/online_index.md``).
+        always runs its own profile on the serial frontier level loop
+        (the ``engine`` and ``workers`` fields do not change the build —
+        see ``docs/online_index.md``).
     churn_threshold:
         Commits whose churn fraction ``(inserts + deletes) / n`` exceeds
         this punt to a full rebuild (the absorb machinery stops paying for
@@ -888,55 +828,36 @@ class MutableIndex:
 
     # -- internals ---------------------------------------------------------
 
-    def _make_runner(
-        self,
-        points: np.ndarray,
-        machine: Machine,
-        nbr_idx: np.ndarray,
-        nbr_sq: np.ndarray,
+    def _run(
+        self, points: np.ndarray, machine: Machine, hint: Optional[PartitionNode],
         idmap: Optional[np.ndarray],
-    ) -> _OnlineRunner:
-        stats = FastDnCStats(metrics=machine.metrics)
-        keys = _point_keys(points, self._salt)
-        runner = _OnlineRunner(
+    ) -> _OnlineFrontier:
+        n = points.shape[0]
+        self.stats = FastDnCStats(metrics=machine.metrics)
+        runner = _OnlineFrontier(
             points,
             self.k,
             machine,
             self._root_ss,
             self.config,
-            stats,
-            nbr_idx,
-            nbr_sq,
+            self.stats,
+            np.full((n, self.k), -1, dtype=np.int64),
+            np.full((n, self.k), np.inf),
             self._base,
-            keys=keys,
+            keys=_point_keys(points, self._salt),
             salt=self._salt,
             idmap=idmap,
         )
-        self.stats = stats
-        return runner
-
-    def _run(
-        self, points: np.ndarray, machine: Machine, hint: Optional[PartitionNode],
-        idmap: Optional[np.ndarray],
-    ) -> _OnlineRunner:
-        n = points.shape[0]
-        nbr_idx = np.full((n, self.k), -1, dtype=np.int64)
-        nbr_sq = np.full((n, self.k), np.inf)
-        runner = self._make_runner(points, machine, nbr_idx, nbr_sq, idmap)
-        levels = estimated_tree_levels(
-            n, self._base, default_delta(points.shape[1], self.config.epsilon)
-        )
-        ids = np.arange(n, dtype=np.int64)
-        with recursion_guard(levels):
-            tree = runner.solve(ids, 0, (), hint)
+        tree = runner.build(hint)
         self.points = points
         self.tree = tree
-        self.layout = FlatTree.from_tree(tree)
-        self.nbr_idx = nbr_idx
-        self.nbr_sq = nbr_sq
+        # the correction sweep flattened the finished tree already
+        self.layout = runner.flat if runner.flat is not None else FlatTree.from_tree(tree)
+        self.nbr_idx = runner.nbr_idx
+        self.nbr_sq = runner.nbr_sq
         return runner
 
-    def _build_full(self, points: np.ndarray, machine: Machine) -> _OnlineRunner:
+    def _build_full(self, points: np.ndarray, machine: Machine) -> _OnlineFrontier:
         return self._run(points, machine, hint=None, idmap=None)
 
     def _absorb(
@@ -945,7 +866,7 @@ class MutableIndex:
         machine: Machine,
         old_tree: PartitionNode,
         idmap: Optional[np.ndarray],
-    ) -> _OnlineRunner:
+    ) -> _OnlineFrontier:
         return self._run(points, machine, hint=old_tree, idmap=idmap)
 
     def _touched_leaves(self, inserts: np.ndarray, deletes: np.ndarray) -> int:
@@ -953,7 +874,7 @@ class MutableIndex:
 
         Inserted and deleted points are descended through the version's
         flat tree (a committed point's leaf is exactly where descent
-        routes it).  Observability only — the absorb recursion finds the
+        routes it).  Observability only — the absorb level loop finds the
         affected paths itself — but it is the cheap locality estimate the
         churn guidance in ``docs/online_index.md`` is written in terms of.
         """

@@ -22,7 +22,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Tuple
+from typing import Protocol
 
 import numpy as np
 

@@ -18,9 +18,8 @@ them charges the (depth, work) ledger, and none of them touches request
   multi-window burn rates (5m/1h by default) computed from time-binned
   histograms: each bin counts total/within-target/error requests, so
   attainment and error rate are exact over any whole-bin window, and a
-  per-bin :class:`~repro.obs.metrics.Histogram` gives a rolling p95 the
-  :class:`~repro.net.adaptive.AdaptiveWindow` can read instead of its
-  private latency ring.
+  per-bin :class:`~repro.obs.metrics.Histogram` gives the rolling p95
+  that ``/debug/vars`` and the drain summary report.
 
 Burn-rate semantics follow the standard multi-window definition: with an
 objective of ``obj`` (fraction of requests that must meet the latency
@@ -153,7 +152,7 @@ class SLOTracker:
     (``bin_s`` wide); ``attainment``/``burn_rate``/``error_rate`` fold
     the bins covering the requested window.  Windows are whole-bin, so
     numbers are exact counts, not decayed estimates.  ``p95_ms()``
-    merges the bins of the shortest window and is cached per bin advance.
+    merges the bins of the shortest window on every call.
 
     When ``metrics``/``prefix`` are given, :meth:`export` publishes
     ``<prefix>.attainment_5m``-style gauges into the registry (the
@@ -199,7 +198,6 @@ class SLOTracker:
         self.errors = 0
         self._bins: Deque[_Bin] = deque()
         self._max_bins = int(self.windows_s[-1] / bin_s) + 1
-        self._p95_cache: Tuple[int, Optional[float]] = (-1, None)
 
     # -- recording -------------------------------------------------------
 
@@ -263,18 +261,13 @@ class SLOTracker:
         return rate / (1.0 - self.error_objective)
 
     def p95_ms(self) -> Optional[float]:
-        """Rolling p95 over the shortest window, cached per bin advance."""
-        idx = int(self.clock() / self.bin_s)
-        if self._p95_cache[0] == idx:
-            return self._p95_cache[1]
+        """Rolling p95 over the shortest window, as of this call."""
         merged: Optional[Histogram] = None
         for b in self._window_bins(self.windows_s[0]):
             if merged is None:
                 merged = Histogram(b.hist.bounds)
             merged.merge(b.hist)
-        value = merged.percentile(95) if merged is not None else None
-        self._p95_cache = (idx, value)
-        return value
+        return merged.percentile(95) if merged is not None else None
 
     # -- export ----------------------------------------------------------
 

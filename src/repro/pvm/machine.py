@@ -139,13 +139,6 @@ class Machine:
         self.sections: dict[str, Cost] = {}
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else Metrics()
-        #: When set to a list, every :meth:`section` exit appends its
-        #: ``(name, cost)`` event.  The online index (:mod:`repro.core.online`)
-        #: uses this to replay a reused subtree's per-phase attribution with
-        #: the exact same sequence of ``then`` compositions as a fresh build,
-        #: keeping :attr:`sections` bit-identical.  ``None`` (default) logs
-        #: nothing and costs nothing.
-        self.section_log: Optional[List[tuple]] = None
 
     # -- accounting ------------------------------------------------------
 
@@ -251,8 +244,6 @@ class Machine:
             if handle is not None:
                 self.tracer.stop(handle, frame.cost)
             self.sections[name] = self.sections.get(name, ZERO).then(frame.cost)
-            if self.section_log is not None:
-                self.section_log.append((name, frame.cost))
             self._stack[-1].charge(frame.cost)
 
     @contextmanager

@@ -28,7 +28,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .cost import Cost
 from .machine import Machine
 
 __all__ = [

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(REPO_ROOT, "scripts", "check_bench_regression.py")
@@ -109,6 +110,18 @@ class TestGateAgainstCommittedBaseline:
         with open(BASELINE) as fh:
             baseline = [r for r in json.load(fh) if r["run"] == "fast_recursive"]
         assert gate.compare_records(
+            baseline, fresh, wall_tol=0.5, exact_ledger=True
+        ) == []
+
+    @pytest.mark.parametrize("run", ["online_absorb", "online_dups"])
+    def test_online_gate_run_reproduces_baseline(self, run):
+        """The ``"method": "online"`` path: a seeded MutableIndex after
+        three absorbed commits keeps its committed ledger exactly (with
+        duplicates, through sample refreshes and a failed search)."""
+        fresh = gate.run_gates([run])
+        with open(BASELINE) as fh:
+            baseline = [r for r in json.load(fh) if r["run"] == run]
+        assert baseline and gate.compare_records(
             baseline, fresh, wall_tol=0.5, exact_ledger=True
         ) == []
 

@@ -7,7 +7,6 @@ match brute force.  This is the repository's broadest single safety net.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.baselines import brute_force_knn, grid_knn, kdtree_knn

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import asyncio
 
-import numpy as np
 
 from repro.api import net_serve
 from repro.net import NetConfig, ServerThread, http_fetch, run_load

@@ -9,7 +9,7 @@ import pytest
 
 from repro.api import all_knn, run_traced
 from repro.core import FastDnCConfig, parallel_nearest_neighborhood, simple_parallel_dnc
-from repro.obs import Metrics, MetricsView, Tracer, span_tree_from_dict, write_trace
+from repro.obs import Metrics, MetricsView, span_tree_from_dict, write_trace
 from repro.pvm import Cost, Machine
 from repro.workloads import uniform_cube
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.obs import Metrics, Tracer
+from repro.obs import Metrics
 from repro.obs.export import (
     EVENT_SCHEMA,
     EVENT_TYPES,

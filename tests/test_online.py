@@ -15,6 +15,7 @@ import pytest
 
 import repro
 from repro.baselines import brute_force_knn
+from repro.pvm.cost import Cost
 from repro.core.online import (
     CommitInfo,
     MutableIndex,
@@ -246,6 +247,51 @@ class TestUpdateObservability:
         index.commit()
         names = [s.name for _, s in index.machine.tracer.root.walk()]
         assert "update.rebuild" in names
+
+    def test_equivalence_report_names_a_perturbed_section(self):
+        index = MutableIndex(uniform_cube(300, 2, seed=35), k=2, seed=3)
+        index.insert(np.random.default_rng(4).random((5, 2)))
+        index.commit()
+        reference = index.fresh_like()
+        assert equivalence_report(index, reference) == []
+        assert set(index.machine.sections) == {"base", "divide", "correct"}
+        cost = index.machine.sections["correct"]
+        index.machine.sections["correct"] = Cost(cost.depth, cost.work + 1.0)
+        problems = equivalence_report(index, reference)
+        assert len(problems) == 1 and "'correct'" in problems[0]
+        index.machine.sections["correct"] = cost
+        del index.machine.sections["base"]
+        problems = equivalence_report(index, reference)
+        assert len(problems) == 1 and "'base'" in problems[0]
+
+    def test_sections_fold_in_depth_first_order(self, monkeypatch):
+        """Phase events reach the machine in the recursive engine's order:
+        a node's ``divide``, its left and right subtrees, its ``correct``
+        (a leaf: ``base``, after ``divide`` when its search failed).  The
+        order fixes the float association of every phase total, which an
+        absorb-vs-fresh comparison cannot see (both fold alike)."""
+        import repro.core.online as online
+
+        seen = []
+        fold = online._OnlineFrontier._fold_sections
+
+        def spy(self, events):
+            seen.append([name for name, _ in events])
+            return fold(self, events)
+
+        monkeypatch.setattr(online._OnlineFrontier, "_fold_sections", spy)
+        index = MutableIndex(uniform_cube(600, 2, seed=36), k=2, seed=4)
+
+        def expected(node):
+            if node.is_leaf:
+                return (["divide"] if node.size > index._base else []) + ["base"]
+            return ["divide"] + expected(node.left) + expected(node.right) + ["correct"]
+
+        assert seen == [expected(index.tree)]
+        index.insert(np.random.default_rng(6).random((3, 2)))
+        index.delete([7, 70])
+        assert index.commit().reused_subtrees > 0
+        assert seen[-1] == expected(index.tree)
 
     def test_commit_ledger_matches_fresh_build(self):
         """index.machine.total after a commit IS the from-scratch ledger."""

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.geometry.spheres import Sphere
 from repro.pvm.machine import Machine
 from repro.separators.quality import is_good_point_split, default_delta
 from repro.separators.unit_time import SeparatorFailure, UnitTimeSeparator, find_good_separator
