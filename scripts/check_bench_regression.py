@@ -80,6 +80,12 @@ GATE_RUNS = (
      "seed": 42, "engine": "frontier", "workers": None},
     {"run": "simple_frontier", "method": "simple", "n": 2000, "d": 2,
      "k": 1, "seed": 11, "engine": "frontier", "workers": None},
+    # simple on the recursive reference and frontier-mp: every engine's
+    # sections (divide included) must read alike
+    {"run": "simple_recursive", "method": "simple", "n": 2000, "d": 2,
+     "k": 1, "seed": 11, "engine": "recursive", "workers": None},
+    {"run": "simple_frontier_mp_w2", "method": "simple", "n": 2000, "d": 2,
+     "k": 1, "seed": 11, "engine": "frontier-mp", "workers": 2},
     {"run": "online_build", "method": "online", "n": 3000, "d": 2, "k": 2,
      "seed": 42, "commits": 0},
     {"run": "online_absorb", "method": "online", "n": 3000, "d": 2, "k": 2,

@@ -8,9 +8,9 @@ pins against ``docs/api_surface.txt``:
 - :func:`all_knn` — the exact all-k-nearest-neighbors problem, by any
   method (``"fast"`` = Section 6 sphere-separator DnC, ``"simple"`` =
   Section 5 hyperplane DnC, ``"query"`` = build the fast partition tree
-  then re-answer every point through the Section 3 query machinery,
-  ``"brute"`` = the all-pairs baseline), returning a uniform
-  :class:`KNNResult`;
+  then re-answer every point with :func:`~repro.core.query_points.knn_query`'s
+  flat descent and march, ``"brute"`` = the all-pairs baseline),
+  returning a uniform :class:`KNNResult`;
 - :func:`build_index` — build once, query *and mutate* forever: a
   versioned :class:`Index` handle over
   :class:`~repro.core.online.MutableIndex` whose :meth:`Index.query`
@@ -48,7 +48,7 @@ is simply::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -59,18 +59,17 @@ from .core import (
     ENGINES,
     CommitInfo,
     FastDnCConfig,
-    FastDnCResult,
+    KNNResult,
     MutableIndex,
     SimpleDnCConfig,
-    SimpleDnCResult,
     KNeighborhoodSystem,
     NeighborhoodQueryStructure,
     PartitionNode,
-    knn_graph_edges,
     knn_query,
     parallel_nearest_neighborhood,
     simple_parallel_dnc,
 )
+from .core.config import resolve_config
 from .core.query_points import check_queries, knn_query_flat
 from .geometry.points import as_points
 from .obs import Tracer
@@ -97,44 +96,6 @@ __all__ = [
 METHODS = ("fast", "simple", "query", "brute")
 
 ConfigLike = Union[FastDnCConfig, SimpleDnCConfig, None]
-
-
-@dataclass
-class KNNResult:
-    """Uniform output bundle of :func:`all_knn`, whatever the method.
-
-    ``indices``/``sq_dists`` are the (n, k) neighbor arrays;
-    ``system`` is the full :class:`~repro.core.neighborhood.KNeighborhoodSystem`;
-    ``machine`` holds the (depth, work) ledger of the run; ``tree`` is the
-    partition tree when the method builds one (``None`` for ``"brute"``);
-    ``stats`` is the per-algorithm stats view (``None`` for ``"brute"``).
-    """
-
-    system: KNeighborhoodSystem
-    machine: Machine
-    method: str
-    tree: Optional[PartitionNode] = None
-    stats: Optional[object] = None
-    k: int = 1
-
-    @property
-    def indices(self) -> np.ndarray:
-        """(n, k) neighbor indices, sorted by distance then index."""
-        return self.system.neighbor_indices
-
-    @property
-    def sq_dists(self) -> np.ndarray:
-        """(n, k) squared neighbor distances."""
-        return self.system.neighbor_sq_dists
-
-    @property
-    def cost(self) -> Cost:
-        """The run's aggregate (depth, work) cost ledger."""
-        return self.machine.total
-
-    def edges(self) -> np.ndarray:
-        """The k-NN graph as a deduplicated undirected (E, 2) edge list."""
-        return knn_graph_edges(self.system)
 
 
 class Index:
@@ -293,33 +254,6 @@ class Index:
         )
 
 
-def _resolve_config(
-    method: str,
-    config: ConfigLike,
-    engine: Optional[str],
-    workers: Optional[int] = None,
-    dtype: Optional[str] = None,
-) -> ConfigLike:
-    if engine is not None and engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if dtype is not None and dtype not in DTYPES:
-        raise ValueError(f"unknown dtype {dtype!r}; choose from {DTYPES}")
-    if config is None:
-        if method in ("fast", "query"):
-            config = FastDnCConfig()
-        elif method == "simple":
-            config = SimpleDnCConfig()
-    if config is not None and engine is not None and config.engine != engine:
-        config = replace(config, engine=engine)
-    if config is not None and workers is not None and config.workers != workers:
-        config = replace(config, workers=workers)
-    if config is not None and dtype is not None and config.dtype != dtype:
-        config = replace(config, dtype=dtype)
-    return config
-
-
 def all_knn(
     points: np.ndarray,
     k: int = 1,
@@ -343,9 +277,9 @@ def all_knn(
     method:
         ``"fast"`` (Section 6 sphere-separator DnC, the O(log n)
         headline), ``"simple"`` (Section 5 hyperplane DnC, O(log^2 n)),
-        ``"query"`` (build the fast partition tree, then answer every
-        point through the tree-query path — exercises the Section 3
-        machinery end to end), or ``"brute"`` (all-pairs baseline).
+        ``"query"`` (build the fast partition tree, then re-answer every
+        point with :func:`~repro.core.query_points.knn_query`'s flat
+        descent and march), or ``"brute"`` (all-pairs baseline).
     config:
         Method config (:class:`~repro.core.fast_dnc.FastDnCConfig` for
         ``fast``/``query``, :class:`~repro.core.simple_dnc.SimpleDnCConfig`
@@ -379,40 +313,37 @@ def all_knn(
     pts = as_points(points, min_points=1, dtype=None)
     if machine is None:
         machine = Machine()
-    config = _resolve_config(method, config, engine, workers, dtype)
-    if method == "fast":
-        res: Union[FastDnCResult, SimpleDnCResult] = parallel_nearest_neighborhood(
-            pts, k, machine=machine, seed=seed, config=config
-        )
-        return KNNResult(system=res.system, machine=machine, method=method,
-                         tree=res.tree, stats=res.stats, k=k)
+    if config is None and method != "brute":
+        config = SimpleDnCConfig() if method == "simple" else FastDnCConfig()
+    config = resolve_config(config, engine, workers, dtype)
     if method == "simple":
-        res = simple_parallel_dnc(pts, k, machine=machine, seed=seed, config=config)
-        return KNNResult(system=res.system, machine=machine, method=method,
-                         tree=res.tree, stats=res.stats, k=k)
+        return simple_parallel_dnc(pts, k, machine=machine, seed=seed, config=config)
     if method == "brute":
         # brute has no config object: apply the dtype knob here
         if dtype == "float32":
             pts = np.ascontiguousarray(pts, dtype=np.float32)
         system = brute_force_knn(pts, k, machine=machine)
         return KNNResult(system=system, machine=machine, method=method, k=k)
-    # method == "query": build the fast tree, then re-answer every point
-    # through the partition-tree query path (self-matches dropped).
     res = parallel_nearest_neighborhood(pts, k, machine=machine, seed=seed, config=config)
+    if method == "fast":
+        return res
+    # method == "query": re-answer every point through the flat-tree
+    # query path, k + 1 neighbors each, and drop each row's self-match
     qpts = res.system.points  # the build's storage dtype, not the input's
-    with machine.span("api.requery", n=int(qpts.shape[0]), k=k):
-        idx, sq = knn_query(res.tree, qpts, qpts, min(k + 1, qpts.shape[0]))
     n = qpts.shape[0]
-    out_idx = np.full((n, k), -1, dtype=np.int64)
-    out_sq = np.full((n, k), np.inf)
-    for i in range(n):
-        keep = idx[i] != i
-        ids = idx[i][keep][:k]
-        out_idx[i, : ids.shape[0]] = ids
-        out_sq[i, : ids.shape[0]] = sq[i][keep][: ids.shape[0]]
-    system = KNeighborhoodSystem(qpts, k, out_idx, out_sq)
-    return KNNResult(system=system, machine=machine, method=method,
-                     tree=res.tree, stats=res.stats, k=k)
+    with machine.span("api.requery", n=n, k=k):
+        idx, sq = knn_query(res.tree, qpts, qpts, min(k + 1, n))
+    # a stable sort moves each row's self-match (made padding) last: a
+    # row whose list misses itself (duplicates) keeps its first k
+    self_match = idx == np.arange(n)[:, None]
+    order = np.argsort(self_match, axis=1, kind="stable")[:, :k]
+    system = KNeighborhoodSystem(
+        qpts,
+        k,
+        np.take_along_axis(np.where(self_match, -1, idx), order, axis=1),
+        np.take_along_axis(np.where(self_match, np.inf, sq), order, axis=1),
+    )
+    return replace(res, system=system, method=method)
 
 
 def build_index(

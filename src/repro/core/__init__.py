@@ -1,6 +1,7 @@
 """The paper's algorithms: query structure (Sec. 3), punting processes
 (Sec. 4), the O(log^2 n) simple DnC (Sec. 5) and the O(log n) fast DnC
-(Sec. 6), plus the k-neighborhood/k-NN-graph result types they share.
+(Sec. 6), plus the result types they share (:class:`KNNResult`, the
+k-neighborhood system and its k-NN graph).
 """
 
 from .graph_separators import (
@@ -11,13 +12,7 @@ from .graph_separators import (
     nested_dissection_order,
     separator_profile,
 )
-from .config import (
-    DTYPES,
-    ENGINE_REGISTRY,
-    ENGINES,
-    CommonConfig,
-    EngineSpec,
-)
+from .config import DTYPES, ENGINES, CommonConfig
 from .correction import (
     MarchResult,
     apply_candidate_pairs,
@@ -25,18 +20,9 @@ from .correction import (
     march_balls,
     query_correction_pairs,
 )
-from .fast_dnc import (
-    FastDnCConfig,
-    FastDnCResult,
-    FastDnCStats,
-    parallel_nearest_neighborhood,
-)
-from .knn_graph import adjacency_lists, knn_graph_edges, max_degree, to_networkx
-from .neighborhood import (
-    KNeighborhoodSystem,
-    merge_neighbor_lists,
-    merge_neighbor_lists_many,
-)
+from .fast_dnc import FastDnCConfig, FastDnCStats, parallel_nearest_neighborhood
+from .knn_graph import KNNResult, adjacency_lists, knn_graph_edges, max_degree, to_networkx
+from .neighborhood import KNeighborhoodSystem, merge_neighbor_lists
 from .online import (
     CommitInfo,
     MutableIndex,
@@ -56,7 +42,7 @@ from .punting import (
 from .query_points import knn_query
 from .query import NeighborhoodQueryStructure, QueryConfig, QueryNode, QueryStats
 from .verify import VerificationReport, verify_system
-from .simple_dnc import SimpleDnCConfig, SimpleDnCResult, SimpleDnCStats, simple_parallel_dnc
+from .simple_dnc import SimpleDnCConfig, SimpleDnCStats, simple_parallel_dnc
 
 __all__ = [
     "GraphSeparatorNode",
@@ -66,8 +52,6 @@ __all__ = [
     "nested_dissection_order",
     "separator_profile",
     "CommonConfig",
-    "EngineSpec",
-    "ENGINE_REGISTRY",
     "ENGINES",
     "DTYPES",
     "MarchResult",
@@ -76,16 +60,15 @@ __all__ = [
     "march_balls",
     "query_correction_pairs",
     "FastDnCConfig",
-    "FastDnCResult",
     "FastDnCStats",
     "parallel_nearest_neighborhood",
+    "KNNResult",
     "adjacency_lists",
     "knn_graph_edges",
     "max_degree",
     "to_networkx",
     "KNeighborhoodSystem",
     "merge_neighbor_lists",
-    "merge_neighbor_lists_many",
     "PartitionNode",
     "CommitInfo",
     "MutableIndex",
@@ -104,7 +87,6 @@ __all__ = [
     "QueryNode",
     "QueryStats",
     "SimpleDnCConfig",
-    "SimpleDnCResult",
     "SimpleDnCStats",
     "simple_parallel_dnc",
     "VerificationReport",

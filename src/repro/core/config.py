@@ -20,7 +20,7 @@ arguments only, and the separator-budget helpers (``mu``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -29,53 +29,24 @@ from ..util.rng import as_generator
 
 __all__ = [
     "CommonConfig",
-    "EngineSpec",
-    "ENGINE_REGISTRY",
     "ENGINES",
     "DTYPES",
+    "resolve_config",
 ]
 
 #: Storage dtypes accepted by :attr:`CommonConfig.dtype`.
 DTYPES = ("float64", "float32")
 
-
-@dataclass(frozen=True)
-class EngineSpec:
-    """One entry of the engine registry.
-
-    ``summary`` is the one-line help text surfaced by the CLI;
-    ``parallel`` marks engines that execute on OS worker processes (and
-    therefore honor :attr:`CommonConfig.workers`).
-    """
-
-    name: str
-    summary: str
-    parallel: bool = False
-
-
-#: The single source of truth for execution engines.  CLI ``--engine``
-#: choices, :class:`CommonConfig` validation and ``repro.ENGINES`` all
-#: derive from this table, so a new engine registers in exactly one place.
-ENGINE_REGISTRY = {
-    "recursive": EngineSpec(
-        "recursive",
-        "node-at-a-time Python recursion (the reference execution)",
-    ),
-    "frontier": EngineSpec(
-        "frontier",
-        "level-synchronous batched numpy passes (same output, lower wall-clock)",
-    ),
-    "frontier-mp": EngineSpec(
-        "frontier-mp",
-        "frontier batches fanned out to OS worker processes over shared memory",
-        parallel=True,
-    ),
-}
-
-#: Execution engines for the divide-and-conquer runners, in registry
-#: order.  All engines produce identical neighborhoods and ledgers on a
-#: shared seed; they differ only in host wall-clock execution.
-ENGINES = tuple(ENGINE_REGISTRY)
+#: Execution engines for the divide-and-conquer runners: ``"recursive"``
+#: (node-at-a-time Python recursion, the reference execution),
+#: ``"frontier"`` (level-synchronous batched numpy passes) and
+#: ``"frontier-mp"`` (frontier subtrees solved on OS worker processes over
+#: shared memory, the only one honoring :attr:`CommonConfig.workers`).
+#: CLI ``--engine`` choices, :class:`CommonConfig` validation and
+#: ``repro.ENGINES`` all read this tuple.  All engines produce identical
+#: neighborhoods and ledgers on a shared seed; they differ only in host
+#: wall-clock execution.
+ENGINES = ("recursive", "frontier", "frontier-mp")
 
 
 @dataclass(frozen=True)
@@ -93,7 +64,7 @@ class CommonConfig:
         fresh OS entropy, as before.
     engine:
         How the divide-and-conquer recursion is executed: any name in
-        :data:`ENGINE_REGISTRY` — ``"recursive"`` (node-at-a-time Python
+        :data:`ENGINES` — ``"recursive"`` (node-at-a-time Python
         recursion), ``"frontier"`` (level-synchronous batched passes) or
         ``"frontier-mp"`` (frontier batches executed on OS worker
         processes over shared memory).  All engines produce identical
@@ -117,7 +88,7 @@ class CommonConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
-        if self.engine not in ENGINE_REGISTRY:
+        if self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
@@ -161,3 +132,32 @@ class CommonConfig:
     def np_dtype(self) -> np.dtype:
         """The numpy dtype of :attr:`dtype` (point storage dtype)."""
         return np.dtype(np.float32 if self.dtype == "float32" else np.float64)
+
+
+def resolve_config(
+    config: Optional[CommonConfig],
+    engine: Optional[str] = None,
+    workers: Optional[int] = None,
+    dtype: Optional[str] = None,
+) -> Optional[CommonConfig]:
+    """``config`` with a call's ``engine``/``workers``/``dtype`` knobs
+    applied; ``None`` keeps the config's own value.
+
+    The knobs are validated even when there is no config to apply them
+    to (the ``"brute"`` method), so a bad value fails the same way on
+    every entry point (:func:`repro.api.all_knn`,
+    :meth:`repro.serve.ServingIndex.build`).
+    """
+    if engine is not None and engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if dtype is not None and dtype not in DTYPES:
+        raise ValueError(f"unknown dtype {dtype!r}; choose from {DTYPES}")
+    if config is not None and engine is not None and config.engine != engine:
+        config = replace(config, engine=engine)
+    if config is not None and workers is not None and config.workers != workers:
+        config = replace(config, workers=workers)
+    if config is not None and dtype is not None and config.dtype != dtype:
+        config = replace(config, dtype=dtype)
+    return config

@@ -37,6 +37,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .. import kernels
 from ..geometry.balls import BallSystem
 from ..pvm.machine import Machine
 from .partition_tree import PartitionNode
@@ -178,14 +179,16 @@ def apply_candidate_pairs_batch(
     """Merge global candidate pairs into the neighbor lists, in place.
 
     ``owners[i]`` is the global point whose list candidate ``cands[i]``
-    may enter.  Per owner the result is bitwise identical to
-    :func:`~repro.core.neighborhood.merge_neighbor_lists` (dedupe by id
-    keeping the smallest distance, order by (distance, id), take the k
-    best, pad with ``-1``/``inf``) — no distance is ever recomputed
-    differently, only copied — so one call covers any number of owners,
-    and the frontier engine defers every correction of one tree level
-    (whose owners are disjoint across same-level nodes) into a single
-    call.  Returns the number of owners whose lists changed.
+    may enter.  Each owner's current list and its candidates form one
+    flat stream for :func:`repro.kernels.merge_candidate_stream`, whose
+    canonical merge (dedupe by id keeping the smallest distance, order by
+    (distance, id), take the k best, pad with ``-1``/``inf``) is per owner
+    bitwise :func:`~repro.core.neighborhood.merge_neighbor_lists` — no
+    distance is ever recomputed differently, only copied — so one call
+    covers any number of owners, and the frontier engine defers every
+    correction of one tree level (whose owners are disjoint across
+    same-level nodes) into a single call.  Returns the number of owners
+    whose lists changed.
     """
     if owners.shape[0] == 0:
         return 0
@@ -205,37 +208,13 @@ def apply_candidate_pairs_batch(
     cur_idx = nbr_idx[uniq_owners]
     cur_sq = nbr_sq[uniq_owners]
     # one flat pool of (owner-row, candidate id, squared distance) holding
-    # both the current lists and the new candidates
+    # both the current lists and the new candidates, merged row-wise
     pool_rows = np.concatenate(
         [np.repeat(np.arange(t), k), np.searchsorted(uniq_owners, owners)]
     )
     pool_ids = np.concatenate([cur_idx.ravel(), cands])
     pool_sq = np.concatenate([cur_sq.ravel(), cand_sq])
-    real = pool_ids >= 0
-    pool_rows, pool_ids, pool_sq = pool_rows[real], pool_ids[real], pool_sq[real]
-    # collapse duplicate (owner, id) entries to their smallest distance
-    order = np.lexsort((pool_sq, pool_ids, pool_rows))
-    pool_rows, pool_ids, pool_sq = pool_rows[order], pool_ids[order], pool_sq[order]
-    first = np.concatenate(
-        ([True], (pool_rows[1:] != pool_rows[:-1]) | (pool_ids[1:] != pool_ids[:-1]))
-    )
-    pool_rows, pool_ids, pool_sq = pool_rows[first], pool_ids[first], pool_sq[first]
-    # order survivors by (distance, id) within each owner, keep the k best
-    order = np.lexsort((pool_ids, pool_sq, pool_rows))
-    pool_rows, pool_ids, pool_sq = pool_rows[order], pool_ids[order], pool_sq[order]
-    starts = np.searchsorted(pool_rows, np.arange(t))
-    rank = np.arange(pool_rows.shape[0]) - starts[pool_rows]
-    keep = rank < k
-    pool_rows, pool_ids, pool_sq, rank = (
-        pool_rows[keep],
-        pool_ids[keep],
-        pool_sq[keep],
-        rank[keep],
-    )
-    new_idx = np.full((t, k), -1, dtype=np.int64)
-    new_sq = np.full((t, k), np.inf)
-    new_idx[pool_rows, rank] = pool_ids
-    new_sq[pool_rows, rank] = pool_sq
+    new_idx, new_sq = kernels.merge_candidate_stream(pool_rows, pool_ids, pool_sq, t, k)
     changed = int(
         np.count_nonzero(
             np.any(new_idx != cur_idx, axis=1) | np.any(new_sq != cur_sq, axis=1)

@@ -27,7 +27,6 @@ E5/E7.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
@@ -45,11 +44,18 @@ from ..util.recursion import estimated_tree_levels, recursion_guard
 from ..util.rng import path_rng, seed_sequence_root
 from .config import CommonConfig
 from .correction import apply_candidate_pairs, march_balls, query_correction_pairs
-from .neighborhood import KNeighborhoodSystem, brute_force_neighbors
+from .knn_graph import KNNResult
+from .neighborhood import (
+    KNeighborhoodSystem,
+    base_case_cost,
+    brute_force_neighbors,
+    selection_cost,
+    selection_depth,
+)
 from .partition_tree import PartitionNode
 from .query import QueryConfig
 
-__all__ = ["FastDnCConfig", "FastDnCStats", "FastDnCResult", "parallel_nearest_neighborhood"]
+__all__ = ["FastDnCConfig", "FastDnCStats", "parallel_nearest_neighborhood"]
 
 SeparatorLike = Union[Sphere, Hyperplane]
 
@@ -119,21 +125,6 @@ class FastDnCStats(MetricsView):
         return self.punts_iota + self.punts_marching + self.punts_separator
 
 
-@dataclass
-class FastDnCResult:
-    """Output bundle: exact neighbor lists, the partition tree, statistics,
-    and the machine whose ledger holds the parallel cost."""
-
-    system: KNeighborhoodSystem
-    tree: PartitionNode
-    stats: FastDnCStats
-    machine: Machine
-
-    @property
-    def cost(self) -> Cost:
-        return self.machine.total
-
-
 def parallel_nearest_neighborhood(
     points: np.ndarray,
     k: int = 1,
@@ -141,7 +132,7 @@ def parallel_nearest_neighborhood(
     machine: Optional[Machine] = None,
     seed: object = None,
     config: FastDnCConfig = FastDnCConfig(),
-) -> FastDnCResult:
+) -> KNNResult:
     """Compute the exact k-neighborhood system by sphere-separator DnC.
 
     Parameters
@@ -162,9 +153,9 @@ def parallel_nearest_neighborhood(
 
     Returns
     -------
-    FastDnCResult
+    KNNResult
         With exact ``system`` (validated against brute force in the test
-        suite), the partition ``tree``, and ``stats``.
+        suite), the partition ``tree``, and ``stats``; ``method="fast"``.
     """
     pts = as_points(points, min_points=1, dtype=config.np_dtype())
     n, d = pts.shape
@@ -177,28 +168,15 @@ def parallel_nearest_neighborhood(
     nbr_idx = np.full((n, k), -1, dtype=np.int64)
     nbr_sq = np.full((n, k), np.inf)
     base = config.base_size(k)
-    ids = np.arange(n, dtype=np.int64)
     if config.engine == "frontier":
-        from .frontier import run_fast_frontier
-
-        tree = run_fast_frontier(
-            pts, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base
-        )
+        from .frontier import _FastFrontier as engine
     elif config.engine == "frontier-mp":
-        from ..parallel.engine import run_fast_frontier_mp
-
-        tree = run_fast_frontier_mp(
-            pts, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base
-        )
+        from ..parallel.engine import _ParallelFastFrontier as engine
     else:
-        runner = _Runner(
-            pts, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base
-        )
-        levels = estimated_tree_levels(n, base, default_delta(d, config.epsilon))
-        with recursion_guard(levels):
-            tree = runner.solve(ids)
+        engine = _Runner
+    tree = engine(pts, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base).run()
     system = KNeighborhoodSystem(pts, k, nbr_idx, nbr_sq)
-    return FastDnCResult(system=system, tree=tree, stats=stats, machine=machine)
+    return KNNResult(system=system, machine=machine, method="fast", tree=tree, stats=stats, k=k)
 
 
 class _Runner:
@@ -235,18 +213,23 @@ class _Runner:
         self.base = base
         self.dim = points.shape[1]
 
+    def run(self) -> PartitionNode:
+        """Solve the whole input; returns the partition tree's root."""
+        n = self.points.shape[0]
+        levels = estimated_tree_levels(n, self.base, default_delta(self.dim, self.config.epsilon))
+        with recursion_guard(levels):
+            return self.solve(np.arange(n, dtype=np.int64))
+
     # -- base case -----------------------------------------------------------
 
     def brute_force(self, ids: np.ndarray) -> None:
-        """All-pairs k nearest within the subset; paper's deterministic base.
-
-        Charged as depth m, work m^2 ("in m time using m processors").
-        """
+        """All-pairs k nearest within the subset; paper's deterministic base,
+        charged :func:`~repro.core.neighborhood.base_case_cost`."""
         m = ids.shape[0]
         self.stats.base_cases += 1
         self.machine.metrics.observe("fast.base_case_sizes", m)
         with self.machine.section("base"):
-            self.machine.charge(Cost(float(m), float(m) * float(m)))
+            self.machine.charge(base_case_cost(m))
         brute_force_neighbors(self.points, ids, self.k, self.nbr_idx, self.nbr_sq)
 
     # -- recursion -------------------------------------------------------------
@@ -377,9 +360,10 @@ class _Runner:
                 return False
             # constant-depth charge for the label-and-scan phases (Lemma 6.3),
             # plus the k-selection step (O(log log k) for k > 1, Section 6.2)
-            select_depth = 1.0 if self.k == 1 else 1.0 + math.log2(math.log2(self.k) + 2.0)
             work = float(result.label_tests + result.leaf_tests + result.pairs * (self.k + 1))
-            self.machine.charge(Cost(self.config.fc_depth + select_depth, max(work, 1.0)))
+            self.machine.charge(
+                Cost(self.config.fc_depth + selection_depth(self.k), max(work, 1.0))
+            )
             apply_candidate_pairs(
                 self.points,
                 self.nbr_idx,
@@ -414,10 +398,7 @@ class _Runner:
                 rng,
                 self.config.query,
             )
-            select_depth = 1.0 if self.k == 1 else 1.0 + math.log2(math.log2(self.k) + 2.0)
-            self.machine.charge(
-                Cost(select_depth, float(max(1, point_ids.shape[0] * (self.k + 1))))
-            )
+            self.machine.charge(selection_cost(self.k, point_ids.shape[0]))
             apply_candidate_pairs(
                 self.points,
                 self.nbr_idx,

@@ -70,7 +70,6 @@ and :meth:`_FastFrontier._level_corrected` sees each corrected level.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -96,10 +95,8 @@ from .correction import (
     apply_candidate_pairs_batch,
     query_correction_pairs,
 )
-from .neighborhood import brute_force_leaves
+from .neighborhood import base_case_cost, brute_force_leaves, selection_cost, selection_depth
 from .partition_tree import PartitionNode
-
-__all__ = ["run_fast_frontier", "run_simple_frontier"]
 
 # Mirrors the ``refresh_every`` default of
 # :func:`repro.separators.unit_time.find_good_separator`.
@@ -111,8 +108,9 @@ class _Seg:
     """One frontier segment = one partition-tree node in flight.
 
     ``ids`` is a view into the level's flat id vector; ``pre_cost`` folds
-    the node's divide/base charges in recursion order, ``post_cost`` its
-    correction charges, and ``total_cost`` the composed subtree cost.
+    the node's divide/base charges in recursion order, ``divide_cost`` is
+    the part of them the node adds to the ``divide`` phase, ``post_cost``
+    its correction charges, and ``total_cost`` the composed subtree cost.
     """
 
     ids: np.ndarray
@@ -150,25 +148,31 @@ class _FrontierBase:
         self.nbr_sq = nbr_sq
         self.base = base
         self.dim = points.shape[1]
-        self.select_depth = 1.0 if k == 1 else 1.0 + math.log2(math.log2(k) + 2.0)
+        self.select_depth = selection_depth(k)
 
     # -- level loop ------------------------------------------------------
 
     def run(self) -> PartitionNode:
+        """Solve the whole input; same contract (and, seed-for-seed, the
+        same output and ledger) as the recursive engine's run."""
         n = self.points.shape[0]
         root = _Seg(ids=np.arange(n, dtype=np.int64), level=0, path=())
-        levels = self._build_levels([root])
+        levels, _ = self._build_levels([root])
         self._link_nodes(levels)
         self._correct_levels(levels)
         with self.machine.span("frontier.total"):
             self.machine.charge(self._compose_costs(levels))
         return root.node
 
-    def _build_levels(self, frontier: List[_Seg]) -> List[List[_Seg]]:
+    def _build_levels(
+        self, frontier: List[_Seg], stop_at: Optional[int] = None
+    ) -> Tuple[List[List[_Seg]], List[_Seg]]:
         """Advance ``frontier`` level by level until every segment has
-        resolved, returning the per-level segment lists."""
+        resolved — or, with ``stop_at``, until it holds at least that
+        many segments — returning the built per-level segment lists and
+        the frontier left unbuilt (empty unless ``stop_at`` stopped it)."""
         levels: List[List[_Seg]] = []
-        while frontier:
+        while frontier and (stop_at is None or len(frontier) < stop_at):
             levels.append(frontier)
             lvl = frontier[0].level
             points_at_level = int(sum(s.ids.shape[0] for s in frontier))
@@ -180,7 +184,7 @@ class _FrontierBase:
                 points=points_at_level,
             ) as span:
                 frontier = self._build_level(frontier, span)
-        return levels
+        return levels, frontier
 
     def solve_subtree(self, seg: _Seg) -> List[List[_Seg]]:
         """Solve one subtree to completion: build all its levels, link its
@@ -195,7 +199,7 @@ class _FrontierBase:
         draw, punt decision and float fold matches the serial engine's
         by construction.
         """
-        levels = self._build_levels([seg])
+        levels, _ = self._build_levels([seg])
         self._link_nodes(levels)
         self._correct_levels(levels)
         self._compose_costs(levels)
@@ -218,7 +222,7 @@ class _FrontierBase:
         self._stats_of(seg).base_cases += 1
         sink = self._machine_of(seg)
         sink.metrics.observe(f"{self._NS}.base_case_sizes", m)
-        base_cost = Cost(float(m), float(m) * float(m))
+        base_cost = base_case_cost(m)
         seg.pre_cost = seg.pre_cost.then(base_cost)
         sink.attribute("base", base_cost)
 
@@ -702,9 +706,7 @@ class _FastFrontier(_FrontierBase):
         sub, ball_rows, point_ids = self._captured_query_pairs(
             seg, cost, system, opposite_ids
         )
-        sub.charge(
-            Cost(self.select_depth, float(max(1, point_ids.shape[0] * (self.k + 1))))
-        )
+        sub.charge(selection_cost(self.k, point_ids.shape[0]))
         self._pending_owners.append(straddlers[ball_rows])
         self._pending_cands.append(point_ids)
         return sub.total
@@ -758,22 +760,21 @@ class _SimpleFrontier(_FrontierBase):
                 break
             except ValueError:
                 plane = None
+        # the recursive engine's ``divide`` section holds the median-cut
+        # attempts only: its split charges fold into the node, not the phase
+        seg.divide_cost = divide
+        machine.attribute("divide", divide)
         if plane is None:
             seg.pre_cost = seg.pre_cost.then(divide)
-            seg.divide_cost = divide
-            machine.attribute("divide", divide)
             self.stats.degenerate_cuts += 1
             self._leaf(seg)
             return False
         side = plane.side_of_points(sub)
-        divide = (
+        seg.pre_cost = seg.pre_cost.then(
             divide
             .then(machine.ewise_cost(m, 2.0))
             .then(machine.scan_cost(m).then(machine.permute_cost(m)))
         )
-        seg.pre_cost = seg.pre_cost.then(divide)
-        seg.divide_cost = divide
-        machine.attribute("divide", divide)
         interior = int(np.count_nonzero(side < 0))
         if interior == 0 or interior == m:
             self.stats.degenerate_cuts += 1
@@ -808,9 +809,7 @@ class _SimpleFrontier(_FrontierBase):
             sub, ball_rows, point_ids = self._captured_query_pairs(
                 seg, cost, system, opposite
             )
-            sub.charge(
-                Cost(self.select_depth, float(max(1, point_ids.shape[0] * (self.k + 1))))
-            )
+            sub.charge(selection_cost(self.k, point_ids.shape[0]))
             apply_candidate_pairs(
                 self.points,
                 self.nbr_idx,
@@ -823,25 +822,3 @@ class _SimpleFrontier(_FrontierBase):
             cost = sub.total
         seg.post_cost = cost
         return total_straddlers
-
-
-def run_fast_frontier(
-    points, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base
-) -> PartitionNode:
-    """Frontier-engine drive of the fast algorithm; same contract (and,
-    seed-for-seed, the same output and ledger) as the recursive
-    ``_Runner`` in :mod:`repro.core.fast_dnc`."""
-    return _FastFrontier(
-        points, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base
-    ).run()
-
-
-def run_simple_frontier(
-    points, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base
-) -> PartitionNode:
-    """Frontier-engine drive of the simple algorithm; same contract (and,
-    seed-for-seed, the same output and ledger) as the recursive closures
-    in :mod:`repro.core.simple_dnc`."""
-    return _SimpleFrontier(
-        points, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base
-    ).run()

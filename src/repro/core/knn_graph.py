@@ -5,18 +5,26 @@ other's k nearest.  Given the k-neighborhood system (which every algorithm
 in :mod:`repro.core` produces), building the edge set is the cheap last
 step the paper dispatches in one sentence: symmetrise the directed lists,
 deduplicate, done — O(log n) depth with scans, O(nk) work.
+
+:class:`KNNResult` is what every all-kNN run returns: the system, the
+machine holding the run's ledger and, for the divide and conquer, the
+partition tree and stats, with the graph one :meth:`~KNNResult.edges`
+call away.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ..pvm.cost import Cost
 from ..pvm.machine import Machine
 from .neighborhood import KNeighborhoodSystem
+from .partition_tree import PartitionNode
 
-__all__ = ["knn_graph_edges", "adjacency_lists", "to_networkx", "max_degree"]
+__all__ = ["KNNResult", "knn_graph_edges", "adjacency_lists", "to_networkx", "max_degree"]
 
 
 def knn_graph_edges(system: KNeighborhoodSystem, machine: Optional[Machine] = None) -> np.ndarray:
@@ -95,3 +103,41 @@ def to_networkx(system: KNeighborhoodSystem):
         g.add_node(i, pos=tuple(p))
     g.add_edges_from(map(tuple, knn_graph_edges(system)))
     return g
+
+
+@dataclass
+class KNNResult:
+    """Uniform output bundle of an all-kNN run, whatever the method.
+
+    ``indices``/``sq_dists`` are the (n, k) neighbor arrays;
+    ``system`` is the full :class:`~repro.core.neighborhood.KNeighborhoodSystem`;
+    ``machine`` holds the (depth, work) ledger of the run; ``tree`` is the
+    partition tree when the method builds one (``None`` for ``"brute"``);
+    ``stats`` is the per-algorithm stats view (``None`` for ``"brute"``).
+    """
+
+    system: KNeighborhoodSystem
+    machine: Machine
+    method: str
+    tree: Optional[PartitionNode] = None
+    stats: Optional[object] = None
+    k: int = 1
+
+    @property
+    def indices(self) -> np.ndarray:
+        """(n, k) neighbor indices, sorted by distance then index."""
+        return self.system.neighbor_indices
+
+    @property
+    def sq_dists(self) -> np.ndarray:
+        """(n, k) squared neighbor distances."""
+        return self.system.neighbor_sq_dists
+
+    @property
+    def cost(self) -> Cost:
+        """The run's aggregate (depth, work) cost ledger."""
+        return self.machine.total
+
+    def edges(self) -> np.ndarray:
+        """The k-NN graph as a deduplicated undirected (E, 2) edge list."""
+        return knn_graph_edges(self.system)

@@ -17,6 +17,7 @@ index lists and squared distances, sorted ascending, padded with ``-1`` /
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
@@ -25,18 +26,42 @@ import numpy as np
 from .. import kernels
 from ..geometry.balls import BallSystem
 from ..geometry.points import as_points
+from ..pvm.cost import Cost
 
 __all__ = [
     "KNeighborhoodSystem",
     "merge_neighbor_lists",
-    "merge_neighbor_lists_many",
     "brute_force_neighbors",
     "brute_force_leaves",
+    "base_case_cost",
+    "selection_depth",
+    "selection_cost",
 ]
 
 #: Pairs one stacked base-case call may hold (leaves x m x m): bounds
 #: the call's (pairs, d) diff intermediate.
 LEAF_PAIR_CHUNK = 1 << 18
+
+
+def base_case_cost(m: int) -> Cost:
+    """The charge of an ``m``-point base case, all pairs "in m time using
+    m processors": depth m, work m².  Every engine charges (and the
+    ``frontier-mp`` master replays) this one cost per leaf."""
+    return Cost(float(m), float(m) * float(m))
+
+
+def selection_depth(k: int) -> float:
+    """Depth of re-taking each corrected ball's k best from its
+    candidates: 1 for k = 1, else ``1 + log2(log2 k + 2)`` — the
+    O(log log k) k-selection of Section 6.2, charged once per Fast
+    Correction and once per query-structure punt."""
+    return 1.0 if k == 1 else 1.0 + math.log2(math.log2(k) + 2.0)
+
+
+def selection_cost(k: int, candidates: int) -> Cost:
+    """The charge of re-taking the k best after a query-structure punt:
+    :func:`selection_depth` deep, k + 1 operations per candidate pair."""
+    return Cost(selection_depth(k), float(max(1, candidates * (k + 1))))
 
 
 def brute_force_neighbors(
@@ -199,27 +224,3 @@ def merge_neighbor_lists(
     out_idx[:take] = idx[:take]
     out_sq[:take] = sq[:take]
     return out_idx, out_sq
-
-
-def merge_neighbor_lists_many(
-    rows: np.ndarray,
-    idx: np.ndarray,
-    sq: np.ndarray,
-    n_rows: int,
-    k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`merge_neighbor_lists` over a flat candidate stream.
-
-    ``(rows[i], idx[i], sq[i])`` is one candidate for query row ``rows[i]``;
-    candidates need not be sorted or grouped and ``idx < 0`` entries are
-    padding.  Returns ``(n_rows, k)`` arrays with exactly what k calls to
-    the scalar merge would produce per row — duplicates collapsed to their
-    smallest distance, survivors sorted by (distance, id), short rows
-    padded with (-1, inf) — dispatched through
-    :func:`repro.kernels.merge_candidate_stream` instead of ``n_rows``
-    Python-level merges.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    idx = np.asarray(idx, dtype=np.int64)
-    sq = np.asarray(sq, dtype=np.float64)
-    return kernels.merge_candidate_stream(rows, idx, sq, n_rows, k)

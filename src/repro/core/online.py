@@ -252,7 +252,7 @@ class _OnlineFrontier(_FastFrontier):
         returns the root node."""
         n = self.points.shape[0]
         root = _OnlineSeg(ids=np.arange(n, dtype=np.int64), level=0, path=(), hint=hint)
-        levels = self._build_levels([root])
+        levels, _ = self._build_levels([root])
         self._link_nodes(levels)
         self._correct_levels(levels)
         sections, metrics = root.events

@@ -11,8 +11,8 @@ for corrections — it is a search structure.  For a query point q:
 3. merge the found candidates — the radius can only shrink, so one round
    is exact.
 
-This turns every :class:`~repro.core.fast_dnc.FastDnCResult` into a
-reusable index: build once with the paper's algorithm, query forever.
+This turns every fast build's partition tree (``KNNResult.tree``) into
+a reusable index: build once with the paper's algorithm, query forever.
 
 Both phases run over the contiguous :class:`~repro.kernels.FlatTree`
 arrays — the descent through the ``descend_spheres`` kernel, the march
@@ -28,9 +28,9 @@ from typing import Tuple, Union
 
 import numpy as np
 
+from .. import kernels
 from ..geometry.points import as_points, pairwise_sq_dists_direct
 from ..kernels.layout import FlatTree
-from .neighborhood import merge_neighbor_lists_many
 from .partition_tree import PartitionNode
 
 __all__ = ["knn_query", "knn_query_flat", "check_queries"]
@@ -48,7 +48,7 @@ def knn_query(
     ----------
     tree:
         The :class:`~repro.kernels.FlatTree` of a partition tree over
-        ``points``, or the tree itself (e.g. ``FastDnCResult.tree``),
+        ``points``, or the tree itself (e.g. ``KNNResult.tree``),
         which is flattened first.
     points:
         The (n, d) data array the tree's leaf indices refer to.
@@ -123,7 +123,7 @@ def knn_query_flat(
         cand_ids.append(picked.ravel())
         cand_sq.append(sq.ravel())
     if cand_rows:
-        out_idx, out_sq = merge_neighbor_lists_many(
+        out_idx, out_sq = kernels.merge_candidate_stream(
             np.concatenate(cand_rows),
             np.concatenate(cand_ids),
             np.concatenate(cand_sq),
@@ -144,7 +144,7 @@ def knn_query_flat(
             np.float64, copy=False
         )
         sq = np.einsum("md,md->m", diff, diff)
-        out_idx, out_sq = merge_neighbor_lists_many(
+        out_idx, out_sq = kernels.merge_candidate_stream(
             np.concatenate([rows, np.repeat(np.arange(nq, dtype=np.int64), k)]),
             np.concatenate([cands, out_idx.ravel()]),
             np.concatenate([sq, out_sq.ravel()]),

@@ -16,7 +16,6 @@ k-NN balls (experiment E8), so there is no fast marching path to take.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -25,14 +24,19 @@ import numpy as np
 from ..geometry.balls import BallSystem
 from ..geometry.points import as_points
 from ..obs.metrics import MetricsView
-from ..pvm.cost import Cost
 from ..pvm.machine import Machine
 from ..separators.hyperplane import find_median_hyperplane
 from ..util.recursion import estimated_tree_levels, recursion_guard
 from ..util.rng import path_rng, seed_sequence_root
 from .config import CommonConfig
 from .correction import apply_candidate_pairs, query_correction_pairs
-from .neighborhood import KNeighborhoodSystem, brute_force_neighbors
+from .knn_graph import KNNResult
+from .neighborhood import (
+    KNeighborhoodSystem,
+    base_case_cost,
+    brute_force_neighbors,
+    selection_cost,
+)
 from .partition_tree import PartitionNode
 from .query import QueryConfig
 
@@ -41,7 +45,7 @@ from .query import QueryConfig
 # of a segment on one side; 0.9 covers that regime with a still-log bound.
 _GUARD_SPLIT_RATIO = 0.9
 
-__all__ = ["SimpleDnCConfig", "SimpleDnCStats", "SimpleDnCResult", "simple_parallel_dnc"]
+__all__ = ["SimpleDnCConfig", "SimpleDnCStats", "simple_parallel_dnc"]
 
 
 @dataclass(frozen=True)
@@ -70,20 +74,6 @@ class SimpleDnCStats(MetricsView):
     _SERIES_FIELDS = ("straddler_fraction",)
 
 
-@dataclass
-class SimpleDnCResult:
-    """Exact neighbor lists, the cut tree, statistics, and the cost ledger."""
-
-    system: KNeighborhoodSystem
-    tree: PartitionNode
-    stats: SimpleDnCStats
-    machine: Machine
-
-    @property
-    def cost(self) -> Cost:
-        return self.machine.total
-
-
 def simple_parallel_dnc(
     points: np.ndarray,
     k: int = 1,
@@ -91,12 +81,14 @@ def simple_parallel_dnc(
     machine: Optional[Machine] = None,
     seed: object = None,
     config: SimpleDnCConfig = SimpleDnCConfig(),
-) -> SimpleDnCResult:
+) -> KNNResult:
     """Exact k-neighborhood system via hyperplane divide and conquer.
 
     Same contract as
-    :func:`~repro.core.fast_dnc.parallel_nearest_neighborhood`; only the
-    measured cost profile differs (depth Theta(log^2 n), experiment E4).
+    :func:`~repro.core.fast_dnc.parallel_nearest_neighborhood` (the
+    :class:`~repro.core.knn_graph.KNNResult` has ``method="simple"``);
+    only the measured cost profile differs (depth Theta(log^2 n),
+    experiment E4).
     """
     pts = as_points(points, min_points=1, dtype=config.np_dtype())
     n, d = pts.shape
@@ -110,27 +102,13 @@ def simple_parallel_dnc(
     nbr_sq = np.full((n, k), np.inf)
     base = config.base_size(k)
 
-    if config.engine in ("frontier", "frontier-mp"):
-        if config.engine == "frontier":
-            from .frontier import run_simple_frontier as run_frontier
-        else:
-            from ..parallel.engine import run_simple_frontier_mp as run_frontier
-
-        tree = run_frontier(
-            pts, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base
-        )
-        system = KNeighborhoodSystem(pts, k, nbr_idx, nbr_sq)
-        return SimpleDnCResult(system=system, tree=tree, stats=stats, machine=machine)
-
     def brute(ids: np.ndarray) -> None:
         m = ids.shape[0]
         stats.base_cases += 1
         machine.metrics.observe("simple.base_case_sizes", m)
         with machine.section("base"):
-            machine.charge(Cost(float(m), float(m) * float(m)))
+            machine.charge(base_case_cost(m))
         brute_force_neighbors(pts, ids, k, nbr_idx, nbr_sq)
-
-    select_depth = 1.0 if k == 1 else 1.0 + math.log2(math.log2(k) + 2.0)
 
     def correct(
         node: PartitionNode,
@@ -155,9 +133,7 @@ def simple_parallel_dnc(
             ball_rows, point_ids = query_correction_pairs(
                 system, pts[opposite], opposite, machine, rng, config.query
             )
-            machine.charge(
-                Cost(select_depth, float(max(1, point_ids.shape[0] * (k + 1))))
-            )
+            machine.charge(selection_cost(k, point_ids.shape[0]))
             apply_candidate_pairs(
                 pts, nbr_idx, nbr_sq, straddlers, ball_rows, point_ids, k
             )
@@ -204,8 +180,15 @@ def simple_parallel_dnc(
             correct(node, in_ids, ex_ids, path_rng(root_ss, path))
         return node
 
-    levels = estimated_tree_levels(n, base, _GUARD_SPLIT_RATIO)
-    with recursion_guard(levels):
-        tree = solve(np.arange(n, dtype=np.int64), 0, ())
+    if config.engine in ("frontier", "frontier-mp"):
+        if config.engine == "frontier":
+            from .frontier import _SimpleFrontier as engine
+        else:
+            from ..parallel.engine import _ParallelSimpleFrontier as engine
+
+        tree = engine(pts, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base).run()
+    else:
+        with recursion_guard(estimated_tree_levels(n, base, _GUARD_SPLIT_RATIO)):
+            tree = solve(np.arange(n, dtype=np.int64), 0, ())
     system = KNeighborhoodSystem(pts, k, nbr_idx, nbr_sq)
-    return SimpleDnCResult(system=system, tree=tree, stats=stats, machine=machine)
+    return KNNResult(system=system, machine=machine, method="simple", tree=tree, stats=stats, k=k)

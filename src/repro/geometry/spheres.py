@@ -108,7 +108,7 @@ class Sphere:
         pts = _prepared(points)
         if pts.shape[1] != self.dim:
             raise ValueError(f"dimension mismatch: sphere is {self.dim}-D, points are {pts.shape[1]}-D")
-        return np.linalg.norm(pts - self.center, axis=1) - self.radius
+        return kernels.sphere_offset(pts - self.center, self.radius)
 
     def side_of_points(self, points: np.ndarray) -> np.ndarray:
         """+1 exterior, -1 interior; boundary points (= 0) go interior."""

@@ -1,10 +1,11 @@
 """`repro.kernels`: the numpy hot-path kernels.
 
-The build and query hot paths — sphere/hyperplane side tests, the
-frontier's fused classify+split, base-case and oracle brute-force kNN,
-the flat candidate-stream merge, and query descent — are the plain
-numpy functions of :mod:`repro.kernels.reference`, exposed here under
-the same names.
+The build and query hot paths — the sphere offset ``|x - c| - r`` and
+the point and ball side rules every separator test applies,
+sphere/hyperplane side tests, the frontier's fused classify+split,
+base-case and oracle brute-force kNN, the flat candidate-stream merge,
+and query descent — are the plain numpy functions of
+:mod:`repro.kernels.reference`, exposed here under the same names.
 
 Callers reach every op as ``kernels.<op>(...)``, looking it up on this
 module at each call, never with ``from repro.kernels import <op>``.  The
@@ -17,6 +18,8 @@ the wrapper exists and bypass it.  See ``docs/kernels.md``.
 from __future__ import annotations
 
 from .reference import (
+    ball_reach,
+    ball_sides,
     block_topk,
     brute_topk,
     classify_balls_hyperplane,
@@ -25,12 +28,18 @@ from .reference import (
     descend_spheres,
     hyperplane_side,
     merge_candidate_stream,
+    point_sides,
     segmented_split_sides,
+    sphere_offset,
     sphere_side,
 )
 
 __all__ = [
     "FlatTree",
+    "sphere_offset",
+    "ball_reach",
+    "ball_sides",
+    "point_sides",
     "sphere_side",
     "hyperplane_side",
     "classify_balls_sphere",

@@ -352,16 +352,15 @@ class FlatTree:
         """Which children each (ball, internal node) instance enters.
 
         A ball enters the left child unless it lies strictly outside
-        the separator, and the right child unless strictly inside:
-        ``classify_balls_sphere``'s ``cls <= 0`` / ``cls >= 0``, with its
-        row-local arithmetic (radii are non-negative or infinite, and an
-        infinite radius enters both).
+        the separator, and the right child unless strictly inside: the
+        ``ball_reach`` masks of the row-local sphere offset, the rule
+        ``classify_balls_sphere`` applies (an infinite radius enters
+        both).
         """
-        s = np.linalg.norm(centers[row] - self.centers[node], axis=1)
-        s -= self.radii[node]
-        r = radii[row]
-        to_left = s <= r
-        to_right = s >= -r
+        to_left, to_right = kernels.ball_reach(
+            kernels.sphere_offset(centers[row] - self.centers[node], self.radii[node]),
+            radii[row],
+        )
         if plane_mask is None:
             return to_left, to_right
         # a node's instances sit in ascending row order (rows start in

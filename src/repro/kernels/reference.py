@@ -35,6 +35,10 @@ from ..geometry.points import (
 from ..pvm.primitives import segmented_split
 
 __all__ = [
+    "sphere_offset",
+    "ball_reach",
+    "ball_sides",
+    "point_sides",
     "sphere_side",
     "hyperplane_side",
     "classify_balls_sphere",
@@ -48,40 +52,71 @@ __all__ = [
 ]
 
 
+def sphere_offset(d: np.ndarray, radius) -> np.ndarray:
+    """``|x - c| - r`` per row of the differences ``d = x - c``: the
+    signed distance of every sphere test (negative inside, positive
+    outside).
+
+    ``np.linalg.norm(d, axis=1)``'s own arithmetic,
+    ``sqrt(add.reduce(d * d, axis=1))``, without the ``d.conj()`` copy
+    ``norm`` makes first, so the bits are ``norm``'s.  ``d`` is squared
+    in place: callers pass the fresh ``x - c`` (float64, as separator
+    centers are), so the gathers it was made from are already freed.
+    ``radius`` may be one sphere's or per-row.
+    """
+    d *= d
+    s = np.sqrt(np.add.reduce(d, axis=1))
+    s -= radius
+    return s
+
+
+def ball_reach(s: np.ndarray, radii: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The three-way ball rule on signed separator distances ``s``, as
+    the sides each ball reaches: the interior unless ``s > r``, the
+    exterior unless ``s < -r``.
+
+    Radii are non-negative or ``inf``, so every ball reaches at least
+    one side, and an infinite ball reaches both sides of every
+    separator.  The march follows these masks to the children.
+    """
+    return s <= radii, s >= -radii
+
+
+def ball_sides(s: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """:func:`ball_reach` as one class per ball: -1 interior
+    (``s < -r``), +1 exterior (``s > r``), 0 straddling."""
+    interior, exterior = ball_reach(s, radii)
+    return exterior.view(np.int8) - interior.view(np.int8)
+
+
+def point_sides(s: np.ndarray) -> np.ndarray:
+    """The two-way point rule on signed separator distances: +1 where
+    ``s > 0``, else -1 (boundary points go interior)."""
+    return np.where(s > 0.0, 1, -1).astype(np.int8)
+
+
 def sphere_side(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     """+1 exterior / -1 interior of a sphere, boundary interior."""
-    s = np.linalg.norm(pts - center, axis=1) - radius
-    return np.where(s > 0.0, 1, -1).astype(np.int8)
+    return point_sides(sphere_offset(pts - center, radius))
 
 
 def hyperplane_side(pts: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
     """+1 / -1 halfspace sides (a BLAS gemv)."""
-    s = pts @ normal - offset
-    return np.where(s > 0.0, 1, -1).astype(np.int8)
+    return point_sides(pts @ normal - offset)
 
 
 def classify_balls_sphere(
     centers: np.ndarray, radii: np.ndarray, c: np.ndarray, r: float
 ) -> np.ndarray:
     """Three-way ball classification against a sphere separator."""
-    s = np.linalg.norm(centers - c, axis=1) - r
-    out = np.zeros(centers.shape[0], dtype=np.int8)
-    finite = np.isfinite(radii)
-    out[finite & (s < -radii)] = -1
-    out[finite & (s > radii)] = 1
-    return out
+    return ball_sides(sphere_offset(centers - c, r), radii)
 
 
 def classify_balls_hyperplane(
     centers: np.ndarray, radii: np.ndarray, normal: np.ndarray, offset: float
 ) -> np.ndarray:
     """Three-way ball classification against a hyperplane (gemv path)."""
-    s = centers @ normal - offset
-    out = np.zeros(centers.shape[0], dtype=np.int8)
-    finite = np.isfinite(radii)
-    out[finite & (s < -radii)] = -1
-    out[finite & (s > radii)] = 1
-    return out
+    return ball_sides(centers @ normal - offset, radii)
 
 
 def classify_level_spheres(
@@ -98,13 +133,8 @@ def classify_level_spheres(
     separator from ``centers``/``sep_radii``; row-local arithmetic makes
     the flat pass bitwise equal to per-node classify_balls.
     """
-    s = np.linalg.norm(points[flat_ids] - centers[rows], axis=1)
-    s -= sep_radii[rows]
-    cls_flat = np.zeros(flat_ids.shape[0], dtype=np.int8)
-    finite = np.isfinite(ball_radii)
-    cls_flat[finite & (s < -ball_radii)] = -1
-    cls_flat[finite & (s > ball_radii)] = 1
-    return cls_flat
+    s = sphere_offset(points[flat_ids] - centers[rows], sep_radii[rows])
+    return ball_sides(s, ball_radii)
 
 
 def segmented_split_sides(
@@ -152,7 +182,7 @@ def descend_spheres(
         if planes is not None and planes[node]:
             s = pts[rows] @ centers[node] - radii[node]
         else:
-            s = np.linalg.norm(pts[rows] - centers[node], axis=1) - radii[node]
+            s = sphere_offset(pts[rows] - centers[node], radii[node])
         exterior = s > 0.0
         right_rows = rows[exterior]
         if right_rows.shape[0]:

@@ -68,19 +68,11 @@ from typing import Any, Dict, List
 import numpy as np
 
 from ..core.frontier import _FastFrontier, _Seg, _SimpleFrontier
+from ..core.neighborhood import base_case_cost
 from ..obs.stitch import graft_worker_trace
-from ..pvm.cost import Cost
 from .plan import plan_subtree_assignment, subtree_target, subtree_weight
 from .pool import TaskResult, WorkerPool, resolve_workers
 from .shm import SharedArray
-
-__all__ = ["run_fast_frontier_mp", "run_simple_frontier_mp"]
-
-
-def _base_cost(m: int) -> Cost:
-    """The base-case charge of an ``m``-point leaf, reconstructed exactly
-    as :meth:`~repro.core.frontier._FrontierBase._leaf` builds it."""
-    return Cost(float(m), float(m) * float(m))
 
 
 class _ParallelFrontierMixin:
@@ -131,21 +123,7 @@ class _ParallelFrontierMixin:
     def _run_two_phase(self, workers: int):
         n = self.points.shape[0]
         root = _Seg(ids=np.arange(n, dtype=np.int64), level=0, path=())
-        target = subtree_target(workers)
-        frontier = [root]
-        master_levels: List[List[_Seg]] = []
-        while frontier and len(frontier) < target:
-            master_levels.append(frontier)
-            lvl = frontier[0].level
-            points_at_level = int(sum(s.ids.shape[0] for s in frontier))
-            with self.machine.span(
-                "frontier.level",
-                phase="build",
-                level=lvl,
-                segments=len(frontier),
-                points=points_at_level,
-            ) as span:
-                frontier = self._build_level(frontier, span)
+        master_levels, frontier = self._build_levels([root], stop_at=subtree_target(workers))
         self._cut = frontier
         if frontier:
             self._solve_subtrees(frontier)
@@ -284,13 +262,13 @@ class _ParallelFrontierMixin:
             ]
             for rec in recs:
                 if rec["kind"] == "leaf":
-                    machine.attribute("base", _base_cost(rec["length"]))
+                    machine.attribute("base", base_case_cost(rec["length"]))
             for rec in recs:
                 if rec["kind"] != "leaf":
                     machine.attribute("divide", rec["divide_cost"])
             for rec in recs:
                 if rec["kind"] == "failed":
-                    machine.attribute("base", _base_cost(rec["length"]))
+                    machine.attribute("base", base_case_cost(rec["length"]))
         for li in range(depth - 1, -1, -1):
             for res in results:
                 if li >= len(res["levels"]):
@@ -361,25 +339,3 @@ class _ParallelFastFrontier(_ParallelFrontierMixin, _FastFrontier):
 
 class _ParallelSimpleFrontier(_ParallelFrontierMixin, _SimpleFrontier):
     """Multiprocess execution of the Section 5 simple algorithm."""
-
-
-def run_fast_frontier_mp(
-    points, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base
-):
-    """Multiprocess frontier drive of the fast algorithm; same contract —
-    and, seed-for-seed, bitwise the same output and ledger for any worker
-    count — as :func:`repro.core.frontier.run_fast_frontier`."""
-    return _ParallelFastFrontier(
-        points, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base
-    ).run()
-
-
-def run_simple_frontier_mp(
-    points, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base
-):
-    """Multiprocess frontier drive of the simple algorithm; same contract —
-    and, seed-for-seed, bitwise the same output and ledger for any worker
-    count — as :func:`repro.core.frontier.run_simple_frontier`."""
-    return _ParallelSimpleFrontier(
-        points, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base
-    ).run()

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Iterator, List, Optional
 
 from ..obs.metrics import Metrics
 from ..obs.spans import Span, Tracer
@@ -246,25 +246,6 @@ class Machine:
             self.sections[name] = self.sections.get(name, ZERO).then(frame.cost)
             self._stack[-1].charge(frame.cost)
 
-    @contextmanager
-    def measure(self) -> Iterator[Callable[[], Cost]]:
-        """Measure the cost of a region without disturbing global accounting.
-
-        Yields a zero-argument callable returning the region's cost; valid
-        after the block exits.  The cost is *also* charged to the enclosing
-        frame, sequentially, as if the region had run inline.
-        """
-        frame = _Frame()
-        self._stack.append(frame)
-        done = {"cost": ZERO}
-        try:
-            yield lambda: done["cost"]
-        finally:
-            popped = self._stack.pop()
-            assert popped is frame
-            done["cost"] = frame.cost
-            self._stack[-1].charge(frame.cost)
-
     def attribute(self, name: str, cost: Cost) -> None:
         """Add ``cost`` to the :attr:`sections` total for ``name`` directly.
 
@@ -300,16 +281,3 @@ class Machine:
         if steps <= 0:
             return ZERO
         return Cost(float(steps), float(steps))
-
-    # -- convenience -----------------------------------------------------
-
-    def snapshot(self) -> Cost:
-        """Alias for :attr:`total` (reads better at call sites)."""
-        return self.total
-
-    def fork_costs(self, costs: Sequence[Cost]) -> None:
-        """Charge a pre-computed list of branch costs as one parallel block."""
-        total = ZERO
-        for c in costs:
-            total = total.beside(c)
-        self.charge(total)

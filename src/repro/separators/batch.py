@@ -58,6 +58,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .. import kernels
 from ..geometry.centerpoints import coordinate_median, iterated_radon_centerpoint_many
 from ..geometry.conformal import (
     CENTER_CLAMP,
@@ -334,8 +335,7 @@ def batched_side_of_points(
         centers = np.stack([separators[i].center for i in sphere_pos], axis=0)
         radii = np.array([separators[i].radius for i in sphere_pos], dtype=np.float64)
         rows = np.repeat(np.arange(len(sphere_pos)), lengths)
-        s = np.linalg.norm(flat - centers[rows], axis=1) - radii[rows]
-        side_flat = np.where(s > 0.0, 1, -1).astype(np.int8)
+        side_flat = kernels.point_sides(kernels.sphere_offset(flat - centers[rows], radii[rows]))
         bounds = np.concatenate(([0], np.cumsum(lengths)))
         for j, i in enumerate(sphere_pos):
             sides[i] = side_flat[bounds[j] : bounds[j + 1]]

@@ -199,13 +199,18 @@ class Batcher:
         """Accept one query point; returns its :class:`Ticket`.
 
         Cache hits fulfill immediately; otherwise the point queues, and
-        reaching ``max_batch`` executes the batch before returning.
+        reaching ``max_batch`` executes the batch before returning.  A
+        point of the wrong shape or with a NaN/inf coordinate raises
+        ``ValueError`` here, so it never reaches a batch whose other
+        requests it would fail.
         """
         if self._closed:
             raise RuntimeError("batcher is closed")
         p = np.ascontiguousarray(point, dtype=np.float64)
         if p.ndim != 1 or p.shape[0] != self.index.d:
             raise ValueError(f"expected a ({self.index.d},) point, got shape {p.shape}")
+        if not np.isfinite(p).all():
+            raise ValueError("query point must be finite")
         now = self.clock()
         if self._first_submit is None:
             self._first_submit = now
@@ -229,10 +234,16 @@ class Batcher:
         return ticket
 
     def submit_many(self, points: np.ndarray) -> List[Ticket]:
-        """Submit each row of ``points``; batches execute as they fill."""
+        """Submit each row of ``points``; batches execute as they fill.
+
+        Every row is checked before any is queued: a bad row rejects the
+        whole call.
+        """
         pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise ValueError(f"expected (m, d) points, got shape {pts.shape}")
+        if pts.ndim != 2 or pts.shape[1] != self.index.d:
+            raise ValueError(f"expected (m, {self.index.d}) points, got shape {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ValueError("query points must be finite")
         return [self.submit(row) for row in pts]
 
     # -- execution ---------------------------------------------------------

@@ -32,11 +32,11 @@ copy without rebuilding (see :mod:`repro.serve.mp`).
 from __future__ import annotations
 
 import pickle
-from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..core.config import resolve_config
 from ..core.fast_dnc import FastDnCConfig, parallel_nearest_neighborhood
 from ..core.neighborhood import KNeighborhoodSystem
 from ..core.partition_tree import PartitionNode
@@ -141,14 +141,9 @@ class ServingIndex:
         pts = as_points(points, min_points=1, dtype=None)
         if machine is None:
             machine = Machine()
-        if config is None:
-            config = FastDnCConfig()
-        if engine is not None and config.engine != engine:
-            config = replace(config, engine=engine)
-        if workers is not None and config.workers != workers:
-            config = replace(config, workers=workers)
-        if dtype is not None and config.dtype != dtype:
-            config = replace(config, dtype=dtype)
+        config = resolve_config(
+            config if config is not None else FastDnCConfig(), engine, workers, dtype
+        )
         res = parallel_nearest_neighborhood(pts, k, machine=machine, seed=seed, config=config)
         # store the run's own points (the dtype the tree was built over),
         # not the caller's array — with dtype="float32" they differ

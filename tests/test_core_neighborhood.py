@@ -7,12 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.baselines import brute_force_knn
-from repro.core.neighborhood import (
-    KNeighborhoodSystem,
-    merge_neighbor_lists,
-    merge_neighbor_lists_many,
-)
+from repro.core.neighborhood import KNeighborhoodSystem, merge_neighbor_lists
 from repro.workloads import uniform_cube
 
 
@@ -144,7 +141,8 @@ class TestMergeNeighborLists:
 
 
 class TestMergeNeighborListsMany:
-    """The flat-stream batch merge vs per-row scalar merges."""
+    """The flat-stream batch merge (``kernels.merge_candidate_stream``) vs
+    per-row scalar merges."""
 
     @given(
         st.lists(
@@ -158,7 +156,7 @@ class TestMergeNeighborListsMany:
         rows = np.array([t[0] for t in stream], dtype=np.int64)
         ids = np.array([t[1] for t in stream], dtype=np.int64)
         sq = np.array([t[2] for t in stream])
-        got_idx, got_sq = merge_neighbor_lists_many(rows, ids, sq, 6, k)
+        got_idx, got_sq = kernels.merge_candidate_stream(rows, ids, sq, 6, k)
         empty_i, empty_f = np.empty(0, dtype=np.int64), np.empty(0)
         for r in range(6):
             m = rows == r
@@ -167,7 +165,7 @@ class TestMergeNeighborListsMany:
             np.testing.assert_array_equal(got_sq[r], exp_sq)
 
     def test_empty_stream_is_all_padding(self):
-        idx, sq = merge_neighbor_lists_many(
+        idx, sq = kernels.merge_candidate_stream(
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
             np.empty(0), 3, 2
         )

@@ -3,9 +3,10 @@
 The frontier engine (:mod:`repro.core.frontier`) re-executes the divide
 and conquer level-synchronously with batched numpy passes, but its
 contract is *indistinguishability*: byte-identical neighbor arrays, an
-identical partition tree, an exactly equal (depth, work) ledger, and equal
-event counters — on every workload, including the punt paths.  These
-tests are the tier-1 guarantee of that contract.
+identical partition tree, an exactly equal (depth, work) ledger, equal
+event counters and equal per-phase sections — on every workload,
+including the punt paths.  These tests are the tier-1 guarantee of that
+contract.
 """
 
 from __future__ import annotations
@@ -14,39 +15,17 @@ import numpy as np
 import pytest
 
 import repro
+from conftest import assert_same_run, run_dnc
 from repro.core import ENGINES
-from repro.core.fast_dnc import FastDnCConfig, parallel_nearest_neighborhood
-from repro.core.simple_dnc import SimpleDnCConfig, simple_parallel_dnc
+from repro.core.fast_dnc import FastDnCConfig
+from repro.core.simple_dnc import SimpleDnCConfig
 from repro.workloads import clustered, collinear, uniform_cube, with_duplicates
 
 
-def _run(method: str, points, k: int, seed: int, **cfg):
-    if method == "fast":
-        return parallel_nearest_neighborhood(
-            points, k, seed=seed, config=FastDnCConfig(**cfg)
-        )
-    return simple_parallel_dnc(points, k, seed=seed, config=SimpleDnCConfig(**cfg))
-
-
-def _tree_shape(node):
-    """(size, is_leaf) per node in preorder — the tree's full shape."""
-    return [(n.size, n.is_leaf) for n in node.nodes()]
-
-
 def _assert_identical_runs(method: str, points, k: int, seed: int, **cfg):
-    rec = _run(method, points, k, seed, engine="recursive", **cfg)
-    fro = _run(method, points, k, seed, engine="frontier", **cfg)
-    np.testing.assert_array_equal(
-        rec.system.neighbor_indices, fro.system.neighbor_indices
-    )
-    np.testing.assert_array_equal(
-        rec.system.neighbor_sq_dists, fro.system.neighbor_sq_dists
-    )
-    # the ledger matches exactly — depth AND work, no tolerance
-    assert rec.cost.depth == fro.cost.depth
-    assert rec.cost.work == fro.cost.work
-    assert rec.machine.counters == fro.machine.counters
-    assert _tree_shape(rec.tree) == _tree_shape(fro.tree)
+    rec = run_dnc(method, points, k, seed, engine="recursive", **cfg)
+    fro = run_dnc(method, points, k, seed, engine="frontier", **cfg)
+    assert_same_run(rec, fro, section_depths=k == 1)
     assert fro.tree.check_partition()
     return rec, fro
 
@@ -111,6 +90,17 @@ class TestEngineEquivalence:
     def test_identical_runs(self, method, name, make):
         _assert_identical_runs(method, make(), 2, seed=13)
 
+    @pytest.mark.parametrize("name,make", WORKLOADS, ids=[w[0] for w in WORKLOADS])
+    def test_simple_sections_match_on_every_engine(self, name, make):
+        """``simple``'s phases read the same on all three engines: the
+        frontier engines attribute to ``divide`` only the median-cut
+        attempts, as the recursive reference's section does."""
+        pts = make()
+        rec = run_dnc("simple", pts, 1, 13, engine="recursive")
+        for engine, workers in (("frontier", None), ("frontier-mp", 2)):
+            got = run_dnc("simple", pts, 1, 13, engine=engine, workers=workers)
+            assert_same_run(rec, got)
+
     @pytest.mark.parametrize("k", [1, 3])
     def test_identical_runs_over_k(self, k):
         _assert_identical_runs("fast", uniform_cube(400, 2, seed=7), k, seed=29)
@@ -148,8 +138,8 @@ class TestEngineEquivalence:
     def test_identical_stats_multisets(self):
         """Series observed in different orders must still agree as multisets."""
         pts = uniform_cube(500, 2, seed=10)
-        rec = _run("fast", pts, 2, 41, engine="recursive")
-        fro = _run("fast", pts, 2, 41, engine="frontier")
+        rec = run_dnc("fast", pts, 2, 41, engine="recursive")
+        fro = run_dnc("fast", pts, 2, 41, engine="frontier")
         assert sorted(rec.stats.straddler_fraction) == sorted(fro.stats.straddler_fraction)
         assert sorted(map(tuple, ((m, tuple(a)) for m, a in rec.stats.marching_level_active))) == \
             sorted(map(tuple, ((m, tuple(a)) for m, a in fro.stats.marching_level_active)))
@@ -219,5 +209,5 @@ class TestFrontierObservability:
         """Phase attribution (divide/base/correct) exists for both engines."""
         pts = uniform_cube(400, 2, seed=16)
         for engine in ENGINES:
-            res = _run("fast", pts, 1, 59, engine=engine)
+            res = run_dnc("fast", pts, 1, 59, engine=engine)
             assert {"divide", "base", "correct"} <= set(res.machine.sections)

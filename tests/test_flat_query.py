@@ -14,9 +14,9 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.core.correction import march_balls
 from repro.core.fast_dnc import FastDnCConfig, parallel_nearest_neighborhood
-from repro.core.neighborhood import merge_neighbor_lists_many
 from repro.core.partition_tree import PartitionNode
 from repro.core.query_points import knn_query
 from repro.geometry.points import pairwise_sq_dists_direct
@@ -81,12 +81,12 @@ def pointer_knn(tree, pts, qs, k):
         rows.append(np.full(leaf.shape[0], r, dtype=np.int64))
         ids.append(leaf)
         sq.append(pairwise_sq_dists_direct(qs[r : r + 1], pts[leaf])[0])
-    idx, dist = merge_neighbor_lists_many(
+    idx, dist = kernels.merge_candidate_stream(
         np.concatenate(rows), np.concatenate(ids), np.concatenate(sq), nq, k
     )
     res = march_balls(tree, pts, qs, np.sqrt(dist[:, -1]))
     diff = pts[res.point_ids].astype(np.float64) - qs[res.ball_rows].astype(np.float64)
-    return merge_neighbor_lists_many(
+    return kernels.merge_candidate_stream(
         np.concatenate([res.ball_rows, np.repeat(np.arange(nq), k)]),
         np.concatenate([res.point_ids, idx.ravel()]),
         np.concatenate([np.einsum("md,md->m", diff, diff), dist.ravel()]),

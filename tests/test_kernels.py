@@ -34,6 +34,42 @@ class TestReferenceOps:
         np.testing.assert_array_equal(got, sphere.side_of_points(pts))
         assert got.dtype == np.int8
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 12])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sphere_offset_is_norm_bit_for_bit(self, d, dtype):
+        """``norm``'s own reduction without its ``conj()`` copy: the same
+        bits for any row count, against one sphere or per-row spheres."""
+        rng = np.random.default_rng(d)
+        for n in (0, 1, 7, 3000):
+            scale = rng.choice([1e-6, 1.0, 1e6], size=(n, 1))
+            diff = (rng.standard_normal((n, d)) * scale).astype(dtype)
+            radii = [0.5] if dtype == np.float32 else [0.5, rng.random(n)]
+            for r in radii:
+                want = np.linalg.norm(diff, axis=1) - r
+                got = kernels.sphere_offset(diff.copy(), r)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    def test_ball_sides_three_way_rule(self):
+        """-1 strictly inside by more than the radius, +1 strictly
+        outside, 0 otherwise; ties straddle, infinite radii straddle.
+        The march's reach masks are the rule's ``<= 0`` / ``>= 0``."""
+        rng = np.random.default_rng(4)
+        s = np.concatenate([rng.standard_normal(500), [1.0, -1.0, 0.0, np.inf, 2.0]])
+        radii = np.concatenate([rng.random(500), [1.0, 1.0, 0.0, 1.0, np.inf]])
+        radii[::9] = np.inf
+        want = np.zeros(s.shape[0], dtype=np.int8)
+        finite = np.isfinite(radii)
+        want[finite & (s < -radii)] = -1
+        want[finite & (s > radii)] = 1
+        got = kernels.ball_sides(s, radii)
+        assert got.dtype == np.int8
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got[-5:], [0, 0, 0, 1, 0])
+        interior, exterior = kernels.ball_reach(s, radii)
+        np.testing.assert_array_equal(interior, want <= 0)
+        np.testing.assert_array_equal(exterior, want >= 0)
+
     def test_segmented_split_sides_matches_primitive(self):
         rng = np.random.default_rng(1)
         n = 500
@@ -192,8 +228,10 @@ class TestDispatchers:
 
         pts = uniform_cube(3000, 2, seed=5)
         got = reached(lambda: repro.all_knn(pts, 2, engine="frontier", seed=5))
+        # the correction flushes merge through merge_candidate_stream too
         assert {"segmented_split_sides", "block_topk", "classify_level_spheres",
-                "prepare_samplers", "batched_side_of_points"} <= got
+                "merge_candidate_stream", "prepare_samplers",
+                "batched_side_of_points"} <= got
         got = reached(lambda: repro.all_knn(pts, 2, engine="recursive", seed=5))
         assert "sphere_side" in got
         index = repro.build_index(pts, 2, seed=5)

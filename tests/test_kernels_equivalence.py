@@ -16,34 +16,11 @@ import numpy as np
 import pytest
 
 import repro
+from conftest import assert_same_run
 from repro.cli import main
 from repro.core.fast_dnc import FastDnCConfig, parallel_nearest_neighborhood
 from repro.geometry.points import as_points
 from repro.workloads import uniform_cube, with_duplicates
-
-
-def _ledger(res):
-    return (
-        res.cost.depth,
-        res.cost.work,
-        dict(res.machine.counters),
-        {k: (c.depth, c.work) for k, c in res.machine.sections.items()},
-    )
-
-
-def _tree_shape(node):
-    return [(n.size, n.is_leaf) for n in node.nodes()]
-
-
-def _assert_same_run(a, b):
-    np.testing.assert_array_equal(
-        a.system.neighbor_indices, b.system.neighbor_indices
-    )
-    np.testing.assert_array_equal(
-        a.system.neighbor_sq_dists, b.system.neighbor_sq_dists
-    )
-    assert _ledger(a) == _ledger(b)
-    assert _tree_shape(a.tree) == _tree_shape(b.tree)
 
 
 class TestBackendMatrix:
@@ -63,7 +40,7 @@ class TestBackendMatrix:
                 engine="frontier-mp", workers=workers, dtype=dtype,
             ),
         )
-        _assert_same_run(serial, mp)
+        assert_same_run(serial, mp)
 
 
 class TestFloat32Exactness:
@@ -91,7 +68,7 @@ class TestFloat32Exactness:
                           engine=engine, dtype="float32")
             for engine in ("recursive", "frontier")
         ]
-        _assert_same_run(runs[0], runs[1])
+        assert_same_run(runs[0], runs[1])
 
     def test_f32_storage_is_preserved(self):
         pts = uniform_cube(300, 2, seed=28)

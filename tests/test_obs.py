@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.api import all_knn, run_traced
-from repro.core import FastDnCConfig, parallel_nearest_neighborhood, simple_parallel_dnc
+from repro.core import FastDnCConfig, knn_query, parallel_nearest_neighborhood, simple_parallel_dnc
 from repro.obs import Metrics, MetricsView, span_tree_from_dict, write_trace
 from repro.pvm import Cost, Machine
 from repro.workloads import uniform_cube
@@ -229,6 +229,29 @@ class TestFacade:
         assert np.allclose(res.sq_dists, ref.sq_dists)
         assert res.indices.shape == (150, 2)
         assert res.cost.work > 0
+
+    def test_query_method_is_knn_query_minus_self(self):
+        """``method="query"`` is ``knn_query``'s k + 1 list with the row's
+        own id dropped; under heavy duplicates most rows' lists miss
+        themselves and keep their first k."""
+        pts = uniform_cube(600, 2, 21)
+        pts[:400] = pts[np.arange(400) % 4]  # 4 spots, 100 copies each
+        k = 3
+        res = all_knn(pts, k, method="query", seed=0)
+        qpts = res.system.points
+        idx, sq = knn_query(res.tree, qpts, qpts, k + 1)
+        missing = 0
+        for i in range(pts.shape[0]):
+            keep = idx[i] != i
+            missing += int(keep.all())
+            np.testing.assert_array_equal(res.indices[i], idx[i][keep][:k])
+            np.testing.assert_array_equal(res.sq_dists[i], sq[i][keep][:k])
+        assert missing >= 300
+        np.testing.assert_array_equal(res.sq_dists, all_knn(pts, k, method="brute").sq_dists)
+        # one point: its own id is all there is, so the row is padding
+        one = all_knn(pts[:1], 1, method="query", seed=0)
+        np.testing.assert_array_equal(one.indices, [[-1]])
+        np.testing.assert_array_equal(one.sq_dists, [[np.inf]])
 
     def test_unknown_method_raises(self):
         with pytest.raises(ValueError):

@@ -21,43 +21,18 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import ENGINE_REGISTRY, ENGINES, FastDnCConfig, SimpleDnCConfig
-from repro.core.fast_dnc import parallel_nearest_neighborhood
-from repro.core.simple_dnc import simple_parallel_dnc
+from conftest import assert_same_run, run_dnc
+from repro.core import ENGINES, FastDnCConfig, SimpleDnCConfig
 from repro.parallel import WorkerError, WorkerPool, resolve_workers
 from repro.parallel.shm import SHM_PREFIX
 from repro.workloads import uniform_cube, with_duplicates
 
 
-def _run(method: str, points, k: int, seed: int, **cfg):
-    if method == "fast":
-        return parallel_nearest_neighborhood(
-            points, k, seed=seed, config=FastDnCConfig(**cfg)
-        )
-    return simple_parallel_dnc(points, k, seed=seed, config=SimpleDnCConfig(**cfg))
-
-
-def _tree_shape(node):
-    return [(n.size, n.is_leaf) for n in node.nodes()]
-
-
 def _assert_mp_identical(method: str, points, k: int, seed: int, workers, **cfg):
     """frontier-mp with ``workers`` reproduces frontier bit-for-bit."""
-    ref = _run(method, points, k, seed, engine="frontier", **cfg)
-    got = _run(
-        method, points, k, seed, engine="frontier-mp", workers=workers, **cfg
-    )
-    np.testing.assert_array_equal(
-        ref.system.neighbor_indices, got.system.neighbor_indices
-    )
-    np.testing.assert_array_equal(
-        ref.system.neighbor_sq_dists, got.system.neighbor_sq_dists
-    )
-    assert ref.cost.depth == got.cost.depth
-    assert ref.cost.work == got.cost.work
-    assert ref.machine.counters == got.machine.counters
-    assert ref.machine.sections == got.machine.sections
-    assert _tree_shape(ref.tree) == _tree_shape(got.tree)
+    ref = run_dnc(method, points, k, seed, engine="frontier", **cfg)
+    got = run_dnc(method, points, k, seed, engine="frontier-mp", workers=workers, **cfg)
+    assert_same_run(ref, got)
     assert got.tree.check_partition()
     return ref, got
 
@@ -121,8 +96,8 @@ class TestBitIdentity:
 
     def test_series_agree_as_multisets(self):
         pts = uniform_cube(500, 2, seed=10)
-        ref = _run("fast", pts, 2, 41, engine="frontier")
-        got = _run("fast", pts, 2, 41, engine="frontier-mp", workers=3)
+        ref = run_dnc("fast", pts, 2, 41, engine="frontier")
+        got = run_dnc("fast", pts, 2, 41, engine="frontier-mp", workers=3)
         assert sorted(ref.stats.straddler_fraction) == sorted(
             got.stats.straddler_fraction
         )
@@ -133,8 +108,8 @@ class TestBitIdentity:
     def test_worker_count_invariance(self):
         """workers=2 and workers=4 agree with each other, not just with 1."""
         pts = uniform_cube(450, 2, seed=11)
-        a = _run("fast", pts, 2, 43, engine="frontier-mp", workers=2)
-        b = _run("fast", pts, 2, 43, engine="frontier-mp", workers=4)
+        a = run_dnc("fast", pts, 2, 43, engine="frontier-mp", workers=2)
+        b = run_dnc("fast", pts, 2, 43, engine="frontier-mp", workers=4)
         np.testing.assert_array_equal(
             a.system.neighbor_indices, b.system.neighbor_indices
         )
@@ -182,7 +157,7 @@ class TestCoarsePlanEdgeCases:
         monkeypatch.setenv("REPRO_MP_SUBTREE_TARGET", "4")
         pts = uniform_cube(500, 2, seed=24)
         runs = [
-            _run("fast", pts, 2, 73, engine="frontier-mp", workers=w)
+            run_dnc("fast", pts, 2, 73, engine="frontier-mp", workers=w)
             for w in (1, 2, 4)
         ]
         cut_levels = {
@@ -198,7 +173,7 @@ class TestCoarsePlanEdgeCases:
 class TestLeakFreeShutdown:
     def test_run_leaves_no_processes_or_shm(self):
         before = set(glob.glob(f"/dev/shm/{SHM_PREFIX}*"))
-        _run("fast", uniform_cube(400, 2, seed=4), 2, 23,
+        run_dnc("fast", uniform_cube(400, 2, seed=4), 2, 23,
              engine="frontier-mp", workers=2)
         assert mp.active_children() == []
         after = set(glob.glob(f"/dev/shm/{SHM_PREFIX}*"))
@@ -306,13 +281,10 @@ class TestRunAssigned:
 
 
 class TestEngineRegistry:
-    """Satellite: one registry drives config, api and CLI choices."""
+    """One engine tuple drives config, api and CLI choices."""
 
     def test_registry_and_engines_agree(self):
-        assert ENGINES == tuple(ENGINE_REGISTRY)
         assert ENGINES == ("recursive", "frontier", "frontier-mp")
-        assert ENGINE_REGISTRY["frontier-mp"].parallel
-        assert not ENGINE_REGISTRY["frontier"].parallel
 
     def test_api_reexports_registry_engines(self):
         assert repro.ENGINES == ENGINES
@@ -395,7 +367,7 @@ class TestFacadeAndObservability:
         """Dispatch overhead is attributed, not guessed: copy-in, pickle
         traffic and collect time are all reported."""
         pts = uniform_cube(500, 2, seed=9)
-        res = _run("fast", pts, 2, 53, engine="frontier-mp", workers=2)
+        res = run_dnc("fast", pts, 2, 53, engine="frontier-mp", workers=2)
         gauges = res.machine.metrics.gauges
         counters = res.machine.metrics.counters
         assert gauges["parallel.copyin_seconds"] > 0.0
@@ -415,7 +387,7 @@ class TestFacadeAndObservability:
 
     def test_per_worker_busy_gauges(self):
         pts = uniform_cube(500, 2, seed=9)
-        res = _run("fast", pts, 2, 53, engine="frontier-mp", workers=3)
+        res = run_dnc("fast", pts, 2, 53, engine="frontier-mp", workers=3)
         gauges = res.machine.metrics.gauges
         counters = res.machine.metrics.counters
         per_worker = [gauges[f"parallel.busy_seconds.{w}"] for w in range(3)]
@@ -433,7 +405,7 @@ class TestFacadeAndObservability:
         pool lifetime, so idle setup/teardown time cannot dilute it.
         """
         pts = uniform_cube(500, 2, seed=9)
-        res = _run("fast", pts, 2, 53, engine="frontier-mp", workers=2)
+        res = run_dnc("fast", pts, 2, 53, engine="frontier-mp", workers=2)
         gauges = res.machine.metrics.gauges
         counters = res.machine.metrics.counters
         span = gauges["parallel.dispatch_span_seconds"]

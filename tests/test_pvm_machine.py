@@ -102,27 +102,6 @@ class TestParallelBlocks:
                     _ = m.total
 
 
-class TestMeasure:
-    def test_measure_reports_region_cost(self):
-        m = Machine()
-        m.charge(Cost(1, 1))
-        with m.measure() as get:
-            m.charge(Cost(2, 5))
-            m.charge(Cost(3, 5))
-        assert get() == Cost(5, 10)
-        assert m.total == Cost(6, 11)
-
-    def test_measure_nested_parallel(self):
-        m = Machine()
-        with m.measure() as get:
-            with m.parallel() as p:
-                with p.branch():
-                    m.charge(Cost(7, 1))
-                with p.branch():
-                    m.charge(Cost(2, 1))
-        assert get() == Cost(7, 2)
-
-
 class TestScanPolicies:
     def test_unit_scan_depth_one(self):
         m = Machine(scan="unit")
@@ -171,11 +150,6 @@ class TestCounters:
         m.bump("punts")
         m.bump("punts", 2)
         assert m.counters["punts"] == 3
-
-    def test_fork_costs(self):
-        m = Machine()
-        m.fork_costs([Cost(2, 5), Cost(7, 5), Cost(1, 5)])
-        assert m.total == Cost(7, 15)
 
 
 def _machine_slice(machine: Machine) -> dict:

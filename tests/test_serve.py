@@ -272,6 +272,29 @@ def test_batcher_validates_inputs(index, queries):
         batcher.submit(queries[:2])  # a (2, d) array is not one point
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batcher_rejects_non_finite_points_without_dropping_the_batch(queries, bad):
+    """A NaN/inf point is rejected at submit, before it is counted or
+    queued; the tickets already queued are served by the next flush."""
+    pts = repro.workloads.uniform_cube(600, 2, seed=9)
+    with repro.api.serve(pts, k=2, max_batch=4, cache_size=0, seed=4) as batcher:
+        good = [batcher.submit(q) for q in queries[:2]]
+        with pytest.raises(ValueError, match="finite"):
+            batcher.submit(np.array([0.5, bad]))
+        with pytest.raises(ValueError, match="finite"):
+            # one bad row rejects the whole call, before any row queues
+            batcher.submit_many(np.array([queries[2], [bad, 0.5]]))
+        assert batcher.pending == 2
+        assert batcher.stats.requests == 2
+        good.append(batcher.submit(queries[3]))
+        assert batcher.flush() == 3
+        idx, sq = batcher.index.execute("knn", queries[[0, 1, 3]], k=2)
+        for i, t in enumerate(good):
+            assert t.done
+            assert np.array_equal(t.value[0], idx[i])
+            assert np.array_equal(t.value[1], sq[i])
+
+
 def test_batcher_metrics_and_spans(index, queries):
     machine = Machine()
     machine.enable_tracing()
