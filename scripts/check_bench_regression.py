@@ -99,6 +99,15 @@ GATE_RUNS = (
     # sample refreshes (attempt 37) and one fails outright
     {"run": "online_dups", "method": "online", "n": 2000, "d": 2, "k": 2,
      "seed": 9, "duplicates": 0.75, "commits": 3, "inserts": 6, "deletes": 6},
+    # fast_frontier_punty's inputs on the recursive reference and
+    # frontier-mp: at k = 2 the selection depth is not an integer, so
+    # equal `correct` depths pin the order each engine folds its sections in
+    {"run": "fast_recursive_punty", "method": "fast", "n": 3000, "d": 2, "k": 2,
+     "seed": 42, "engine": "recursive", "workers": None,
+     "config": {"iota_factor": 0.8, "active_factor": 0.3}},
+    {"run": "fast_frontier_mp_w2_punty", "method": "fast", "n": 3000, "d": 2,
+     "k": 2, "seed": 42, "engine": "frontier-mp", "workers": 2,
+     "config": {"iota_factor": 0.8, "active_factor": 0.3}},
 )
 
 

@@ -15,7 +15,6 @@ from .graph_separators import (
 from .config import DTYPES, ENGINES, CommonConfig
 from .correction import (
     MarchResult,
-    apply_candidate_pairs,
     apply_candidate_pairs_batch,
     march_balls,
     query_correction_pairs,
@@ -55,7 +54,6 @@ __all__ = [
     "ENGINES",
     "DTYPES",
     "MarchResult",
-    "apply_candidate_pairs",
     "apply_candidate_pairs_batch",
     "march_balls",
     "query_correction_pairs",

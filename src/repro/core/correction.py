@@ -19,8 +19,9 @@ Two implementations, exactly as in the paper:
   :class:`~repro.core.query.NeighborhoodQueryStructure` over the straddling
   balls and query every opposite-side point against it.
 
-Both produce (ball, candidate point) pairs; :func:`apply_candidate_pairs`
-merges them into the global neighbor lists.
+Both produce (ball, candidate point) pairs;
+:func:`apply_candidate_pairs_batch` merges them into the global neighbor
+lists.
 
 :func:`march_balls` walks the pointer tree for one straddler set; the
 recursive engine uses it.  The frontier engines and the online index
@@ -46,7 +47,6 @@ from .query import NeighborhoodQueryStructure, QueryConfig
 __all__ = [
     "MarchResult",
     "march_balls",
-    "apply_candidate_pairs",
     "apply_candidate_pairs_batch",
     "query_correction_pairs",
 ]
@@ -146,28 +146,6 @@ def march_balls(
     return result
 
 
-def apply_candidate_pairs(
-    points: np.ndarray,
-    nbr_idx: np.ndarray,
-    nbr_sq: np.ndarray,
-    owner_ids: np.ndarray,
-    ball_rows: np.ndarray,
-    point_ids: np.ndarray,
-    k: int,
-) -> int:
-    """Merge candidate pairs into the global neighbor lists, in place.
-
-    ``owner_ids[r]`` is the global point owning ball row ``r``.  For each
-    owner with candidates, its list is re-taken as the k best of (current
-    list ∪ candidates).  Self-pairs are ignored.  Returns the number of
-    owners whose lists changed.  One call to
-    :func:`apply_candidate_pairs_batch` over the pairs' owners.
-    """
-    return apply_candidate_pairs_batch(
-        points, nbr_idx, nbr_sq, owner_ids[ball_rows], point_ids, k
-    )
-
-
 def apply_candidate_pairs_batch(
     points: np.ndarray,
     nbr_idx: np.ndarray,
@@ -229,7 +207,7 @@ def query_correction_pairs(
     straddlers: BallSystem,
     opposite_points: np.ndarray,
     opposite_ids: np.ndarray,
-    machine: Optional[Machine],
+    machine: Machine,
     seed: object,
     config: QueryConfig,
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -242,17 +220,13 @@ def query_correction_pairs(
     """
     if len(straddlers) == 0 or opposite_points.shape[0] == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    if machine is not None:
-        with machine.span(
-            "correct.query",
-            straddlers=len(straddlers),
-            opposite=int(opposite_points.shape[0]),
-        ):
-            structure = NeighborhoodQueryStructure(
-                straddlers, machine=machine, seed=seed, config=config
-            )
-            point_rows, ball_rows = structure.query_many(opposite_points)
-    else:
-        structure = NeighborhoodQueryStructure(straddlers, machine=machine, seed=seed, config=config)
+    with machine.span(
+        "correct.query",
+        straddlers=len(straddlers),
+        opposite=int(opposite_points.shape[0]),
+    ):
+        structure = NeighborhoodQueryStructure(
+            straddlers, machine=machine, seed=seed, config=config
+        )
         point_rows, ball_rows = structure.query_many(opposite_points)
     return ball_rows, opposite_ids[point_rows]

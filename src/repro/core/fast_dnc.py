@@ -43,7 +43,7 @@ from ..separators.unit_time import SeparatorFailure, find_good_separator
 from ..util.recursion import estimated_tree_levels, recursion_guard
 from ..util.rng import path_rng, seed_sequence_root
 from .config import CommonConfig
-from .correction import apply_candidate_pairs, march_balls, query_correction_pairs
+from .correction import apply_candidate_pairs_batch, march_balls, query_correction_pairs
 from .knn_graph import KNNResult
 from .neighborhood import (
     KNeighborhoodSystem,
@@ -364,12 +364,11 @@ class _Runner:
             self.machine.charge(
                 Cost(self.config.fc_depth + selection_depth(self.k), max(work, 1.0))
             )
-            apply_candidate_pairs(
+            apply_candidate_pairs_batch(
                 self.points,
                 self.nbr_idx,
                 self.nbr_sq,
-                straddlers,
-                result.ball_rows,
+                straddlers[result.ball_rows],
                 result.point_ids,
                 self.k,
             )
@@ -399,12 +398,11 @@ class _Runner:
                 self.config.query,
             )
             self.machine.charge(selection_cost(self.k, point_ids.shape[0]))
-            apply_candidate_pairs(
+            apply_candidate_pairs_batch(
                 self.points,
                 self.nbr_idx,
                 self.nbr_sq,
-                straddlers,
-                ball_rows,
+                straddlers[ball_rows],
                 point_ids,
                 self.k,
             )

@@ -35,7 +35,8 @@ Equivalence contract
 --------------------
 A frontier run is *indistinguishable* from a recursive run with the same
 seed: identical neighbor arrays, identical partition tree, and an
-identical (depth, work) ledger.  Three mechanisms make this exact:
+identical (depth, work) ledger and per-phase sections.  Three mechanisms
+make this exact:
 
 1. **Per-node RNG** — both engines derive each node's generator from the
    seed root and the node's 0/1 path (:func:`~repro.util.rng.path_rng`),
@@ -56,16 +57,20 @@ identical (depth, work) ledger.  Three mechanisms make this exact:
 
 Observability differs by design: instead of one span per node, the
 frontier emits one ``frontier.level`` span per level and phase (``build``
-then ``correct``) with segment-count and straddler attributes; phase
-totals still accumulate in ``machine.sections`` via
-:meth:`~repro.pvm.machine.Machine.attribute`.  See ``docs/engines.md``.
+then ``correct``) with segment-count and straddler attributes.  Phase
+totals come from the same cost fold: as :meth:`_FrontierBase._compose_costs`
+composes a subtree's cost it also lists the subtree's ``(phase, cost)``
+events in the order the recursive engine closes its sections, and the
+root's list folds into ``machine.sections`` once, so every phase total has
+the recursive engine's float association.  See ``docs/engines.md``.
 
 The online index (:mod:`repro.core.online`) runs the same level loop
 through a subclass of :class:`_FastFrontier`: per-segment hooks give it
 its own sampler rows (:meth:`_FastFrontier._sampler_rows`), correction
-generator (:meth:`_FrontierBase._rng_of`) and event sinks
+generator (:meth:`_FrontierBase._rng_of`) and counter sinks
 (:meth:`_FrontierBase._machine_of` / :meth:`_FrontierBase._stats_of`),
-and :meth:`_FastFrontier._level_corrected` sees each corrected level.
+and :meth:`_FastFrontier._level_corrected` sees each corrected and
+composed level.
 """
 
 from __future__ import annotations
@@ -90,11 +95,7 @@ from ..separators.hyperplane import _SELECTION_ROUNDS, median_hyperplane
 from ..separators.quality import default_delta
 from ..separators.unit_time import _ATTEMPT_SERIAL_COST
 from ..util.rng import path_rng
-from .correction import (
-    apply_candidate_pairs,
-    apply_candidate_pairs_batch,
-    query_correction_pairs,
-)
+from .correction import apply_candidate_pairs_batch, query_correction_pairs
 from .neighborhood import base_case_cost, brute_force_leaves, selection_cost, selection_depth
 from .partition_tree import PartitionNode
 
@@ -109,8 +110,10 @@ class _Seg:
 
     ``ids`` is a view into the level's flat id vector; ``pre_cost`` folds
     the node's divide/base charges in recursion order, ``divide_cost`` is
-    the part of them the node adds to the ``divide`` phase, ``post_cost``
-    its correction charges, and ``total_cost`` the composed subtree cost.
+    the part of them the node adds to the ``divide`` phase and
+    ``post_cost`` its correction charges.  :meth:`_FrontierBase._compose_costs`
+    sets ``total_cost``, the composed subtree cost, and ``sections``, the
+    subtree's ``(phase, cost)`` events in depth-first order.
     """
 
     ids: np.ndarray
@@ -125,6 +128,7 @@ class _Seg:
     divide_cost: Cost = ZERO
     post_cost: Cost = ZERO
     total_cost: Cost = ZERO
+    sections: Optional[List[Tuple[str, Cost]]] = None
     left: Optional["_Seg"] = None
     right: Optional["_Seg"] = None
     node: Optional[PartitionNode] = None
@@ -157,12 +161,31 @@ class _FrontierBase:
         same output and ledger) as the recursive engine's run."""
         n = self.points.shape[0]
         root = _Seg(ids=np.arange(n, dtype=np.int64), level=0, path=())
-        levels, _ = self._build_levels([root])
-        self._link_nodes(levels)
-        self._correct_levels(levels)
-        with self.machine.span("frontier.total"):
-            self.machine.charge(self._compose_costs(levels))
+        self.solve_subtree(root)
+        self._charge_root(root)
         return root.node
+
+    def _charge_root(self, root: _Seg) -> None:
+        """Fold the solved tree's section events into the machine's phase
+        totals and make the one root charge."""
+        self._fold_sections(root.sections)
+        with self.machine.span("frontier.total"):
+            self.machine.charge(root.total_cost)
+
+    def _fold_sections(self, events: List[Tuple[str, Cost]]) -> None:
+        """Add each ``(phase, cost)`` event to ``machine.sections`` in
+        order: the float additions :meth:`~repro.pvm.machine.Machine.section`
+        makes as the recursive engine closes the same sections, without a
+        ``Cost`` per step."""
+        totals = {
+            name: [cost.depth, cost.work] for name, cost in self.machine.sections.items()
+        }
+        for name, cost in events:
+            acc = totals.setdefault(name, [0.0, 0.0])
+            acc[0] += cost.depth
+            acc[1] += cost.work
+        for name, (depth, work) in totals.items():
+            self.machine.sections[name] = Cost(depth, work)
 
     def _build_levels(
         self, frontier: List[_Seg], stop_at: Optional[int] = None
@@ -188,21 +211,19 @@ class _FrontierBase:
 
     def solve_subtree(self, seg: _Seg) -> List[List[_Seg]]:
         """Solve one subtree to completion: build all its levels, link its
-        partition nodes, run its bottom-up correction and compose its
-        costs — exactly the serial recursion restricted to ``seg``.
+        partition nodes, and run its bottom-up correction, which composes
+        its costs — exactly the serial recursion restricted to ``seg``.
 
-        Unlike :meth:`run`, no root charge happens here: the composed
-        subtree total lands in ``seg.total_cost`` and the caller (the
-        ``frontier-mp`` master) folds it into the global root charge.
-        This is the coarse-grained entry point the multiprocess engine
-        ships to workers — because it *is* the serial code, every RNG
-        draw, punt decision and float fold matches the serial engine's
-        by construction.
+        No charge happens here: the composed subtree total lands in
+        ``seg.total_cost`` and its section events in ``seg.sections``.
+        :meth:`run` folds both into the machine; a ``frontier-mp`` worker
+        ships them to the master, whose own fold takes them in.  Because
+        a worker runs this serial code, every RNG draw, punt decision and
+        float fold matches the serial engine's by construction.
         """
         levels, _ = self._build_levels([seg])
         self._link_nodes(levels)
         self._correct_levels(levels)
-        self._compose_costs(levels)
         return levels
 
     def _build_level(self, segs: List[_Seg], span) -> List[_Seg]:
@@ -220,11 +241,8 @@ class _FrontierBase:
         m = seg.ids.shape[0]
         seg.is_leaf = True
         self._stats_of(seg).base_cases += 1
-        sink = self._machine_of(seg)
-        sink.metrics.observe(f"{self._NS}.base_case_sizes", m)
-        base_cost = base_case_cost(m)
-        seg.pre_cost = seg.pre_cost.then(base_cost)
-        sink.attribute("base", base_cost)
+        self._machine_of(seg).metrics.observe(f"{self._NS}.base_case_sizes", m)
+        seg.pre_cost = seg.pre_cost.then(base_case_cost(m))
 
     def _split_segments(self, split_segs: List[_Seg]) -> List[_Seg]:
         """Divide every accepted segment at once: one fused classify+pack
@@ -266,35 +284,51 @@ class _FrontierBase:
     def _correct_levels(self, levels: List[List[_Seg]]) -> None:
         """Bottom-up correction sweep: children always correct before their
         parent reads the (updated) neighbor radii, exactly as in the
-        recursive post-order; same-level segments are index-disjoint."""
+        recursive post-order; same-level segments are index-disjoint.
+        Each level's costs compose once it is corrected."""
         for level_segs in reversed(levels):
             internal = [s for s in level_segs if not s.is_leaf]
-            if not internal:
-                continue
-            with self.machine.span(
-                "frontier.level",
-                phase="correct",
-                level=internal[0].level,
-                segments=len(internal),
-            ) as span:
-                straddlers = 0
-                for seg in internal:
-                    straddlers += self._correct_node(seg)
-                    self.machine.attribute("correct", seg.post_cost)
-                if span is not None:
-                    span.attrs["straddlers"] = int(straddlers)
+            if internal:
+                with self.machine.span(
+                    "frontier.level",
+                    phase="correct",
+                    level=internal[0].level,
+                    segments=len(internal),
+                ) as span:
+                    straddlers = 0
+                    for seg in internal:
+                        straddlers += self._correct_node(seg)
+                    if span is not None:
+                        span.attrs["straddlers"] = int(straddlers)
+            self._compose_costs(level_segs)
 
-    def _compose_costs(self, levels: List[List[_Seg]]) -> Cost:
-        """Fold per-node costs bottom-up with the recursion's algebra:
-        ``pre . (left || right) . post`` per internal node."""
-        for level_segs in reversed(levels):
-            for seg in level_segs:
-                if seg.is_leaf:
-                    seg.total_cost = seg.pre_cost
-                else:
-                    branches = ZERO.beside(seg.left.total_cost).beside(seg.right.total_cost)
-                    seg.total_cost = seg.pre_cost.then(branches).then(seg.post_cost)
-        return levels[0][0].total_cost
+    def _compose_costs(self, level_segs: List[_Seg]) -> None:
+        """Compose one corrected level's subtrees from their composed
+        children: the cost with the recursion's algebra,
+        ``pre . (left || right) . post`` per internal node, and the
+        ``(phase, cost)`` events in the order the recursive engine closes
+        its sections — a node's ``divide``, its children's events, its
+        ``correct``; a leaf's ``base``, after a ``divide`` when the leaf
+        searched and failed (``m > base``).  The children's lists are
+        released once copied; only the root's is folded
+        (:meth:`_fold_sections`)."""
+        for seg in level_segs:
+            if seg.is_leaf:
+                seg.total_cost = seg.pre_cost
+                m = seg.ids.shape[0]
+                base = ("base", base_case_cost(m))
+                seg.sections = [("divide", seg.divide_cost), base] if m > self.base else [base]
+                continue
+            left, right = seg.left, seg.right
+            branches = ZERO.beside(left.total_cost).beside(right.total_cost)
+            seg.total_cost = seg.pre_cost.then(branches).then(seg.post_cost)
+            seg.sections = [
+                ("divide", seg.divide_cost),
+                *left.sections,
+                *right.sections,
+                ("correct", seg.post_cost),
+            ]
+            left.sections = right.sections = None
 
     # -- per-segment hooks -----------------------------------------------
 
@@ -449,7 +483,6 @@ class _FastFrontier(_FrontierBase):
         for i, seg in enumerate(active):
             seg.pre_cost = seg.pre_cost.then(divide[i])
             seg.divide_cost = divide[i]
-            self._machine_of(seg).attribute("divide", divide[i])
 
     def _sampler_rows(self, segs: List[_Seg], subs: List[np.ndarray], attempt: int):
         """What :func:`prepare_samplers` builds the rows of ``segs`` from
@@ -476,7 +509,8 @@ class _FastFrontier(_FrontierBase):
 
         The flattened tree stays on ``self.flat`` (``None`` when no level
         has an internal segment), and :meth:`_level_corrected` sees every
-        level once its rows are final for the subtrees it roots.
+        level once its rows are final for the subtrees it roots and its
+        costs are composed.
         """
         self.flat: Optional[FlatTree] = None
         preorder: Dict[int, int] = {}
@@ -505,6 +539,7 @@ class _FastFrontier(_FrontierBase):
                     if span is not None:
                         span.attrs["straddlers"] = int(straddlers)
                         span.attrs["punts"] = punts
+            self._compose_costs(level_segs)
             self._level_corrected(level_segs)
 
     def _level_corrected(self, level_segs: List[_Seg]) -> None:
@@ -630,7 +665,6 @@ class _FastFrontier(_FrontierBase):
                 seg, iota, straddle_in, straddle_ex, sides, marched
             )
             punts += node_punts
-            self._machine_of(seg).attribute("correct", seg.post_cost)
         return iotas, punts
 
     def _march_level(
@@ -763,7 +797,6 @@ class _SimpleFrontier(_FrontierBase):
         # the recursive engine's ``divide`` section holds the median-cut
         # attempts only: its split charges fold into the node, not the phase
         seg.divide_cost = divide
-        machine.attribute("divide", divide)
         if plane is None:
             seg.pre_cost = seg.pre_cost.then(divide)
             self.stats.degenerate_cuts += 1
@@ -810,12 +843,11 @@ class _SimpleFrontier(_FrontierBase):
                 seg, cost, system, opposite
             )
             sub.charge(selection_cost(self.k, point_ids.shape[0]))
-            apply_candidate_pairs(
+            apply_candidate_pairs_batch(
                 self.points,
                 self.nbr_idx,
                 self.nbr_sq,
-                straddlers,
-                ball_rows,
+                straddlers[ball_rows],
                 point_ids,
                 self.k,
             )

@@ -45,8 +45,8 @@ LEAF_PAIR_CHUNK = 1 << 18
 
 def base_case_cost(m: int) -> Cost:
     """The charge of an ``m``-point base case, all pairs "in m time using
-    m processors": depth m, work m².  Every engine charges (and the
-    ``frontier-mp`` master replays) this one cost per leaf."""
+    m processors": depth m, work m².  Every engine charges this one cost
+    per leaf and adds it to the ``base`` phase."""
     return Cost(float(m), float(m) * float(m))
 
 

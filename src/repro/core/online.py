@@ -187,17 +187,17 @@ class _NodeRecord:
 class _OnlineSeg(_Seg):
     """A frontier segment with the online build's per-node state:
     ``hint`` is the previous version's node at the same place, ``sink``
-    holds the node's own events until its level is corrected, and
-    ``events`` then holds its subtree's ``(sections, metrics)`` until its
-    parent's level takes them."""
+    holds the node's own counters and series until its level is
+    corrected, and ``metrics`` then holds its subtree's until its parent's
+    level takes them."""
 
     hint: Optional[PartitionNode] = None
     sink: Optional["_Sink"] = None
-    events: Optional[Tuple[List[Tuple[str, Cost]], Metrics]] = None
+    metrics: Optional[Metrics] = None
 
 
 class _Sink(Machine):
-    """One node's own counters, series and phase totals."""
+    """One node's own counters and series."""
 
     def __init__(self, scan: str) -> None:
         super().__init__(scan)
@@ -219,11 +219,13 @@ class _OnlineFrontier(_FastFrontier):
     - with a hint tree (absorb), a child whose remapped subset equals its
       hint's replays the hint's record: it is resolved when its parent
       divides, its rows are written then, and it joins no level;
-    - each node's own events go to its :class:`_Sink`; after its level's
-      correction flush they join its children's into its subtree's
-      events, in the recursive engine's depth-first order, and nodes of
-      at least ``max(base, _SNAPSHOT_MIN)`` points record their subtree
-      (:meth:`_level_corrected`).  The root's events fold into the run.
+    - each node's own counters and series go to its :class:`_Sink`; after
+      its level's correction flush they join its children's, in the
+      recursive engine's depth-first order, and nodes of at least
+      ``max(base, _SNAPSHOT_MIN)`` points record their subtree with the
+      section events the level's cost fold listed
+      (:meth:`_level_corrected`).  The root's metrics merge into the run
+      and its events fold into the run's phase totals.
     """
 
     def __init__(
@@ -252,28 +254,10 @@ class _OnlineFrontier(_FastFrontier):
         returns the root node."""
         n = self.points.shape[0]
         root = _OnlineSeg(ids=np.arange(n, dtype=np.int64), level=0, path=(), hint=hint)
-        levels, _ = self._build_levels([root])
-        self._link_nodes(levels)
-        self._correct_levels(levels)
-        sections, metrics = root.events
-        self._fold_sections(sections)
-        self.machine.metrics.merge(metrics)
-        with self.machine.span("frontier.total"):
-            self.machine.charge(root.total_cost)
+        self.solve_subtree(root)
+        self.machine.metrics.merge(root.metrics)
+        self._charge_root(root)
         return root.node
-
-    def _fold_sections(self, events: List[Tuple[str, Cost]]) -> None:
-        """``machine.attribute(name, cost)`` for each event in order: the
-        same float additions, without a ``Cost`` per step."""
-        totals = {
-            name: [cost.depth, cost.work] for name, cost in self.machine.sections.items()
-        }
-        for name, cost in events:
-            acc = totals.setdefault(name, [0.0, 0.0])
-            acc[0] += cost.depth
-            acc[1] += cost.work
-        for name, (depth, work) in totals.items():
-            self.machine.sections[name] = Cost(depth, work)
 
     # -- hints and replays -------------------------------------------------
 
@@ -314,7 +298,8 @@ class _OnlineFrontier(_FastFrontier):
             return False
         seg.node = hint if self.idmap is None else _clone_remap(hint, self.idmap)
         seg.total_cost = rec.cost
-        seg.events = (rec.sections, rec.metrics)
+        seg.sections = rec.sections
+        seg.metrics = rec.metrics
         # position -1 (padding) picks the appended -1
         self.nbr_idx[ids] = np.append(ids, -1)[rec.local]
         self.nbr_sq[ids] = rec.nbr_sq
@@ -377,38 +362,32 @@ class _OnlineFrontier(_FastFrontier):
         return self._machine_of(seg).stats
 
     def _level_corrected(self, level_segs) -> None:
-        """Compose the level's costs, gather each node's subtree events and
-        record the nodes below the root of at least ``snapshot_min`` points.
+        """Gather each node's subtree metrics and record the nodes below
+        the root of at least ``snapshot_min`` points.
 
-        A node's subtree events are its own ``divide``/``base`` totals,
-        then its children's subtree events, then its ``correct`` total,
-        counters and series: the order the recursive engine closes its
-        sections and writes its stats, so phase totals fold with the same
-        float association and series come out in the same order.  Its
-        neighbor rows are final for its subtree after its level's flush.
+        A node's subtree metrics are its children's, then its own
+        counters and series: the order the recursive engine writes its
+        stats, so series come out in the same order.  Its cost and
+        section events are composed by now, and its neighbor rows are
+        final for its subtree after its level's flush.
         """
-        self._compose_costs([level_segs])
         pos = self._positions
         for seg in level_segs:
             sink, seg.sink = seg.sink, None
-            sections = [(name, c) for name, c in sink.sections.items() if name != "correct"]
             metrics = Metrics()
             if not seg.is_leaf:
                 for child in (seg.left, seg.right):
-                    child_sections, child_metrics = child.events
-                    child.events = None
-                    sections.extend(child_sections)
-                    metrics.merge(child_metrics)
-                sections.append(("correct", sink.sections["correct"]))
+                    metrics.merge(child.metrics)
+                    child.metrics = None
             metrics.merge(sink.metrics)
-            seg.events = (sections, metrics)
+            seg.metrics = metrics
             ids = seg.ids
             # the root never replays: every commit that is not a noop
             # changes its subset
             if ids.shape[0] >= self.snapshot_min and seg.level > 0:
                 pos[ids] = np.arange(ids.shape[0], dtype=np.int32)
                 seg.node.meta[_REC_KEY] = _NodeRecord(
-                    seg.total_cost, sections, metrics,
+                    seg.total_cost, seg.sections, metrics,
                     pos[self.nbr_idx[ids]], self.nbr_sq[ids],
                 )
 

@@ -29,7 +29,7 @@ from ..separators.hyperplane import find_median_hyperplane
 from ..util.recursion import estimated_tree_levels, recursion_guard
 from ..util.rng import path_rng, seed_sequence_root
 from .config import CommonConfig
-from .correction import apply_candidate_pairs, query_correction_pairs
+from .correction import apply_candidate_pairs_batch, query_correction_pairs
 from .knn_graph import KNNResult
 from .neighborhood import (
     KNeighborhoodSystem,
@@ -134,8 +134,8 @@ def simple_parallel_dnc(
                 system, pts[opposite], opposite, machine, rng, config.query
             )
             machine.charge(selection_cost(k, point_ids.shape[0]))
-            apply_candidate_pairs(
-                pts, nbr_idx, nbr_sq, straddlers, ball_rows, point_ids, k
+            apply_candidate_pairs_batch(
+                pts, nbr_idx, nbr_sq, straddlers[ball_rows], point_ids, k
             )
 
     def solve(ids: np.ndarray, depth_level: int, path: tuple) -> PartitionNode:

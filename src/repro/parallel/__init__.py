@@ -12,9 +12,10 @@ accepted — :class:`~repro.core.config.CommonConfig`, the
    yields ``~3× workers`` balanced subtrees, then ships each subtree
    *once* to a worker that solves it to completion locally against a
    resident shared-memory arena (no per-level round trips);
-2. the master solves only the straddler/boundary correction set above
-   the cut and replays the subtree accounting in serial order —
-   bit-identical neighbors, tree and ledger for every worker count.
+2. each worker returns its subtree's nodes, total and section events;
+   the master solves only the straddler/boundary correction set above
+   the cut and folds the tree's events once — bit-identical neighbors,
+   tree, ledger and sections for every worker count.
 
 Layers (see ``docs/parallel.md`` for the architecture tour):
 

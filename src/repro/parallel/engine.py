@@ -15,22 +15,25 @@ phase 1 — cut and ship (workers, order-free)
     pickling: master↔worker traffic is one task descriptor down and one
     solved-subtree summary up, per subtree.
 
-phase 2 — merge and replay (master, serial order)
-    The master corrects only the straddler/boundary set — the internal
-    nodes *above* the cut, whose corrections read the workers' leaf radii
-    out of shared memory — and replays the subtree ledger/section/counter
-    accounting in the serial engine's order from the per-segment
-    :class:`~repro.pvm.cost.Cost` records each worker returns, composing
-    the bottom-up cost algebra and issuing the single root charge.
+phase 2 — link and fold (master)
+    The master takes each solved subtree in as one block, the way the
+    online index takes in a replayed record: its partition nodes, linked
+    straight from the worker's level records, its composed total and its
+    section events in depth-first order.  It then corrects only the
+    straddler/boundary set — the internal nodes *above* the cut, whose
+    corrections read the workers' leaf radii out of shared memory — and
+    its cost fold composes the tree above the cut around the blocks, so
+    the tree's events fold into the phase totals once and the root is
+    charged once.
 
-The bit-identity contract (same neighbors, tree and (depth, work) ledger
-as ``engine="frontier"`` — and hence as ``"recursive"`` — for any worker
-count) holds by construction: workers execute the *unmodified* serial
-code on whole subtrees (per-node :func:`~repro.util.rng.path_rng`
-streams, serial punt decisions, serial float folds), subtrees own
-disjoint index sets so concurrent solves never race, and every
-accounting fold the master replays is per-section order-identical to the
-serial engine's (see ``docs/parallel.md`` for the full argument).  Event
+The bit-identity contract (same neighbors, tree, (depth, work) ledger
+and sections as ``engine="frontier"`` — and hence as ``"recursive"`` —
+for any worker count) holds by construction: workers execute the
+*unmodified* serial code on whole subtrees (per-node
+:func:`~repro.util.rng.path_rng` streams, serial punt decisions, serial
+float folds), subtrees own disjoint index sets so concurrent solves never
+race, and the master composes the same per-node costs and events with
+the same fold as the serial engine (see ``docs/parallel.md``).  Event
 counters merge additively and are therefore exact; metric *series*
 arrive in subtree order, equal to the serial engine's as multisets (the
 same guarantee the frontier engine gives relative to the recursive one).
@@ -68,8 +71,9 @@ from typing import Any, Dict, List
 import numpy as np
 
 from ..core.frontier import _FastFrontier, _Seg, _SimpleFrontier
-from ..core.neighborhood import base_case_cost
+from ..core.partition_tree import PartitionNode
 from ..obs.stitch import graft_worker_trace
+from .kernels import unpack_sections
 from .plan import plan_subtree_assignment, subtree_target, subtree_weight
 from .pool import TaskResult, WorkerPool, resolve_workers
 from .shm import SharedArray
@@ -123,26 +127,21 @@ class _ParallelFrontierMixin:
     def _run_two_phase(self, workers: int):
         n = self.points.shape[0]
         root = _Seg(ids=np.arange(n, dtype=np.int64), level=0, path=())
-        master_levels, frontier = self._build_levels([root], stop_at=subtree_target(workers))
-        self._cut = frontier
-        if frontier:
-            self._solve_subtrees(frontier)
-        self._link_nodes(master_levels)
-        self._correct_levels(master_levels)
-        if master_levels:
-            total = self._compose_costs(master_levels)
-        else:
-            # target == 1: the root itself was the single shipped subtree
-            total = frontier[0].total_cost
-        with self.machine.span("frontier.total"):
-            self.machine.charge(total)
+        levels, cut = self._build_levels([root], stop_at=subtree_target(workers))
+        self._cut = cut
+        if cut:
+            # with a target of 1 the root itself is the one shipped subtree
+            self._solve_subtrees(cut)
+        self._link_nodes(levels)
+        self._correct_levels(levels)
+        self._charge_root(root)
         return root.node
 
     # -- phase 1: cut and ship -------------------------------------------
 
     def _solve_subtrees(self, cut: List[_Seg]) -> None:
-        """Ship every cut segment to its planned worker, then mirror and
-        replay the solved subtrees in serial order."""
+        """Ship every cut segment to its planned worker, then take each
+        solved subtree in: its nodes, total and section events."""
         pool = self._pool
         t0 = time.perf_counter()
         buf = SharedArray.create_from(np.concatenate([s.ids for s in cut]))
@@ -168,114 +167,12 @@ class _ParallelFrontierMixin:
         # order), so counter merges and series extension are
         # deterministic for a fixed plan.
         for i, (seg, task) in enumerate(zip(cut, tasks)):
-            self.machine.metrics.merge(task.result["metrics"])
+            res = task.result
+            self.machine.metrics.merge(res["metrics"])
             self._subtree_span(seg, i, task)
-        for seg, task in zip(cut, tasks):
-            self._install_subtree(seg, task.result)
-        self._replay_accounting([task.result for task in tasks])
-
-    # -- phase 2: mirror and replay --------------------------------------
-
-    def _install_subtree(self, seg: _Seg, res: Dict[str, Any]) -> None:
-        """Rebuild one solved subtree as master-side segments and
-        partition nodes from the worker's per-level records.
-
-        Children of the ``c``-th split segment of a level (in segment
-        order) sit at positions ``2c``/``2c + 1`` of the next level — the
-        append order of ``_split_segments``.  The cut segment itself *is*
-        local level 0 (its fields are filled in place, so the parent
-        level's ``left``/``right`` references stay valid), and its ids
-        array is the master's own — worker-shipped id vectors are plain
-        arrays, so no shared-memory view can leak into the returned tree.
-        """
-        local_levels: List[List[_Seg]] = []
-        for li, level_res in enumerate(res["levels"]):
-            if li == 0:
-                self._apply_record(seg, level_res["segs"][0])
-                local_levels.append([seg])
-                continue
-            ids_flat = level_res["ids"]
-            segs: List[_Seg] = []
-            offset = 0
-            for rec in level_res["segs"]:
-                m = rec["length"]
-                child = _Seg(
-                    ids=ids_flat[offset : offset + m],
-                    level=seg.level + li,
-                    path=(),
-                )
-                offset += m
-                self._apply_record(child, rec)
-                segs.append(child)
-            local_levels.append(segs)
-        for li, segs in enumerate(local_levels):
-            child = 0
-            for s in segs:
-                if not s.is_leaf:
-                    s.left = local_levels[li + 1][2 * child]
-                    s.right = local_levels[li + 1][2 * child + 1]
-                    s.left.path = s.path + (0,)
-                    s.right.path = s.path + (1,)
-                    child += 1
-        self._link_nodes(local_levels)
-        for segs, level_res in zip(local_levels, res["levels"]):
-            for s, rec in zip(segs, level_res["segs"]):
-                if rec["kind"] == "split":
-                    s.node.meta.update(rec["meta"])
-        seg.total_cost = res["total"]
-
-    @staticmethod
-    def _apply_record(seg: _Seg, rec: Dict[str, Any]) -> None:
-        kind = rec["kind"]
-        if kind == "split":
-            seg.separator = rec["separator"]
-            seg.divide_cost = rec["divide_cost"]
-            seg.post_cost = rec["post_cost"]
-        else:
-            seg.is_leaf = True
-            if kind == "failed":
-                seg.divide_cost = rec["divide_cost"]
-
-    def _replay_accounting(self, results: List[Dict[str, Any]]) -> None:
-        """Replay the subtrees' section folds in the serial engine's order.
-
-        Sections fold per *name*, so only the within-name order matters.
-        Serially, ``base`` folds level by level — arrived leaves in
-        segment order, then degenerated actives in segment order;
-        ``divide`` folds every active in segment order per level; and
-        ``correct`` folds internal segments per level walking levels
-        bottom-up.  At any level at or below the cut, the serial segment
-        order is the concatenation of the per-subtree segment lists in
-        cut order (splits preserve order), so concatenating the subtree
-        records per global level — subtree-major — reproduces each fold
-        bit for bit.  Master levels folded live before (build) and after
-        (correct) this replay complete the serial order.
-        """
-        machine = self.machine
-        depth = max(len(res["levels"]) for res in results)
-        for li in range(depth):
-            recs = [
-                rec
-                for res in results
-                if li < len(res["levels"])
-                for rec in res["levels"][li]["segs"]
-            ]
-            for rec in recs:
-                if rec["kind"] == "leaf":
-                    machine.attribute("base", base_case_cost(rec["length"]))
-            for rec in recs:
-                if rec["kind"] != "leaf":
-                    machine.attribute("divide", rec["divide_cost"])
-            for rec in recs:
-                if rec["kind"] == "failed":
-                    machine.attribute("base", base_case_cost(rec["length"]))
-        for li in range(depth - 1, -1, -1):
-            for res in results:
-                if li >= len(res["levels"]):
-                    continue
-                for rec in res["levels"][li]["segs"]:
-                    if rec["kind"] == "split":
-                        machine.attribute("correct", rec["post_cost"])
+            seg.node = _link_levels(seg.ids, res["levels"])
+            seg.total_cost = res["total"]
+            seg.sections = unpack_sections(*res["sections"])
 
     # -- observability ---------------------------------------------------
 
@@ -331,6 +228,39 @@ class _ParallelFrontierMixin:
         metrics.set_gauge("parallel.collect_seconds", pool.collect_seconds)
         metrics.inc("parallel.dispatch_bytes", pool.dispatch_bytes)
         metrics.inc("parallel.result_bytes", pool.result_bytes)
+
+
+def _link_levels(ids: np.ndarray, levels: List[tuple]) -> PartitionNode:
+    """Link one solved subtree's partition nodes from a worker's
+    ``(ids, lengths, separators, metas)`` level records, deepest level
+    first; returns the subtree's root.
+
+    The children of a level's ``c``-th internal node are the ``2c``-th
+    and ``2c + 1``-th nodes of the next level — the append order of
+    ``_split_segments``.  The root's ids are the master's own ``ids``;
+    the deeper levels' are slices of worker-shipped plain arrays, so no
+    shared-memory view can leak into the returned tree.
+    """
+    below: List[PartitionNode] = []
+    for li in range(len(levels) - 1, -1, -1):
+        flat, lengths, separators, metas = levels[li]
+        if li == 0:
+            flat = ids
+        children, metas = iter(below), iter(metas)
+        nodes: List[PartitionNode] = []
+        offset = 0
+        for m, separator in zip(lengths, separators):
+            node_ids = flat[offset : offset + m]
+            offset += m
+            if separator is None:
+                nodes.append(PartitionNode(indices=node_ids))
+            else:
+                nodes.append(PartitionNode(
+                    indices=node_ids, separator=separator,
+                    left=next(children), right=next(children), meta=next(metas),
+                ))
+        below = nodes
+    return below[0]
 
 
 class _ParallelFastFrontier(_ParallelFrontierMixin, _FastFrontier):

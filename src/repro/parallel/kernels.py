@@ -22,13 +22,14 @@ performs reads and writes only rows its own nodes own, so concurrent
 subtree solves never race (see ``docs/parallel.md`` for the containment
 argument).
 
-The task result ships everything the master needs to (a) rebuild the
-subtree's :class:`~repro.core.partition_tree.PartitionNode` mirror from
-plain arrays and (b) replay the subtree's ledger/section accounting in
-serial order: per-level flat id vectors, per-segment records (length,
-kind, separator, divide/post costs, node meta), the composed subtree
-total, and the task-local metrics registry (which holds the event
-counters as ``machine.*``).
+The task result ships everything the master needs to take the solved
+subtree in as one block: per-level records to link its
+:class:`~repro.core.partition_tree.PartitionNode` tree from (flat id
+vector, segment lengths, separators, internal nodes' meta), the composed
+subtree total, the subtree's section events in depth-first order (as
+phase codes and float64 ``(depth, work)`` rows, see
+:func:`pack_sections`), and the task-local metrics registry (which holds
+the event counters as ``machine.*``).
 
 Tracing: when the master's machine has a tracer attached, ``init_run``
 ships ``trace=True`` and the subtree solve runs under a task-local
@@ -46,19 +47,24 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.fast_dnc import FastDnCStats
 from ..core.frontier import _FastFrontier, _Seg, _SimpleFrontier
 from ..core.simple_dnc import SimpleDnCStats
+from ..pvm.cost import Cost
 from ..pvm.machine import Machine
 from .shm import attach
 
 __all__ = ["KERNELS", "init_run", "solve_subtree"]
 
 _STATE: Optional["RunState"] = None
+
+#: Section names by the phase code a shipped event carries.
+_PHASES = ("divide", "base", "correct")
+_PHASE_CODE = {name: code for code, name in enumerate(_PHASES)}
 
 
 class RunState:
@@ -121,31 +127,21 @@ def _task_result(engine, out: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
-def _seg_record(seg: _Seg, base: int) -> Dict[str, Any]:
-    """Everything the master needs to mirror one solved segment.
+def pack_sections(events: List[Tuple[str, Cost]]) -> Tuple[bytes, bytes]:
+    """A subtree's ``(phase, cost)`` events as two byte strings for the
+    trip to the master: one phase code per event, and the events'
+    ``(depth, work)`` rows as a float64 array's bytes, in order (the
+    floats round-trip exactly, and a small subtree pays no array
+    pickling overhead)."""
+    codes = bytes(_PHASE_CODE[name] for name, _ in events)
+    costs = np.array([(c.depth, c.work) for _, c in events], dtype=np.float64)
+    return codes, costs.tobytes()
 
-    ``kind`` separates the three replay classes: ``"leaf"`` (arrived at
-    or below the base size — its only charge is the ``m²`` brute force),
-    ``"failed"`` (an active segment that degenerated: fast separator
-    failure or simple degenerate cut — divide charges *then* the brute
-    force), ``"split"`` (internal — divide charges, then correction
-    charges on the way back up).  Arrived leaves and failed actives are
-    distinguishable by size alone, but the kind is shipped explicitly so
-    the replay never re-derives policy.
-    """
-    m = int(seg.ids.shape[0])
-    if not seg.is_leaf:
-        return {
-            "length": m,
-            "kind": "split",
-            "separator": seg.separator,
-            "divide_cost": seg.divide_cost,
-            "post_cost": seg.post_cost,
-            "meta": dict(seg.node.meta),
-        }
-    if m > base:
-        return {"length": m, "kind": "failed", "divide_cost": seg.divide_cost}
-    return {"length": m, "kind": "leaf"}
+
+def unpack_sections(codes: bytes, costs: bytes) -> List[Tuple[str, Cost]]:
+    """The inverse of :func:`pack_sections`."""
+    rows = np.frombuffer(costs, dtype=np.float64).reshape(-1, 2).tolist()
+    return [(_PHASES[code], Cost(depth, work)) for code, (depth, work) in zip(codes, rows)]
 
 
 def solve_subtree(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -154,8 +150,11 @@ def solve_subtree(payload: Dict[str, Any]) -> Dict[str, Any]:
     The payload names a slice of the shared cut-frontier id buffer plus
     the segment's tree position (``path``/``level``); the kernel runs the
     serial :meth:`~repro.core.frontier._FrontierBase.solve_subtree` on it
-    and packages the solved levels for the master's mirror rebuild and
-    accounting replay.  ``levels[0]["ids"]`` is ``None`` — the master
+    and packages the solved levels for the master to link the subtree's
+    nodes from, with its total and section events.  Each level ships as
+    ``(ids, lengths, separators, metas)``: its concatenated ids, one
+    length and one separator (``None`` for a leaf) per segment, and one
+    meta dict per internal node.  Level 0's ids are ``None`` — the master
     already holds the cut segment's ids and substitutes its own array.
     """
     state = _STATE
@@ -177,15 +176,20 @@ def solve_subtree(payload: Dict[str, Any]) -> Dict[str, Any]:
         if wspan is not None:
             wspan.attrs["depth"] = len(levels)
             wspan.attrs["segments"] = int(sum(len(ls) for ls in levels))
-    shipped: List[Dict[str, Any]] = []
-    for li, level_segs in enumerate(levels):
-        shipped.append({
-            "ids": None if li == 0 else np.concatenate(
-                [s.ids for s in level_segs]
-            ),
-            "segs": [_seg_record(s, state.base) for s in level_segs],
-        })
-    return _task_result(engine, {"levels": shipped, "total": seg.total_cost})
+    shipped = [
+        (
+            None if li == 0 else np.concatenate([s.ids for s in level_segs]),
+            [int(s.ids.shape[0]) for s in level_segs],
+            [s.separator for s in level_segs],
+            [s.node.meta for s in level_segs if not s.is_leaf],
+        )
+        for li, level_segs in enumerate(levels)
+    ]
+    return _task_result(engine, {
+        "levels": shipped,
+        "total": seg.total_cost,
+        "sections": pack_sections(seg.sections),
+    })
 
 
 def serve_init(payload: Dict[str, Any]) -> Any:

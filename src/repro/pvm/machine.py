@@ -246,16 +246,6 @@ class Machine:
             self.sections[name] = self.sections.get(name, ZERO).then(frame.cost)
             self._stack[-1].charge(frame.cost)
 
-    def attribute(self, name: str, cost: Cost) -> None:
-        """Add ``cost`` to the :attr:`sections` total for ``name`` directly.
-
-        The batched frontier engine computes per-phase costs analytically
-        (it executes whole tree levels at once but accounts per node) and
-        records them here so phase breakdowns stay comparable across
-        engines.  The ledger is untouched — this is observability only.
-        """
-        self.sections[name] = self.sections.get(name, ZERO).then(cost)
-
     # -- primitive cost schedules ---------------------------------------
 
     def scan_cost(self, n: int) -> Cost:

@@ -39,18 +39,11 @@ def run_dnc(method: str, points, k: int, seed: int, **cfg):
     return simple_parallel_dnc(points, k, seed=seed, config=SimpleDnCConfig(**cfg))
 
 
-def assert_same_run(a, b, *, section_depths: bool = True) -> None:
+def assert_same_run(a, b) -> None:
     """``a`` and ``b`` are the same run bit for bit: neighbor arrays,
     partition tree (:func:`~repro.core.online.tree_signature`: every
     node's ids and separator bytes), ledger, machine counters and
-    per-phase sections.
-
-    Section works are integers and always compare exactly.  The recursive
-    engine and a frontier engine add the same per-node section depths in
-    different orders (post-order there, level by level here), so at
-    k > 1, where the selection depth is not an integer, their section
-    depths may differ in the last place: pass ``section_depths=False``.
-    """
+    per-phase sections (depth and work)."""
     np.testing.assert_array_equal(a.system.neighbor_indices, b.system.neighbor_indices)
     np.testing.assert_array_equal(a.system.neighbor_sq_dists, b.system.neighbor_sq_dists)
     assert tree_signature(a.tree) == tree_signature(b.tree)
@@ -58,8 +51,6 @@ def assert_same_run(a, b, *, section_depths: bool = True) -> None:
     assert (a.cost.depth, a.cost.work) == (b.cost.depth, b.cost.work)
     assert a.machine.counters == b.machine.counters
     sa, sb = a.machine.sections, b.machine.sections
-    assert {name: c.work for name, c in sa.items()} == {name: c.work for name, c in sb.items()}
-    if section_depths:
-        assert {name: c.depth for name, c in sa.items()} == {
-            name: c.depth for name, c in sb.items()
-        }
+    assert {name: (c.depth, c.work) for name, c in sa.items()} == {
+        name: (c.depth, c.work) for name, c in sb.items()
+    }

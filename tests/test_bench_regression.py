@@ -105,6 +105,21 @@ class TestGateAgainstCommittedBaseline:
             assert rec["total"]["work"] > 0
             assert rec["phases"] and rec["counters"]
 
+    @pytest.mark.parametrize("trio", [
+        ("fast_recursive_punty", "fast_frontier_punty", "fast_frontier_mp_w2_punty"),
+        ("simple_recursive", "simple_frontier", "simple_frontier_mp_w2"),
+    ])
+    def test_engine_trios_share_one_ledger(self, trio):
+        """Each engine runs the same inputs to the same totals, phases and
+        counters, so a rebaseline cannot split them again unnoticed."""
+        with open(BASELINE) as fh:
+            records = {r["run"]: r for r in json.load(fh)}
+        ledgers = [
+            (records[run]["total"], records[run]["phases"], records[run]["counters"])
+            for run in trio
+        ]
+        assert ledgers[1] == ledgers[0] and ledgers[2] == ledgers[0]
+
     def test_cheapest_gate_run_reproduces_baseline(self):
         fresh = gate.run_gates(["fast_recursive"])
         with open(BASELINE) as fh:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.correction import apply_candidate_pairs, march_balls, query_correction_pairs
+from repro.core.correction import apply_candidate_pairs_batch, march_balls, query_correction_pairs
 from repro.core.fast_dnc import parallel_nearest_neighborhood
 from repro.core.query import QueryConfig
 from repro.geometry.balls import BallSystem
@@ -83,8 +83,8 @@ class TestApplyCandidatePairs:
         nbr_idx = np.array([[1], [0], [0]])
         nbr_sq = np.array([[100.0], [100.0], [0.25]])
         owners = np.array([0])
-        changed = apply_candidate_pairs(
-            pts, nbr_idx, nbr_sq, owners, np.array([0]), np.array([2]), k=1
+        changed = apply_candidate_pairs_batch(
+            pts, nbr_idx, nbr_sq, owners, np.array([2]), k=1
         )
         assert changed == 1
         assert nbr_idx[0, 0] == 2
@@ -94,8 +94,8 @@ class TestApplyCandidatePairs:
         pts = np.array([[0.0, 0.0], [1.0, 0.0]])
         nbr_idx = np.array([[1], [0]])
         nbr_sq = np.array([[1.0], [1.0]])
-        changed = apply_candidate_pairs(
-            pts, nbr_idx, nbr_sq, np.array([0]), np.array([0]), np.array([0]), k=1
+        changed = apply_candidate_pairs_batch(
+            pts, nbr_idx, nbr_sq, np.array([0]), np.array([0]), k=1
         )
         assert changed == 0
 
@@ -104,8 +104,8 @@ class TestApplyCandidatePairs:
         nbr_idx = np.array([[1], [0]])
         nbr_sq = np.zeros((2, 1))
         assert (
-            apply_candidate_pairs(
-                pts, nbr_idx, nbr_sq, np.array([0]), np.empty(0, int), np.empty(0, int), 1
+            apply_candidate_pairs_batch(
+                pts, nbr_idx, nbr_sq, np.empty(0, int), np.empty(0, int), 1
             )
             == 0
         )
@@ -114,8 +114,8 @@ class TestApplyCandidatePairs:
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
         nbr_idx = np.array([[1], [0], [1]])
         nbr_sq = np.array([[1.0], [1.0], [16.0]])
-        changed = apply_candidate_pairs(
-            pts, nbr_idx, nbr_sq, np.array([0]), np.array([0]), np.array([2]), k=1
+        changed = apply_candidate_pairs_batch(
+            pts, nbr_idx, nbr_sq, np.array([0]), np.array([2]), k=1
         )
         assert changed == 0
         assert nbr_idx[0, 0] == 1
@@ -124,8 +124,8 @@ class TestApplyCandidatePairs:
         pts = np.array([[0.0, 0.0], [3.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
         nbr_idx = np.array([[1], [2], [3], [2]])
         nbr_sq = np.array([[9.0], [1.0], [1.0], [1.0]])
-        apply_candidate_pairs(
-            pts, nbr_idx, nbr_sq, np.array([0]), np.array([0, 0]), np.array([2, 3]), k=1
+        apply_candidate_pairs_batch(
+            pts, nbr_idx, nbr_sq, np.array([0, 0]), np.array([2, 3]), k=1
         )
         assert nbr_idx[0, 0] == 3
         assert nbr_sq[0, 0] == pytest.approx(1.0)
@@ -142,7 +142,7 @@ class TestQueryCorrectionEquivalence:
         system = BallSystem(centers, radii)
         all_ids = np.arange(pts.shape[0], dtype=np.int64)
         rows, ids = query_correction_pairs(
-            system, pts, all_ids, None, 11, QueryConfig()
+            system, pts, all_ids, Machine(), 11, QueryConfig()
         )
         got = {(int(b), int(p)) for b, p in zip(rows, ids)}
         want = {(int(b), int(p)) for b, p in zip(march.ball_rows, march.point_ids)}
@@ -151,7 +151,7 @@ class TestQueryCorrectionEquivalence:
     def test_empty_inputs(self):
         system = BallSystem(np.zeros((0, 2)), np.zeros(0))
         rows, ids = query_correction_pairs(
-            system, np.zeros((0, 2)), np.zeros(0, dtype=int), None, 0, QueryConfig()
+            system, np.zeros((0, 2)), np.zeros(0, dtype=int), Machine(), 0, QueryConfig()
         )
         assert rows.size == 0 and ids.size == 0
 

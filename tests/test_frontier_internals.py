@@ -20,7 +20,7 @@ import pytest
 import repro
 from repro import kernels
 from repro.core import neighborhood
-from repro.core.correction import apply_candidate_pairs, apply_candidate_pairs_batch
+from repro.core.correction import apply_candidate_pairs_batch
 from repro.core.fast_dnc import FastDnCConfig, parallel_nearest_neighborhood
 from repro.core.neighborhood import brute_force_leaves, merge_neighbor_lists
 from repro.core.partition_tree import PartitionNode
@@ -554,38 +554,10 @@ class TestStackedLeaves:
 
 
 class TestApplyCandidatePairsBatch:
-    @pytest.mark.parametrize("k", [1, 2, 5])
-    def test_matches_sequential_apply(self, k):
-        rng = np.random.default_rng(12)
-        n = 120
-        points = rng.normal(size=(n, 2))
-        # start from partially-filled lists with sentinel slots
-        idx_a = np.full((n, k), -1, dtype=np.int64)
-        sq_a = np.full((n, k), np.inf)
-        for i in range(n):
-            fill = rng.integers(0, k + 1)
-            others = rng.choice(np.delete(np.arange(n), i), size=fill, replace=False)
-            d = np.sum((points[others] - points[i]) ** 2, axis=1)
-            order = np.argsort(d, kind="stable")
-            idx_a[i, :fill] = others[order]
-            sq_a[i, :fill] = d[order]
-        idx_b, sq_b = idx_a.copy(), sq_a.copy()
-
-        pairs = 400
-        owners = rng.integers(0, n, size=pairs)
-        cands = rng.integers(0, n, size=pairs)
-        changed_seq = apply_candidate_pairs(
-            points, idx_a, sq_a, np.arange(n), owners, cands, k
-        )
-        changed_bat = apply_candidate_pairs_batch(points, idx_b, sq_b, owners, cands, k)
-        np.testing.assert_array_equal(idx_a, idx_b)
-        np.testing.assert_array_equal(sq_a, sq_b)
-        assert changed_seq == changed_bat
-
     @pytest.mark.parametrize("k", [1, 3])
     def test_matches_per_owner_merge_reference(self, k):
-        """The per-owner loop over ``merge_neighbor_lists`` that
-        ``apply_candidate_pairs`` used to run, kept as the reference."""
+        """The per-owner loop over ``merge_neighbor_lists`` that the
+        correction merge used to run, kept as the reference."""
         rng = np.random.default_rng(13)
         n = 90
         points = rng.normal(size=(n, 2))
@@ -607,8 +579,8 @@ class TestApplyCandidatePairsBatch:
                     np.array_equal(new_idx, ref_idx[g]) and np.array_equal(new_sq, ref_sq[g])
                 )
                 ref_idx[g], ref_sq[g] = new_idx, new_sq
-            changed = apply_candidate_pairs(
-                points, idx, sq, np.arange(n), owners, cands, k
+            changed = apply_candidate_pairs_batch(
+                points, idx, sq, owners, cands, k
             )
             np.testing.assert_array_equal(idx, ref_idx)
             np.testing.assert_array_equal(sq, ref_sq)

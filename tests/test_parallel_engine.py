@@ -94,6 +94,16 @@ class TestBitIdentity:
         )
         assert min(counts) > 0
 
+    def test_punty_run_equals_the_recursive_reference(self):
+        """Workers return their subtrees' section events and the master
+        folds the tree's once, so at k = 2, where the selection depth is
+        not an integer, every phase's depth equals the recursive run's."""
+        pts = uniform_cube(3000, 2, seed=42)
+        cfg = dict(iota_factor=0.8, active_factor=0.3)
+        rec = run_dnc("fast", pts, 2, 42, engine="recursive", **cfg)
+        got = run_dnc("fast", pts, 2, 42, engine="frontier-mp", workers=2, **cfg)
+        assert_same_run(rec, got)
+
     def test_series_agree_as_multisets(self):
         pts = uniform_cube(500, 2, seed=10)
         ref = run_dnc("fast", pts, 2, 41, engine="frontier")
