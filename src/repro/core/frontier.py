@@ -68,9 +68,15 @@ The online index (:mod:`repro.core.online`) runs the same level loop
 through a subclass of :class:`_FastFrontier`: per-segment hooks give it
 its own sampler rows (:meth:`_FastFrontier._sampler_rows`), correction
 generator (:meth:`_FrontierBase._rng_of`) and counter sinks
-(:meth:`_FrontierBase._machine_of` / :meth:`_FrontierBase._stats_of`),
-and :meth:`_FastFrontier._level_corrected` sees each corrected and
-composed level.
+(:meth:`_FrontierBase._machine_of` / :meth:`_FrontierBase._stats_of`);
+:meth:`_FastFrontier._divide_from_hints` lets it divide some segments
+without a search (their children preset, which
+:meth:`_FrontierBase._split_segments` keeps),
+:meth:`_FastFrontier._tried` shows it each attempt's candidate and
+interior count, :meth:`_FastFrontier._classify_level` (which returns
+each node's straddlers) lets it classify fewer balls, and
+:meth:`_FastFrontier._level_corrected` sees each corrected and composed
+level.  On the offline engines the hooks do nothing.
 """
 
 from __future__ import annotations
@@ -86,11 +92,7 @@ from ..geometry.spheres import Sphere
 from ..kernels.layout import FlatMarchResult, FlatTree
 from ..pvm.cost import Cost, ZERO
 from ..pvm.machine import Machine
-from ..separators.batch import (
-    batched_side_of_points,
-    prepare_samplers,
-    side_split_is_good,
-)
+from ..separators.batch import batched_side_of_points, prepare_samplers, split_is_good
 from ..separators.hyperplane import _SELECTION_ROUNDS, median_hyperplane
 from ..separators.quality import default_delta
 from ..separators.unit_time import _ATTEMPT_SERIAL_COST
@@ -249,24 +251,26 @@ class _FrontierBase:
         kernel pass over the level's concatenated ids and raw sides
         (interior = ``side < 0`` first keeps the recursive engine's stable
         ``ids[side < 0]`` / ``ids[side > 0]`` ordering bit-for-bit).
-        Children are segments of their parent's class."""
-        lengths = np.array([s.ids.shape[0] for s in split_segs], dtype=np.int64)
-        flat_ids = np.concatenate([s.ids for s in split_segs])
-        sides = np.concatenate([s.side for s in split_segs])
-        for seg in split_segs:
-            seg.side = None  # a view of its search round's sides: let it go
-        seg_ids = np.repeat(np.arange(len(split_segs)), lengths)
-        out, false_counts = kernels.segmented_split_sides(flat_ids, sides, seg_ids)
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
-        children: List[_Seg] = []
-        for j, seg in enumerate(split_segs):
-            lo, hi = int(offsets[j]), int(offsets[j + 1])
-            cut = lo + int(false_counts[j])
-            seg.left = type(seg)(ids=out[lo:cut], level=seg.level + 1, path=seg.path + (0,))
-            seg.right = type(seg)(ids=out[cut:hi], level=seg.level + 1, path=seg.path + (1,))
-            children.append(seg.left)
-            children.append(seg.right)
-        return children
+        Children are segments of their parent's class; a segment whose
+        children are already set (the online index routes a reused
+        separator's children) keeps them.  Returns the children in
+        segment order."""
+        cut_segs = [s for s in split_segs if s.left is None]
+        if cut_segs:
+            lengths = np.array([s.ids.shape[0] for s in cut_segs], dtype=np.int64)
+            flat_ids = np.concatenate([s.ids for s in cut_segs])
+            sides = np.concatenate([s.side for s in cut_segs])
+            for seg in cut_segs:
+                seg.side = None  # a view of its search round's sides: let it go
+            seg_ids = np.repeat(np.arange(len(cut_segs)), lengths)
+            out, false_counts = kernels.segmented_split_sides(flat_ids, sides, seg_ids)
+            offsets = np.concatenate(([0], np.cumsum(lengths)))
+            for j, seg in enumerate(cut_segs):
+                lo, hi = int(offsets[j]), int(offsets[j + 1])
+                cut = lo + int(false_counts[j])
+                seg.left = type(seg)(ids=out[lo:cut], level=seg.level + 1, path=seg.path + (0,))
+                seg.right = type(seg)(ids=out[cut:hi], level=seg.level + 1, path=seg.path + (1,))
+        return [child for seg in split_segs for child in (seg.left, seg.right)]
 
     def _link_nodes(self, levels: List[List[_Seg]]) -> None:
         for level_segs in reversed(levels):
@@ -395,7 +399,7 @@ class _FastFrontier(_FrontierBase):
             span.attrs["base_segments"] = len(segs) - len(active)
         if not active:
             return []
-        self._find_separators(active)
+        self._find_separators(self._divide_from_hints(active))
         split_segs = [s for s in active if s.separator is not None]
         for seg in active:
             if seg.separator is None:
@@ -431,7 +435,8 @@ class _FastFrontier(_FrontierBase):
         its own generators (:meth:`_sampler_rows`), so acceptance happens
         at exactly the attempt the recursive engine would accept.
         """
-        machine = self.machine
+        if not active:
+            return
         config = self.config
         target = default_delta(self.dim, config.epsilon)
         subs = [self.points[seg.ids] for seg in active]
@@ -443,14 +448,7 @@ class _FastFrontier(_FrontierBase):
             if not searching:
                 break
             for i in searching:
-                m = subs[i].shape[0]
-                divide[i] = (
-                    divide[i]
-                    .then(machine.serial_cost(_ATTEMPT_SERIAL_COST))
-                    .then(machine.ewise_cost(m, 3.0))
-                    .then(machine.scan_cost(m))
-                )
-                self._machine_of(active[i]).bump("separator_attempts")
+                divide[i] = self._charge_attempt(active[i], divide[i])
             drew: List[int] = []
             candidates: List[object] = []
             for i, candidate in zip(searching, samplers.draw(searching)):
@@ -459,16 +457,18 @@ class _FastFrontier(_FrontierBase):
                     candidates.append(candidate)
                 else:
                     self._machine_of(active[i]).bump("separator_draw_failures")
+                    self._tried(active[i], None, 0)
             accepted = set()
             if drew:
                 sides = batched_side_of_points(candidates, [subs[i] for i in drew])
                 for i, candidate, side in zip(drew, candidates, sides):
-                    if side_split_is_good(side, target):
-                        seg = active[i]
+                    seg = active[i]
+                    interior = int(np.count_nonzero(side < 0))
+                    self._tried(seg, candidate, interior)
+                    if split_is_good(interior, side.shape[0], target):
                         seg.separator = candidate
                         seg.side = side
-                        seg.attempts = attempt
-                        self._stats_of(seg).separator_attempts += attempt
+                        self._accept(seg, attempt)
                         accepted.add(i)
             searching = [i for i in searching if i not in accepted]
             if attempt % _REFRESH_EVERY == 0:
@@ -483,6 +483,35 @@ class _FastFrontier(_FrontierBase):
         for i, seg in enumerate(active):
             seg.pre_cost = seg.pre_cost.then(divide[i])
             seg.divide_cost = divide[i]
+
+    def _charge_attempt(self, seg: _Seg, divide: Cost) -> Cost:
+        """Fold one separator attempt's charges onto ``divide`` and count
+        it, as the recursive ``find_good_separator`` does per attempt."""
+        machine = self.machine
+        m = seg.ids.shape[0]
+        self._machine_of(seg).bump("separator_attempts")
+        return (
+            divide
+            .then(machine.serial_cost(_ATTEMPT_SERIAL_COST))
+            .then(machine.ewise_cost(m, 3.0))
+            .then(machine.scan_cost(m))
+        )
+
+    def _accept(self, seg: _Seg, attempt: int) -> None:
+        """Record that ``seg.separator`` passed at ``attempt``."""
+        seg.attempts = attempt
+        self._stats_of(seg).separator_attempts += attempt
+
+    def _divide_from_hints(self, active: List[_Seg]) -> List[_Seg]:
+        """The segments of ``active`` that must search for a separator.
+        Here all of them; the online index gives the others their
+        hint's separator and children (:mod:`repro.core.online`)."""
+        return active
+
+    def _tried(self, seg: _Seg, candidate, interior: int) -> None:
+        """Called once per attempt in attempt order: the candidate drawn
+        (``None`` for a draw failure) and how many of the segment's
+        points fell inside it.  The online index records these."""
 
     def _sampler_rows(self, segs: List[_Seg], subs: List[np.ndarray], attempt: int):
         """What :func:`prepare_samplers` builds the rows of ``segs`` from
@@ -529,11 +558,11 @@ class _FastFrontier(_FrontierBase):
                         # wall-clock includes it
                         self.flat, nodes = FlatTree.flatten(levels[0][0].node)
                         preorder = {id(node): i for i, node in enumerate(nodes)}
-                    classified = self._classify_level(internal)
+                    found = self._classify_level(internal)
                     self._pending_owners: List[np.ndarray] = []
                     self._pending_cands: List[np.ndarray] = []
                     straddlers, punts = self._correct_level(
-                        internal, classified, self.flat, preorder
+                        internal, found, self.flat, preorder
                     )
                     self._flush_level_pairs()
                     if span is not None:
@@ -546,31 +575,32 @@ class _FastFrontier(_FrontierBase):
         """Called after each level of the sweep, deepest first."""
 
     def _classify_level(self, internal: List[_Seg]):
-        """Both-side ball classification for every internal segment of one
-        level, sphere separators batched into a single flat pass.
+        """Each internal segment's straddlers, ``(in-side ids, ex-side
+        ids)``: the balls of each child that reach both sides of the
+        segment's separator (:meth:`_straddlers`)."""
+        return self._straddlers(internal, [(s.left.ids, s.right.ids) for s in internal])
+
+    def _straddlers(self, internal: List[_Seg], balls):
+        """The balls of ``balls[j]``, an (in-side ids, ex-side ids) pair,
+        that straddle ``internal[j]``'s separator, sphere separators
+        batched into a single flat pass.
 
         The sphere test (``|center - c| - r`` against the ball radius) is
         row-local, so the batched result is bitwise identical to per-node
         :meth:`~repro.geometry.spheres.Sphere.classify_balls`; the rare
         hyperplane separator falls back to the per-node call.
         """
-        classified = [None] * len(internal)
+        out = [None] * len(internal)
         sides: List[Tuple[int, np.ndarray]] = []
-        for j, seg in enumerate(internal):
+        for j, (seg, pair) in enumerate(zip(internal, balls)):
             sep = seg.node.separator
             if isinstance(sep, Sphere):
-                sides.append((j, seg.left.ids))
-                sides.append((j, seg.right.ids))
+                sides.append((j, pair[0]))
+                sides.append((j, pair[1]))
             else:
-                classified[j] = (
-                    sep.classify_balls(
-                        self.points[seg.left.ids],
-                        np.sqrt(self.nbr_sq[seg.left.ids, -1]),
-                    ),
-                    sep.classify_balls(
-                        self.points[seg.right.ids],
-                        np.sqrt(self.nbr_sq[seg.right.ids, -1]),
-                    ),
+                out[j] = tuple(
+                    ids[sep.classify_balls(self.points[ids], np.sqrt(self.nbr_sq[ids, -1])) == 0]
+                    for ids in pair
                 )
         if sides:
             lengths = np.array([ids.shape[0] for _, ids in sides], dtype=np.int64)
@@ -583,17 +613,17 @@ class _FastFrontier(_FrontierBase):
             )
             rows = np.repeat(np.arange(len(sides)), lengths)
             ball_radii = np.sqrt(self.nbr_sq[flat_ids, -1])
-            cls_flat = kernels.classify_level_spheres(
+            cut = kernels.classify_level_spheres(
                 self.points, flat_ids, rows, centers, sep_radii, ball_radii
-            )
+            ) == 0
             bounds = np.concatenate(([0], np.cumsum(lengths)))
             for pair in range(0, len(sides), 2):
-                j = sides[pair][0]
-                classified[j] = (
-                    cls_flat[bounds[pair] : bounds[pair + 1]],
-                    cls_flat[bounds[pair + 1] : bounds[pair + 2]],
+                (j, ids_in), (_, ids_ex) = sides[pair], sides[pair + 1]
+                out[j] = (
+                    ids_in[cut[bounds[pair] : bounds[pair + 1]]],
+                    ids_ex[cut[bounds[pair + 1] : bounds[pair + 2]]],
                 )
-        return classified
+        return out
 
     def _flush_level_pairs(self) -> None:
         if self._pending_owners:
@@ -611,12 +641,12 @@ class _FastFrontier(_FrontierBase):
     def _correct_level(
         self,
         internal: List[_Seg],
-        classified,
+        found,
         flat: FlatTree,
         preorder: Dict[int, int],
     ) -> Tuple[int, int]:
-        """Correct one level's nodes; returns the level's straddler and
-        punt counts.
+        """Correct one level's nodes, given each node's (in-side, ex-side)
+        straddlers; returns the level's straddler and punt counts.
 
         Each node first decides, from its straddlers, between no
         correction, an iota punt and Fast Correction.  Every (node, side)
@@ -634,11 +664,9 @@ class _FastFrontier(_FrontierBase):
         starts: List[int] = []
         caps: List[float] = []
         iotas = 0
-        for seg, (cls_in, cls_ex) in zip(internal, classified):
+        for seg, (straddle_in, straddle_ex) in zip(internal, found):
             node = seg.node
             m = node.size
-            straddle_in = seg.left.ids[cls_in == 0]
-            straddle_ex = seg.right.ids[cls_ex == 0]
             iota = straddle_in.shape[0] + straddle_ex.shape[0]
             iotas += iota
             self._stats_of(seg).straddler_fraction.append((m, iota))

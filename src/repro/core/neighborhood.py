@@ -93,9 +93,10 @@ def brute_force_leaves(
 
     Leaves of one size stack into :func:`repro.kernels.block_topk` calls
     of at most :data:`LEAF_PAIR_CHUNK` pairs each (a single leaf is one
-    block of one call).  Each leaf's rows come out bit for bit as from
-    its own call: the kernel's distances and selections never cross a
-    block, and leaves own disjoint rows.
+    block of one call, computed in row slices of about that many pairs
+    when it alone holds more).  Each leaf's rows come out bit for bit as
+    from its own call: the kernel's distances and selections never cross
+    a block, and leaves own disjoint rows.
     """
     by_size: Dict[int, List[np.ndarray]] = {}
     for ids in leaves:
@@ -106,7 +107,14 @@ def brute_force_leaves(
         per_call = max(1, LEAF_PAIR_CHUNK // (m * m))
         for lo in range(0, len(group), per_call):
             ids = np.concatenate(group[lo : lo + per_call])
-            local_idx, local_sq = kernels.block_topk(points[ids], kk, block=m)
+            if m * m > LEAF_PAIR_CHUNK:
+                # one leaf past the chunk (a failed separator search makes
+                # one of a whole segment) streams its rows instead of
+                # holding m x m pairs
+                rows = max(1, LEAF_PAIR_CHUNK // m)
+                local_idx, local_sq = kernels.block_topk(points[ids], kk, rows=rows)
+            else:
+                local_idx, local_sq = kernels.block_topk(points[ids], kk, block=m)
             nbr_idx[ids, :kk] = ids[local_idx]
             nbr_sq[ids, :kk] = local_sq
             if kk < k:

@@ -25,21 +25,32 @@ choices make that possible:
    to the paths the mutations actually touch.  The correction path's punt
    randomness is likewise seeded from the subset hash.
 
-2. **Recorded subtrees.**  The build captures, per sufficiently large
-   node, everything a replay needs: the subtree's neighbor rows after its
-   own correction, its exact composed :class:`~repro.pvm.cost.Cost`, its
-   section events and its metric deltas (the ``machine.*`` event counters
-   among them).
+2. **Recorded nodes.**  The build captures, per sufficiently large
+   node, everything a replay needs — the subtree's exact composed
+   :class:`~repro.pvm.cost.Cost`, its section events and its metric
+   deltas (the ``machine.*`` event counters among them) — and what a
+   later commit needs to redo the node cheaply: its separator search
+   (the rendezvous sample's key bound and each attempt's candidate and
+   interior count), its correction's straddlers, and their neighbor rows
+   before that correction (the node's *log*).
 
 Both run on the frontier level loop of :mod:`repro.core.frontier`
 (:class:`_OnlineFrontier`): each level's separator searches are rows of
 one stacked sampler pass, its leaves are brute-forced together and its
 Fast Corrections run as one lockstep march.  Absorbing a commit is the
-same level loop over the new point set with the previous version's nodes
-as hints: a subtree whose subset is unchanged is resolved from its record
-when its parent divides — one ``charge`` instead of thousands — and only
-the recomputed spine is divided and corrected, exactly as a fresh build
-would.  Each node's counters, series and phase totals fold into the run
+same level loop over the new point set, starting from the previous
+version's final neighbor rows, with the previous version's nodes as
+hints.  A node whose sample the mutations leave alone and whose every
+attempt keeps its outcome reuses its hint's separator without a search.
+Such a node, and one whose search ends at its hint's separator anyway,
+is *anchored*: its children are the hint's children plus or minus the
+mutations routed to them, and it undoes its hint's log so the rows below
+it read as they did before the hint's correction.  A child that received
+no mutation is resolved from its record at once — one ``charge`` instead
+of thousands, and no row written.  An anchored node's correction keeps
+its hint's straddler verdicts and reclassifies only the balls whose
+radius can have changed.  Every other node is divided and corrected
+exactly as a fresh build would.  Each node's counters, series and phase totals fold into the run
 in the recursive engine's depth-first order, which is the order a record
 carries them in.
 
@@ -48,7 +59,7 @@ fresh nodes along the recomputed spine, *sharing* unchanged subtrees with
 the previous version (insert-only commits share node objects outright;
 commits with deletions clone reused subtrees with monotonically remapped
 ids, which preserves every (distance, index) tie-break, and share their
-records).  Each version is
+records, which name points by position in the node's own ids).  Each version is
 flattened once into a :class:`~repro.kernels.FlatTree`, and snapshots
 hold only that and the version's arrays — never the pointer tree or its
 replay records — so they stay valid forever while a superseded tree is
@@ -67,8 +78,11 @@ from ..geometry.points import as_points
 from ..geometry.spheres import Hyperplane, Sphere
 from ..kernels.layout import FlatTree
 from ..obs.metrics import Metrics, MetricsView
-from ..pvm.cost import Cost
+from .. import kernels
+from ..pvm.cost import ZERO, Cost
 from ..pvm.machine import Machine
+from ..separators.batch import split_is_good
+from ..separators.quality import default_delta
 from ..util.rng import seed_sequence_root
 from .fast_dnc import FastDnCConfig, FastDnCStats
 from .frontier import _REFRESH_EVERY, _FastFrontier, _Seg
@@ -87,12 +101,15 @@ __all__ = [
 #: Key under which a node's replay record lives in ``PartitionNode.meta``.
 _REC_KEY = "online_record"
 
-#: Subtrees of at least ``max(base, _SNAPSHOT_MIN)`` points record a replay
-#: snapshot; smaller reused subtrees are rebuilt fresh (bit-identical
-#: either way).  Replay granularity reaches down to the brute-force
-#: leaves, which caps the recompute cost of one mutation at its root-leaf
-#: path; records store one neighbor-row copy per recorded tree level.
+#: Subtrees of at least ``max(base, _SNAPSHOT_MIN)`` points (and the
+#: root) record themselves; smaller reused subtrees are rebuilt fresh
+#: (bit-identical either way).  Replay granularity reaches down to the
+#: brute-force leaves, which caps the recompute cost of one mutation at
+#: its root-leaf path.
 _SNAPSHOT_MIN = 32
+
+#: The radius-changed balls of a replayed subtree: none.
+_NO_IDS = np.empty(0, dtype=np.int64)
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -143,6 +160,13 @@ def _point_keys(points: np.ndarray, salt: int) -> np.ndarray:
     return _mix64(acc)
 
 
+def _round_keys(keys: np.ndarray, salt: int, q: int) -> np.ndarray:
+    """``keys`` re-salted for round ``q`` of a separator search (a
+    refresh every ``_REFRESH_EVERY`` attempts starts the next round)."""
+    round_salt = np.uint64((q * 0x9E3779B97F4A7C15 ^ salt) & 0xFFFFFFFFFFFFFFFF)
+    return _mix64(keys ^ _mix64(round_salt))
+
+
 def _fold_keys(keys: np.ndarray) -> int:
     """Order-sensitive fold of a key sequence into one 64-bit value."""
     if keys.shape[0] == 0:
@@ -153,45 +177,66 @@ def _fold_keys(keys: np.ndarray) -> int:
     return int(np.bitwise_xor.reduce(mixed))
 
 
+@dataclass(slots=True)
 class _NodeRecord:
-    """Everything needed to replay one recorded subtree bit-identically:
-    its composed (depth, work) ``cost``, its ``(phase, cost)`` section
-    events and its counter and series deltas (``metrics``) in the
-    recursive engine's depth-first order, and its neighbor rows after its
-    own correction.
+    """What later commits need of one recorded node.
 
-    The rows' neighbor ids are kept as positions into the subtree's own
-    ids (``local``, int32; the subtree's rows name only its own points),
-    so a record stays valid when a commit renumbers the ids and is shared
-    by every copy of its node.
+    To replay its subtree bit-identically: its composed (depth, work)
+    ``cost``, its ``(phase, cost)`` section events and its counter and
+    series deltas (``metrics``) in the recursive engine's depth-first
+    order.
+
+    To redo the node's search when its subset changed
+    (:meth:`_OnlineFrontier._reuse`), kept only when the search can be
+    replayed: ``bound``, the largest first-round key of its rendezvous
+    sample, which no other key of its subset ties, and ``tries``, one
+    ``(candidate, interior count)`` per attempt with ``None`` for a draw
+    failure, the last one accepted.  To anchor a later node that divides
+    by the same sphere (:meth:`_OnlineFrontier._anchor`): ``straddlers``,
+    its correction's straddlers, the first ``n_in`` of them on the inner
+    side, and ``log_idx``/``log_sq``, their neighbor rows before that
+    correction.  Straddlers and logged neighbor ids are positions into
+    the node's own ids (int32, -1 for padding), so a record stays valid
+    when a commit renumbers the ids and is shared by every copy of its
+    node.
     """
 
-    __slots__ = ("cost", "sections", "metrics", "local", "nbr_sq")
-
-    def __init__(
-        self,
-        cost: Cost,
-        sections: List[Tuple[str, Cost]],
-        metrics: Metrics,
-        local: np.ndarray,
-        nbr_sq: np.ndarray,
-    ) -> None:
-        self.cost = cost
-        self.sections = sections
-        self.metrics = metrics
-        self.local = local
-        self.nbr_sq = nbr_sq
+    cost: Cost
+    sections: List[Tuple[str, Cost]]
+    metrics: Metrics
+    bound: Optional[np.uint64] = None
+    tries: tuple = ()
+    straddlers: Optional[np.ndarray] = None
+    n_in: int = 0
+    log_idx: Optional[np.ndarray] = None
+    log_sq: Optional[np.ndarray] = None
 
 
 @dataclass
 class _OnlineSeg(_Seg):
-    """A frontier segment with the online build's per-node state:
-    ``hint`` is the previous version's node at the same place, ``sink``
-    holds the node's own counters and series until its level is
-    corrected, and ``metrics`` then holds its subtree's until its parent's
-    level takes them."""
+    """A frontier segment with the online build's per-node state.
+
+    ``hint`` is the previous version's node at the same place; when
+    known, the segment's subset is the hint's (renumbered) less the
+    deleted points and plus the inserted points among ``muts``, the
+    positions of the commit's mutations (:meth:`_OnlineFrontier.build`)
+    that fall in it.  ``bound``/``tries`` collect its search for its
+    record, ``kept`` holds its hint's straddlers (inner side, outer side)
+    once it is anchored (:meth:`_OnlineFrontier._anchor`), and
+    ``changed`` the ids of its subtree whose neighbor rows can differ
+    from the hint's after its correction
+    (:meth:`_OnlineFrontier._changed`).  ``log`` is its straddlers and
+    their rows before its correction, ``sink`` holds the node's own
+    counters and series until its level is corrected, and ``metrics``
+    then holds its subtree's until its parent's level takes them."""
 
     hint: Optional[PartitionNode] = None
+    muts: Optional[np.ndarray] = None
+    bound: Optional[np.uint64] = None
+    tries: Optional[list] = None
+    kept: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    changed: Optional[np.ndarray] = None
+    log: Optional[tuple] = None
     sink: Optional["_Sink"] = None
     metrics: Optional[Metrics] = None
 
@@ -216,13 +261,16 @@ class _OnlineFrontier(_FastFrontier):
       generator seeded by the sample's hash fold, and its correction
       punts draw from a generator seeded by its subset's hash fold, made
       only when the node punts;
-    - with a hint tree (absorb), a child whose remapped subset equals its
-      hint's replays the hint's record: it is resolved when its parent
-      divides, its rows are written then, and it joins no level;
+    - with a hint tree (absorb), a node redoes its hint's divide from the
+      hint's record when the search would end the same way
+      (:meth:`_reuse`), patches its hint's straddlers instead of
+      classifying every ball (:meth:`_classify_level`), and a child that
+      received no mutation replays its hint's record: it is resolved when
+      its parent divides and joins no level;
     - each node's own counters and series go to its :class:`_Sink`; after
       its level's correction flush they join its children's, in the
-      recursive engine's depth-first order, and nodes of at least
-      ``max(base, _SNAPSHOT_MIN)`` points record their subtree with the
+      recursive engine's depth-first order, and the root and nodes of at
+      least ``max(base, _SNAPSHOT_MIN)`` points record themselves with the
       section events the level's cost fold listed
       (:meth:`_level_corrected`).  The root's metrics merge into the run
       and its events fold into the run's phase totals.
@@ -231,80 +279,202 @@ class _OnlineFrontier(_FastFrontier):
     def __init__(
         self, points, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base,
         *, keys: np.ndarray, salt: int, idmap: Optional[np.ndarray] = None,
+        deleted: Optional[np.ndarray] = None,
     ) -> None:
         super().__init__(points, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base)
         self.keys = keys
         self.salt = int(salt)
         self.idmap = idmap
+        #: the coordinates of the points the commit deletes
+        self.deleted = deleted
+        self.target = default_delta(self.dim, config.epsilon)
         #: every point's key re-salted for refresh round ``q``, made on first use
         self._salted_keys: Dict[int, np.ndarray] = {}
-        #: scratch: a recorded node's position of each of its ids; the
-        #: extra last slot maps the -1 padding id to -1
-        self._positions = np.empty(points.shape[0] + 1, dtype=np.int32)
-        self._positions[-1] = -1
         self.snapshot_min = max(base, _SNAPSHOT_MIN)
         self.sample_size = (
             config.sample_size if config.sample_size is not None else online_sample_size(self.dim)
         )
+        #: an absorb's marks of the ids in some corrected node's changed
+        #: ids (:meth:`_changed`)
+        self._dirty: Optional[np.ndarray] = None
         self.reused_subtrees = 0
         self.reused_points = 0
+        self.separators_reused = 0
+        self.separators_searched = 0
+        self.balls_reclassified = 0
 
     def build(self, hint: Optional[PartitionNode]) -> PartitionNode:
         """Build the version, absorbing into ``hint``'s tree when given;
         returns the root node."""
         n = self.points.shape[0]
         root = _OnlineSeg(ids=np.arange(n, dtype=np.int64), level=0, path=(), hint=hint)
+        if hint is not None:
+            # the commit's mutations: the inserted points (ids from
+            # first_insert on), then the deleted ones
+            self.first_insert = hint.size - self.deleted.shape[0]
+            self.n_inserted = n - self.first_insert
+            self.mut_pts = np.concatenate([self.points[self.first_insert:], self.deleted])
+            keys = [self.keys[self.first_insert:], _point_keys(self.deleted, self.salt)]
+            self.mut_keys = _round_keys(np.concatenate(keys), self.salt, 0)
+            root.muts = np.arange(self.mut_pts.shape[0], dtype=np.int64)
+            self._dirty = np.zeros(n, dtype=bool)
         self.solve_subtree(root)
         self.machine.metrics.merge(root.metrics)
         self._charge_root(root)
         return root.node
 
-    # -- hints and replays -------------------------------------------------
+    # -- hints, reuse and replays ------------------------------------------
+
+    def _divide_from_hints(self, active):
+        search = [seg for seg in active if not self._reuse(seg)]
+        self.separators_searched += len(search)
+        return search
+
+    def _reuse(self, seg: _OnlineSeg) -> bool:
+        """Give ``seg`` its hint's divide when a search would end there.
+
+        That holds when the commit leaves the node's rendezvous sample
+        alone — no mutation routed here has a round-0 key at or below the
+        record's ``bound`` — so the candidate sequence is the hint's, and
+        every attempt keeps its outcome: its interior count, moved by the
+        mutations that fall inside the candidate, passes or fails the
+        split test as before.  The attempts' charges and counters are
+        then folded as the search would fold them, the children are the
+        hint's children plus or minus the mutations on their side, and
+        the hint's log is undone (:meth:`_undo`).
+        """
+        hint = seg.hint
+        rec = None if hint is None else hint.meta.get(_REC_KEY)
+        m = seg.ids.shape[0]
+        if rec is None or rec.bound is None or m <= self.sample_size:
+            return False
+        muts = seg.muts
+        if (self.mut_keys[muts] <= rec.bound).any():
+            return False
+        pts = self.mut_pts[muts]
+        n_ins = int(np.searchsorted(muts, self.n_inserted))  # inserts come first
+        tries = []
+        last = len(rec.tries) - 1
+        for attempt, (candidate, interior) in enumerate(rec.tries):
+            if candidate is not None:
+                inside = kernels.sphere_side(pts, candidate.center, candidate.radius) < 0
+                interior += int(np.count_nonzero(inside[:n_ins]))
+                interior -= int(np.count_nonzero(inside[n_ins:]))
+                if split_is_good(interior, m, self.target) != (attempt == last):
+                    return False
+            tries.append((candidate, interior))
+        divide = ZERO
+        for candidate, _ in tries:
+            divide = self._charge_attempt(seg, divide)
+            if candidate is None:
+                self._machine_of(seg).bump("separator_draw_failures")
+        seg.pre_cost = seg.pre_cost.then(divide)
+        seg.divide_cost = divide
+        seg.separator = hint.separator
+        self._accept(seg, len(tries))
+        seg.bound, seg.tries = rec.bound, tries
+        # the last candidate is the separator: route the mutations by it
+        routed = (muts[inside], muts[~inside])
+        children = []
+        for child_hint, child_muts, bit in ((hint.left, routed[0], 0), (hint.right, routed[1], 1)):
+            n_ins = int(np.searchsorted(child_muts, self.n_inserted))
+            ids = child_hint.indices if self.idmap is None else self.idmap[child_hint.indices]
+            if n_ins < child_muts.shape[0]:
+                ids = ids[ids >= 0]
+            if n_ins:
+                ids = np.concatenate([ids, child_muts[:n_ins] + self.first_insert])
+            children.append(_OnlineSeg(ids=ids, level=seg.level + 1, path=seg.path + (bit,)))
+        seg.left, seg.right = children
+        self._anchor(seg, rec, routed)
+        self.separators_reused += 1
+        return True
+
+    def _anchor(self, seg: _OnlineSeg, rec: _NodeRecord, routed) -> None:
+        """``seg`` divides by its hint's separator: its children take the
+        hint's children as hints, with the mutations ``routed`` to their
+        side, and the hint's log is undone (:meth:`_undo`)."""
+        for child, child_hint, child_muts in zip(
+            (seg.left, seg.right), (seg.hint.left, seg.hint.right), routed
+        ):
+            child.hint, child.muts = child_hint, child_muts
+        self._undo(seg, rec)
+
+    def _undo(self, seg: _OnlineSeg, rec: _NodeRecord) -> None:
+        """Put back the neighbor rows ``seg``'s hint had before its own
+        correction, and keep the hint's straddlers in the new ids.
+
+        Only a correction's straddlers have their rows changed by it, and
+        the hint logged theirs.  The absorb starts from the previous
+        version's final rows and undoes each anchored node's hint top-down
+        as the node divides, so once a level is divided every row below it
+        reads as it did before the hints' corrections: a replayed
+        subtree's rows are its record's, and a row that still names a
+        deleted point is rewritten by a deeper undo or a rebuilt leaf.
+        """
+        ids = seg.hint.indices
+        old = ids[rec.straddlers]
+        nbrs = ids[rec.log_idx]
+        if self.idmap is not None:
+            old, nbrs = self.idmap[old], self.idmap[nbrs]
+        nbrs[rec.log_idx < 0] = -1
+        alive = old >= 0
+        self.nbr_idx[old[alive]] = nbrs[alive]
+        self.nbr_sq[old[alive]] = rec.log_sq[alive]
+        n_in = rec.n_in
+        seg.kept = (old[:n_in][alive[:n_in]], old[n_in:][alive[n_in:]])
 
     def _divide_level(self, segs, span):
-        """Divide as the frontier does, then give each child its hint's
-        child; the children that replay a record join no level."""
-        super()._divide_level(segs, span)
-        children = []
+        """Divide as the frontier does.  A node whose search ended at its
+        hint's sphere (a tied sample boundary keeps a search from being
+        replayed, not from repeating) is anchored like a reusing one; the
+        children that received no mutation replay their hint's record and
+        join no level.  A one-point leaf's row is emptied: brute force
+        writes none, and an absorb starts from the previous version's
+        rows."""
+        children = super()._divide_level(segs, span)
         for seg in segs:
-            hint, seg.hint = seg.hint, None
-            if seg.left is None:
-                continue
-            for child, child_hint in (
-                (seg.left, None if hint is None else hint.left),
-                (seg.right, None if hint is None else hint.right),
+            rec = None if seg.hint is None else seg.hint.meta.get(_REC_KEY)
+            if (
+                seg.kept is None
+                and seg.left is not None
+                and rec is not None
+                and rec.straddlers is not None
+                and isinstance(seg.separator, Sphere)
+                and _separator_signature(seg.separator) == _separator_signature(seg.hint.separator)
             ):
-                if child_hint is not None and self._replay(child, child_hint):
-                    continue
-                child.hint = child_hint
-                children.append(child)
+                sep = seg.separator
+                inside = kernels.sphere_side(self.mut_pts[seg.muts], sep.center, sep.radius) < 0
+                self._anchor(seg, rec, (seg.muts[inside], seg.muts[~inside]))
+        children = [
+            child for child in children
+            if child.hint is None or child.muts.shape[0] or not self._replay(child)
+        ]
+        for seg in segs:
+            seg.hint = seg.muts = None
+            if seg.is_leaf and seg.ids.shape[0] == 1:
+                self.nbr_idx[seg.ids] = -1
+                self.nbr_sq[seg.ids] = np.inf
         return children
 
-    def _replay(self, seg: _OnlineSeg, hint: PartitionNode) -> bool:
-        """Resolve ``seg`` from ``hint``'s record when the hint's
-        (remapped) subset equals ``seg.ids``.
+    def _replay(self, seg: _OnlineSeg) -> bool:
+        """Resolve ``seg``, whose subset is its hint's, from the hint's
+        record; its rows are already in place (:meth:`_undo`).
 
         Validity rests on the online build being a pure function of subset
-        values: equal subsets — however they were produced — rebuild to
-        the identical subtree, so replaying the record *is* the fresh
-        build.
+        values: equal subsets rebuild to the identical subtree, so
+        replaying the record *is* the fresh build.
         """
+        hint = seg.hint
         rec: Optional[_NodeRecord] = hint.meta.get(_REC_KEY)
-        ids = seg.ids
-        if rec is None or hint.indices.shape[0] != ids.shape[0]:
-            return False
-        mapped = hint.indices if self.idmap is None else self.idmap[hint.indices]
-        if not np.array_equal(mapped, ids):
+        if rec is None:
             return False
         seg.node = hint if self.idmap is None else _clone_remap(hint, self.idmap)
         seg.total_cost = rec.cost
         seg.sections = rec.sections
         seg.metrics = rec.metrics
-        # position -1 (padding) picks the appended -1
-        self.nbr_idx[ids] = np.append(ids, -1)[rec.local]
-        self.nbr_sq[ids] = rec.nbr_sq
+        seg.changed = _NO_IDS
         self.reused_subtrees += 1
-        self.reused_points += int(ids.shape[0])
+        self.reused_points += int(seg.ids.shape[0])
         return True
 
     # -- content-addressed randomness --------------------------------------
@@ -320,20 +490,26 @@ class _OnlineFrontier(_FastFrontier):
         displaces a sample member (probability ``s/m`` per mutated point)
         redraws it.  The samples are the rows' whole centerpoint samples,
         so the returned sample size (the largest) subsamples none again.
+        A first-round sample sets the node's ``bound`` when no key outside
+        it ties its largest.
         """
         q = (attempt - 1) // _REFRESH_EVERY
         salted = self._salted_keys.get(q)
         if salted is None:
-            round_salt = np.uint64((q * 0x9E3779B97F4A7C15 ^ self.salt) & 0xFFFFFFFFFFFFFFFF)
-            salted = self._salted_keys[q] = _mix64(self.keys ^ _mix64(round_salt))
+            salted = self._salted_keys[q] = _round_keys(self.keys, self.salt, q)
         size = self.sample_size
         samples, rngs = [], []
         for seg, sub in zip(segs, subs):
             akeys = salted[seg.ids]
+            seg.bound = None
             if size < sub.shape[0]:
                 sel = np.argpartition(akeys, size - 1)[:size]
                 sel.sort()
-                sample, fold = sub[sel], _fold_keys(akeys[sel])
+                sample, sample_keys = sub[sel], akeys[sel]
+                bound = sample_keys.max()
+                if q == 0 and np.count_nonzero(akeys <= bound) == size:
+                    seg.bound = bound
+                fold = _fold_keys(sample_keys)
             else:
                 sample, fold = sub, _fold_keys(akeys)
             samples.append(sample)
@@ -341,6 +517,11 @@ class _OnlineFrontier(_FastFrontier):
                 np.random.SeedSequence(entropy=(self.salt, attempt - 1, fold))
             ))
         return samples, rngs, max(sample.shape[0] for sample in samples)
+
+    def _tried(self, seg, candidate, interior):
+        if seg.tries is None:
+            seg.tries = []
+        seg.tries.append((candidate, interior))
 
     def _rng_of(self, seg):
         """The correction punt generator, seeded by the subset's content."""
@@ -351,7 +532,76 @@ class _OnlineFrontier(_FastFrontier):
             )
         return seg.rng
 
-    # -- per-node events and records ---------------------------------------
+    # -- straddlers, per-node events and records ----------------------------
+
+    def _classify_level(self, internal):
+        """Each node's straddlers; an anchored node keeps its hint's
+        verdicts and reclassifies only the balls of its children whose
+        radius can have changed (:meth:`_changed`).
+
+        A ball's radius is its neighbor row's last distance, and a row
+        changes only at a rebuilt leaf or at a correction that has the
+        ball as a straddler.  So outside its children's changed ids every
+        ball has its hint-time radius and its hint's verdict.  The node's
+        own changed ids add its hint's straddlers to its children's (its
+        own lie in those two sets).  Each recorded node logs its
+        straddlers' rows here, before its level's flush changes them.
+        """
+        balls = [
+            (self._changed(seg.left), self._changed(seg.right))
+            if seg.kept is not None
+            else (seg.left.ids, seg.right.ids)
+            for seg in internal
+        ]
+        found = self._straddlers(internal, balls)
+        dirty = self._dirty
+        for j, seg in enumerate(internal):
+            (r_in, r_ex), (s_in, s_ex) = balls[j], found[j]
+            self.balls_reclassified += r_in.shape[0] + r_ex.shape[0]
+            if seg.kept is not None:
+                (old_in, old_ex), seg.kept = seg.kept, None
+                old_in, old_ex = old_in[~dirty[old_in]], old_ex[~dirty[old_ex]]
+                s_in = np.sort(np.concatenate([old_in, s_in]))
+                s_ex = np.sort(np.concatenate([old_ex, s_ex]))
+                found[j] = (s_in, s_ex)
+                dirty[old_in] = True
+                dirty[old_ex] = True
+                seg.changed = np.concatenate([r_in, r_ex, old_in, old_ex])
+            if self._recorded(seg) and isinstance(seg.node.separator, Sphere):
+                straddlers = np.concatenate([s_in, s_ex])
+                rows = self.nbr_idx[straddlers]
+                log_idx = np.searchsorted(seg.ids, rows).astype(np.int32)
+                log_idx[rows < 0] = -1
+                seg.log = (
+                    np.searchsorted(seg.ids, straddlers).astype(np.int32),
+                    s_in.shape[0], log_idx, self.nbr_sq[straddlers],
+                )
+        return found
+
+    def _changed(self, seg: _OnlineSeg) -> np.ndarray:
+        """The ids of ``seg``'s subtree whose neighbor rows can differ
+        from its hint's after its correction, marked in ``_dirty``: none
+        for a replay, all for a rebuilt subtree, and for an anchored node
+        what :meth:`_classify_level` set.  Each is a superset of its
+        children's, so a subtree's marks are its root's set."""
+        if seg.changed is None:
+            seg.changed = seg.ids
+            self._dirty[seg.ids] = True
+        return seg.changed
+
+    def _recorded(self, seg) -> bool:
+        """Whether ``seg`` records itself: the root, which every commit
+        recomputes, and every node of at least ``snapshot_min`` points."""
+        return seg.level == 0 or seg.ids.shape[0] >= self.snapshot_min
+
+    @staticmethod
+    def _replayable(seg) -> bool:
+        """Whether a later commit can replay ``seg``'s search: a strict
+        first-round sample and sphere candidates only, whose sides are
+        row-local (a hyperplane's BLAS product is not)."""
+        return seg.bound is not None and all(
+            candidate is None or isinstance(candidate, Sphere) for candidate, _ in seg.tries
+        )
 
     def _machine_of(self, seg):
         if seg.sink is None:
@@ -362,16 +612,15 @@ class _OnlineFrontier(_FastFrontier):
         return self._machine_of(seg).stats
 
     def _level_corrected(self, level_segs) -> None:
-        """Gather each node's subtree metrics and record the nodes below
-        the root of at least ``snapshot_min`` points.
+        """Gather each node's subtree metrics and record the root and the
+        nodes of at least ``snapshot_min`` points.
 
         A node's subtree metrics are its children's, then its own
         counters and series: the order the recursive engine writes its
         stats, so series come out in the same order.  Its cost and
-        section events are composed by now, and its neighbor rows are
-        final for its subtree after its level's flush.
+        section events are composed by now.  A node with a log keeps its
+        search for a later commit to replay.
         """
-        pos = self._positions
         for seg in level_segs:
             sink, seg.sink = seg.sink, None
             metrics = Metrics()
@@ -381,15 +630,13 @@ class _OnlineFrontier(_FastFrontier):
                     child.metrics = None
             metrics.merge(sink.metrics)
             seg.metrics = metrics
-            ids = seg.ids
-            # the root never replays: every commit that is not a noop
-            # changes its subset
-            if ids.shape[0] >= self.snapshot_min and seg.level > 0:
-                pos[ids] = np.arange(ids.shape[0], dtype=np.int32)
-                seg.node.meta[_REC_KEY] = _NodeRecord(
-                    seg.total_cost, seg.sections, metrics,
-                    pos[self.nbr_idx[ids]], self.nbr_sq[ids],
-                )
+            if self._recorded(seg):
+                rec = seg.node.meta[_REC_KEY] = _NodeRecord(seg.total_cost, seg.sections, metrics)
+                if seg.log is not None:
+                    rec.straddlers, rec.n_in, rec.log_idx, rec.log_sq = seg.log
+                    seg.log = None
+                    if self._replayable(seg):
+                        rec.bound, rec.tries = seg.bound, tuple(seg.tries)
 
 
 def _clone_remap(node: PartitionNode, idmap: np.ndarray) -> PartitionNode:
@@ -495,7 +742,11 @@ class UpdateStats(MetricsView):
     Lives on the :class:`MutableIndex` (not on the per-version build
     machine, whose registry must stay bit-comparable to a fresh build's).
     Counters: ``commits``, ``absorbed``, ``punts``, ``inserted``,
-    ``deleted``, ``reused_subtrees``, ``reused_points``.  Gauges:
+    ``deleted``, ``reused_subtrees``, ``reused_points``, and what the
+    commits' recomputed nodes did: ``separators_reused`` (a node took
+    its hint's separator from the record), ``separators_searched`` (it
+    ran the search) and ``balls_reclassified`` (balls its correction
+    classified against its separator).  Gauges:
     ``version``, ``churn``, ``touched_leaves``.  Series: ``commits``
     holds one ``(version, inserted, deleted, churn, punted)`` tuple per
     commit.
@@ -510,6 +761,9 @@ class UpdateStats(MetricsView):
         "deleted",
         "reused_subtrees",
         "reused_points",
+        "separators_reused",
+        "separators_searched",
+        "balls_reclassified",
     )
     _GAUGE_FIELDS = ("version", "churn", "touched_leaves")
     _SERIES_FIELDS = ("commits_log",)
@@ -615,7 +869,7 @@ class MutableIndex:
         self.layout: FlatTree
         self.nbr_idx: np.ndarray
         self.nbr_sq: np.ndarray
-        self._build_full(pts, self.machine)
+        self._run(pts, self.machine)
         self.update_stats.version = 0
 
     # -- views -------------------------------------------------------------
@@ -750,6 +1004,7 @@ class MutableIndex:
             )
         churn = (n_ins + n_del) / old_n
         touched = self._touched_leaves(inserts, deletes)
+        deleted = self.points[deletes]
         idmap: Optional[np.ndarray] = None
         if n_del:
             idmap = np.full(old_n, -1, dtype=np.int64)
@@ -761,11 +1016,11 @@ class MutableIndex:
         if punt:
             with machine.span("update.rebuild", version=self.version + 1, n=new_n,
                               inserted=n_ins, deleted=n_del, churn=churn):
-                runner = self._build_full(new_points, machine)
+                runner = self._run(new_points, machine)
         else:
             with machine.span("update.absorb", version=self.version + 1, n=new_n,
                               inserted=n_ins, deleted=n_del, churn=churn):
-                runner = self._absorb(new_points, machine, self.tree, idmap)
+                runner = self._run(new_points, machine, self.tree, idmap, deleted)
         self.machine = machine
         self.version += 1
         self._pending_inserts.clear()
@@ -782,7 +1037,7 @@ class MutableIndex:
             touched_leaves=touched,
             wall_s=time.perf_counter() - t0,
         )
-        self._note_commit(info)
+        self._note_commit(info, runner)
         return info
 
     def snapshot(self, *, with_structure: bool = False):
@@ -808,11 +1063,24 @@ class MutableIndex:
     # -- internals ---------------------------------------------------------
 
     def _run(
-        self, points: np.ndarray, machine: Machine, hint: Optional[PartitionNode],
-        idmap: Optional[np.ndarray],
+        self,
+        points: np.ndarray,
+        machine: Machine,
+        hint: Optional[PartitionNode] = None,
+        idmap: Optional[np.ndarray] = None,
+        deleted: Optional[np.ndarray] = None,
     ) -> _OnlineFrontier:
+        """Build ``points`` as the next version: from scratch, or with
+        ``hint`` (the current tree) as an absorb of the inserts appended
+        to ``points`` and the ``deleted`` rows, ``idmap`` renumbering the
+        survivors (``None``: nothing deleted)."""
         n = points.shape[0]
         self.stats = FastDnCStats(metrics=machine.metrics)
+        if hint is None:
+            nbr_idx = np.full((n, self.k), -1, dtype=np.int64)
+            nbr_sq = np.full((n, self.k), np.inf)
+        else:
+            nbr_idx, nbr_sq = self._carried_rows(n, idmap)
         runner = _OnlineFrontier(
             points,
             self.k,
@@ -820,12 +1088,13 @@ class MutableIndex:
             self._root_ss,
             self.config,
             self.stats,
-            np.full((n, self.k), -1, dtype=np.int64),
-            np.full((n, self.k), np.inf),
+            nbr_idx,
+            nbr_sq,
             self._base,
             keys=_point_keys(points, self._salt),
             salt=self._salt,
             idmap=idmap,
+            deleted=deleted,
         )
         tree = runner.build(hint)
         self.points = points
@@ -836,17 +1105,24 @@ class MutableIndex:
         self.nbr_sq = runner.nbr_sq
         return runner
 
-    def _build_full(self, points: np.ndarray, machine: Machine) -> _OnlineFrontier:
-        return self._run(points, machine, hint=None, idmap=None)
-
-    def _absorb(
-        self,
-        points: np.ndarray,
-        machine: Machine,
-        old_tree: PartitionNode,
-        idmap: Optional[np.ndarray],
-    ) -> _OnlineFrontier:
-        return self._run(points, machine, hint=old_tree, idmap=idmap)
+    def _carried_rows(
+        self, n: int, idmap: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The current version's final neighbor rows in the next
+        version's ids, with empty rows for the inserted points: where an
+        absorb starts.  Fresh arrays, so the current version's stay
+        intact for its snapshots."""
+        idx, sq = self.nbr_idx, self.nbr_sq
+        if idmap is not None:
+            alive = idmap >= 0
+            idx = idx[alive]
+            idx = np.where(idx >= 0, idmap[idx], -1)
+            sq = sq[alive]
+        n_ins = n - idx.shape[0]
+        return (
+            np.concatenate([idx, np.full((n_ins, self.k), -1, dtype=np.int64)]),
+            np.concatenate([sq, np.full((n_ins, self.k), np.inf)]),
+        )
 
     def _touched_leaves(self, inserts: np.ndarray, deletes: np.ndarray) -> int:
         """How many of the current version's leaves the mutations touch.
@@ -864,8 +1140,11 @@ class MutableIndex:
         ]
         return int(np.unique(np.concatenate(ords)).shape[0]) if ords else 0
 
-    def _note_commit(self, info: CommitInfo) -> None:
+    def _note_commit(self, info: CommitInfo, runner: _OnlineFrontier) -> None:
         s = self.update_stats
+        s.separators_reused += runner.separators_reused
+        s.separators_searched += runner.separators_searched
+        s.balls_reclassified += runner.balls_reclassified
         s.commits += 1
         if info.punted:
             s.punts += 1

@@ -194,7 +194,7 @@ def descend_spheres(
 
 
 def block_topk(
-    sub: np.ndarray, kk: int, block: Optional[int] = None
+    sub: np.ndarray, kk: int, block: Optional[int] = None, rows: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """All-pairs k nearest within blocks — the DnC base-case kernel.
 
@@ -207,10 +207,28 @@ def block_topk(
 
     Every distance and every selection row is local to its block, with
     the same content and length as a call on that block alone, so
-    stacking blocks changes no bit of the result.
+    stacking blocks changes no bit of the result.  With ``rows``, one
+    block is computed ``rows`` rows at a time against all its columns, so
+    an m-point block holds ``rows x m`` distances at once instead of
+    ``m x m``; each row's diffs, sums and selection are its own, so the
+    bits are the one-pass result's.
     """
     m = sub.shape[0] if block is None else block
     d = sub.shape[1]
+    if rows is not None and rows < sub.shape[0]:
+        if m != sub.shape[0]:
+            raise ValueError("rows streams a single block")
+        x = np.asarray(sub, dtype=np.float64)
+        out_idx = np.empty((m, kk), dtype=np.int64)
+        out_sq = np.empty((m, kk))
+        for lo in range(0, m, rows):
+            hi = min(m, lo + rows)
+            diff = x[lo:hi, None, :] - x[None, :, :]
+            sq = np.einsum("mnd,mnd->mn", diff, diff)
+            del diff
+            sq[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # self
+            out_idx[lo:hi], out_sq[lo:hi] = kth_smallest_per_row(sq, kk)
+        return out_idx, out_sq
     x = np.asarray(sub, dtype=np.float64).reshape(-1, m, d)
     # per block exactly the diff and einsum of
     # repro.geometry.points.pairwise_sq_dists_direct

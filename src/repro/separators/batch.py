@@ -18,8 +18,8 @@ runs as stacked passes over a level:
   spheres (the common case), falling back to per-segment evaluation for
   hyperplane candidates, whose BLAS matrix–vector product is not
   guaranteed bit-stable under batching.
-- :func:`side_split_is_good` applies the recursion's acceptance test to a
-  precomputed side vector.
+- :func:`split_is_good` applies the recursion's acceptance test to the
+  interior and total counts of a precomputed side vector.
 
 Bit identity
 ------------
@@ -77,7 +77,7 @@ __all__ = [
     "SamplerStack",
     "prepare_samplers",
     "batched_side_of_points",
-    "side_split_is_good",
+    "split_is_good",
 ]
 
 SeparatorLike = Union[Sphere, Hyperplane]
@@ -342,14 +342,11 @@ def batched_side_of_points(
     return sides  # type: ignore[return-value]
 
 
-def side_split_is_good(side: np.ndarray, delta: float) -> bool:
-    """The acceptance test of :func:`~repro.separators.quality.is_good_point_split`,
-    applied to an already-computed side vector."""
-    n = side.shape[0]
-    if n < 2:
-        return False
-    interior = int(np.count_nonzero(side < 0))
+def split_is_good(interior: int, n: int, delta: float) -> bool:
+    """The acceptance test of :func:`~repro.separators.quality.is_good_point_split`
+    from a side vector's counts: ``interior`` of its ``n`` points fell
+    inside the candidate."""
     exterior = n - interior
-    if interior == 0 or exterior == 0:
+    if n < 2 or interior == 0 or exterior == 0:
         return False
     return max(interior, exterior) / n <= delta

@@ -44,7 +44,7 @@ from repro.separators.batch import (
     SamplerStack,
     batched_side_of_points,
     prepare_samplers,
-    side_split_is_good,
+    split_is_good,
 )
 from repro.separators.greatcircle import random_great_circle
 from repro.separators.mttv import MAX_DRAW_RETRIES, MTTVSeparatorSampler, default_sample_size
@@ -208,11 +208,11 @@ class TestBatchedGeometry:
             sphere = Sphere(center=pts.mean(axis=0), radius=float(np.median(
                 np.linalg.norm(pts - pts.mean(axis=0), axis=1))) or 1.0)
             side = sphere.side_of_points(pts)
-            assert side_split_is_good(side, delta) == is_good_point_split(
-                sphere, pts, delta
+            assert split_is_good(int((side < 0).sum()), side.shape[0], delta) == (
+                is_good_point_split(sphere, pts, delta)
             )
-        assert not side_split_is_good(np.array([1], dtype=np.int8), delta)
-        assert not side_split_is_good(np.array([1, 1], dtype=np.int8), delta)
+        for side in (np.array([1], dtype=np.int8), np.array([1, 1], dtype=np.int8)):
+            assert not split_is_good(int((side < 0).sum()), side.shape[0], delta)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,41 @@ class TestReferenceOps:
         np.testing.assert_array_equal(idx, ref_idx)
         np.testing.assert_array_equal(sq, ref_sq)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_block_topk_row_slices_are_the_one_block_bits(self, d):
+        """A block streamed in row slices (an oversized leaf) equals the
+        one-block call bit for bit, ties among duplicates included."""
+        rng = np.random.default_rng(d)
+        m = 97
+        sub = rng.random((m, d))
+        sub[rng.integers(0, m, size=60)] = sub[3]
+        sub[rng.integers(0, m, size=10)] = sub[8]
+        for kk in (1, 2, 5, m - 1):
+            idx, sq = kernels.block_topk(sub, kk)
+            for rows in (1, 10, 33, m - 1):
+                got_idx, got_sq = kernels.block_topk(sub, kk, rows=rows)
+                np.testing.assert_array_equal(got_idx, idx)
+                np.testing.assert_array_equal(got_sq, sq)
+
+    def test_identical_points_build_in_bounded_memory(self):
+        """n = 3,000 copies of one point make one leaf (no sphere splits
+        them); its base case streams rows instead of holding the 3,000 x
+        3,000 x d differences (a 288 MB traced peak before)."""
+        import tracemalloc
+
+        from repro.core.online import MutableIndex
+
+        pts = np.full((3000, 2), 0.25)
+        tracemalloc.start()
+        try:
+            index = MutableIndex(pts, k=2, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6, f"traced peak {peak / 1e6:.1f} MB"
+        assert index.tree.is_leaf
+        assert np.all(index.neighbor_sq_dists == 0.0)
+
     def test_brute_topk_self_excluded_and_sorted(self):
         rng = np.random.default_rng(3)
         pts = rng.random((64, 2))
