@@ -24,14 +24,18 @@ The matrix (:func:`matrix`):
 - ``method="fast"`` on the ``recursive``, ``frontier`` and
   ``frontier-mp`` (1 and 2 workers) engines over uniform inputs in d = 1
   to 4 with k up to 8, duplicates, heavy duplicates, an integer grid,
-  float32 storage and the punty budgets at k = 1 and 2.
+  float32 storage and the punty budgets at k = 1 and 2;
+- ``method="simple"`` on the same engines over three of those inputs.
 
 A fingerprint (:func:`fingerprint`) holds the neighbor arrays, the
 partition tree (``tree_signature`` plus each node's plain meta values),
-the (depth, work) ledger, the phase sections, the machine counters and
-the metrics registry's counters, gauges and non-empty series, all but
-its wall-clock keys.  Floats are compared by ``repr``, so equal means
-bit-equal.
+the served :class:`~repro.kernels.FlatTree` arrays (an online version's
+``layout``, an engine run's flattened tree), the (depth, work) ledger,
+the phase sections, the machine counters and the metrics registry's
+counters, gauges and non-empty series, all but its wall-clock keys and
+its transport sizes.  An online version's fingerprint adds the
+``ServingIndex.execute`` answers of its snapshot on a fixed 64-row query
+batch.  Floats are compared by ``repr``, so equal means bit-equal.
 """
 
 from __future__ import annotations
@@ -48,8 +52,13 @@ from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: Metric keys that hold wall-clock readings, which differ run to run.
-_WALL_CLOCK = ("seconds", "utilization", "_ms")
+#: Metric keys that hold wall-clock readings, which differ run to run,
+#: and the ``frontier-mp`` transport sizes (``parallel.*_bytes``), which
+#: measure the wire format rather than the run.
+_WALL_CLOCK = ("seconds", "utilization", "_ms", "_bytes")
+
+#: Rows of the query batch each online version's snapshot answers.
+_QUERIES = 64
 
 _PUNTY = {"iota_factor": 0.8, "active_factor": 0.3}
 
@@ -65,19 +74,26 @@ def _timeless(mapping: Dict[str, Any]) -> Dict[str, Any]:
     return {k: v for k, v in sorted(mapping.items()) if not any(w in k for w in _WALL_CLOCK)}
 
 
-def fingerprint(nbr_idx, nbr_sq, tree, machine) -> Dict[str, Any]:
+def fingerprint(nbr_idx, nbr_sq, tree, machine, layout=None, answers=None) -> Dict[str, Any]:
     """One run's fingerprint: JSON-ready, equal exactly when the run's
-    neighbors, tree, ledger, sections, counters and metrics are."""
+    neighbors, tree, served arrays, ledger, sections, counters, metrics
+    and (given) served answers are."""
     from repro.core.online import tree_signature
+    from repro.kernels.layout import FlatTree
 
     meta = [
         sorted((k, repr(v)) for k, v in node.meta.items() if isinstance(v, (bool, int, float, str)))
         for node in tree.nodes()
     ]
+    if layout is None:
+        layout = FlatTree.from_tree(tree)
     metrics = machine.metrics
-    return {
+    out = {
         "neighbors": _digest(nbr_idx, nbr_sq),
         "tree": _digest(tree_signature(tree), meta),
+        "layout": {
+            name: _digest(a.dtype.str, a.shape, a) for name, a in sorted(layout.arrays().items())
+        },
         "ledger": [repr(machine.total.depth), repr(machine.total.work)],
         "sections": {
             name: [repr(c.depth), repr(c.work)] for name, c in sorted(machine.sections.items())
@@ -87,6 +103,9 @@ def fingerprint(nbr_idx, nbr_sq, tree, machine) -> Dict[str, Any]:
         "gauges": {k: repr(v) for k, v in _timeless(metrics.gauges).items()},
         "series": {k: _digest(v) for k, v in _timeless(metrics.series).items() if v},
     }
+    if answers is not None:
+        out["answers"] = _digest(*answers)
+    return out
 
 
 def diff(before: Dict[str, Dict[str, Any]], after: Dict[str, Dict[str, Any]]) -> List[str]:
@@ -116,7 +135,8 @@ def _points(n: int, d: int, seed: int, duplicates: float = 0.0, grid: bool = Fal
 
 def _online_chains() -> Iterator[Tuple[str, Callable[[], Iterator[Tuple[Any, ...]]]]]:
     """(name, run) per commit chain; ``run`` yields each version's
-    (neighbor ids, squared distances, tree, machine)."""
+    (neighbor ids, squared distances, tree, machine, layout, answers),
+    the answers those of the version's snapshot on one seeded batch."""
     import numpy as np
 
     from repro.core import FastDnCConfig
@@ -141,22 +161,29 @@ def _online_chains() -> Iterator[Tuple[str, Callable[[], Iterator[Tuple[Any, ...
                 _points(n, d, seed, dups), k, seed=seed,
                 config=FastDnCConfig(**config), churn_threshold=threshold,
             )
-            yield index.neighbor_indices, index.neighbor_sq_dists, index.tree, index.machine
             rng = np.random.default_rng(seed)
+            queries = np.random.default_rng(seed + 1).random((_QUERIES, d))
+
+            def state():
+                answers = index.snapshot().execute("knn", queries, k)
+                return (index.neighbor_indices, index.neighbor_sq_dists, index.tree,
+                        index.machine, index.layout, answers)
+
+            yield state()
             for n_ins, n_del in commits:
                 if n_ins:
                     index.insert(rng.random((n_ins, d)))
                 if n_del:
                     index.delete(rng.choice(index.n, size=n_del, replace=False))
                 index.commit()
-                yield index.neighbor_indices, index.neighbor_sq_dists, index.tree, index.machine
+                yield state()
 
         yield f"online/{name}", run
 
 
-def _fast_runs() -> Iterator[Tuple[str, Callable[[], Tuple[Any, ...]]]]:
+def _engine_runs() -> Iterator[Tuple[str, Callable[[], Tuple[Any, ...]]]]:
     from repro.api import all_knn
-    from repro.core import FastDnCConfig
+    from repro.core import FastDnCConfig, SimpleDnCConfig
     from repro.pvm import Machine
 
     inputs = [
@@ -172,21 +199,25 @@ def _fast_runs() -> Iterator[Tuple[str, Callable[[], Tuple[Any, ...]]]]:
         ("punty_k1", 3000, 2, 1, 0.0, False, _PUNTY),
         ("punty_k2", 3000, 2, 2, 0.0, False, _PUNTY),
     ]
+    simple = ("uniform_d2_k1", "uniform_d3_k3", "duplicates")
     engines = [("recursive", None), ("frontier", None), ("frontier-mp", 1), ("frontier-mp", 2)]
     for name, n, d, k, dups, grid, config in inputs:
-        for engine, workers in engines:
+        for method in ("fast", "simple") if name in simple else ("fast",):
+            for engine, workers in engines:
 
-            def run(n=n, d=d, k=k, dups=dups, grid=grid, config=config, engine=engine,
-                    workers=workers):
-                machine = Machine()
-                res = all_knn(
-                    _points(n, d, n + d + k, dups, grid), k, method="fast", machine=machine,
-                    config=FastDnCConfig(**config), seed=n + k, engine=engine, workers=workers,
-                )
-                return res.indices, res.sq_dists, res.tree, machine
+                def run(n=n, d=d, k=k, dups=dups, grid=grid, config=config, method=method,
+                        engine=engine, workers=workers):
+                    machine = Machine()
+                    make = FastDnCConfig if method == "fast" else SimpleDnCConfig
+                    res = all_knn(
+                        _points(n, d, n + d + k, dups, grid), k, method=method,
+                        machine=machine, config=make(**config), seed=n + k, engine=engine,
+                        workers=workers,
+                    )
+                    return res.indices, res.sq_dists, res.tree, machine
 
-            tag = engine if workers is None else f"{engine}-w{workers}"
-            yield f"fast/{name}/{tag}", run
+                tag = engine if workers is None else f"{engine}-w{workers}"
+                yield f"{method}/{name}/{tag}", run
 
 
 def matrix() -> Dict[str, Dict[str, Any]]:
@@ -195,7 +226,7 @@ def matrix() -> Dict[str, Dict[str, Any]]:
     for name, run in _online_chains():
         for version, state in enumerate(run()):
             out[f"{name}/v{version}"] = fingerprint(*state)
-    for name, run in _fast_runs():
+    for name, run in _engine_runs():
         out[name] = fingerprint(*run())
     return out
 

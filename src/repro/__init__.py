@@ -81,7 +81,7 @@ from .api import (
     run_traced,
 )
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "analysis",

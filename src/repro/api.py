@@ -332,7 +332,7 @@ def all_knn(
     qpts = res.system.points  # the build's storage dtype, not the input's
     n = qpts.shape[0]
     with machine.span("api.requery", n=n, k=k):
-        idx, sq = knn_query(res.tree, qpts, qpts, min(k + 1, n))
+        idx, sq = knn_query(res._layout(), qpts, qpts, min(k + 1, n))
     # a stable sort moves each row's self-match (made padding) last: a
     # row whose list misses itself (duplicates) keeps its first k
     self_match = idx == np.arange(n)[:, None]

@@ -23,13 +23,17 @@ passes:
   and each level's leaves are brute-forced together after its divide:
   one :func:`repro.kernels.block_topk` call per leaf size (and chunk) via
   :func:`~repro.core.neighborhood.brute_force_leaves`;
-- the same :class:`~repro.core.partition_tree.PartitionNode` tree is then
-  reconstructed and correction runs level-by-level bottom-up: ball
-  classification is one pass per level, every Fast Correction of a
-  level is one lockstep :meth:`~repro.kernels.layout.FlatTree.march`
-  over the tree flattened once per sweep (one march per (node, side),
-  each under the node's active cap), and a level's candidate merges
-  are one flush.
+- once every level is built, the levels are numbered into preorder
+  with a few vectorised passes per level and written as the tree's
+  :class:`~repro.core.columns.TreeColumns` (:meth:`_FrontierBase._assemble`):
+  its :class:`~repro.kernels.layout.FlatTree`, subtree ends, correction
+  outcomes and per-node section events; no
+  :class:`~repro.core.partition_tree.PartitionNode` is made.  Correction
+  then runs level-by-level bottom-up: ball classification is one pass
+  per level, every Fast Correction of a level is one lockstep
+  :meth:`~repro.kernels.layout.FlatTree.march` over those columns (one
+  march per (node, side), each under the node's active cap), and a
+  level's candidate merges are one flush.
 
 Equivalence contract
 --------------------
@@ -59,13 +63,18 @@ Observability differs by design: instead of one span per node, the
 frontier emits one ``frontier.level`` span per level and phase (``build``
 then ``correct``) with segment-count and straddler attributes.  Phase
 totals come from the same cost fold: as :meth:`_FrontierBase._compose_costs`
-composes a subtree's cost it also lists the subtree's ``(phase, cost)``
-events in the order the recursive engine closes its sections, and the
-root's list folds into ``machine.sections`` once, so every phase total has
-the recursive engine's float association.  See ``docs/engines.md``.
+composes a node's cost it writes the node's own ``divide``, ``base`` and
+``correct`` events into its row, and each phase folds into
+``machine.sections`` once, in the order the recursive engine closes those
+sections (``divide`` in preorder, ``base`` left to right, ``correct`` in
+postorder), so every phase total has the recursive engine's float
+association.  See ``docs/engines.md``.
 
 The online index (:mod:`repro.core.online`) runs the same level loop
-through a subclass of :class:`_FastFrontier`: per-segment hooks give it
+through a subclass of :class:`_FastFrontier`: a segment can be a
+*block*, a subtree solved elsewhere whose rows :meth:`_FrontierBase._assemble`
+copies in (a replayed subtree of the previous version; a ``frontier-mp``
+worker's subtree, likewise), and per-segment hooks give it
 its own sampler rows (:meth:`_FastFrontier._sampler_rows`), correction
 generator (:meth:`_FrontierBase._rng_of`) and counter sinks
 (:meth:`_FrontierBase._machine_of` / :meth:`_FrontierBase._stats_of`);
@@ -81,8 +90,8 @@ level.  On the offline engines the hooks do nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -97,9 +106,9 @@ from ..separators.hyperplane import _SELECTION_ROUNDS, median_hyperplane
 from ..separators.quality import default_delta
 from ..separators.unit_time import _ATTEMPT_SERIAL_COST
 from ..util.rng import path_rng
+from .columns import TreeColumns, fold_phase
 from .correction import apply_candidate_pairs_batch, query_correction_pairs
 from .neighborhood import base_case_cost, brute_force_leaves, selection_cost, selection_depth
-from .partition_tree import PartitionNode
 
 # Mirrors the ``refresh_every`` default of
 # :func:`repro.separators.unit_time.find_good_separator`.
@@ -114,8 +123,14 @@ class _Seg:
     the node's divide/base charges in recursion order, ``divide_cost`` is
     the part of them the node adds to the ``divide`` phase and
     ``post_cost`` its correction charges.  :meth:`_FrontierBase._compose_costs`
-    sets ``total_cost``, the composed subtree cost, and ``sections``, the
-    subtree's ``(phase, cost)`` events in depth-first order.
+    sets ``total_cost``, the composed subtree cost.  ``m`` is the node's
+    size: its ``ids`` are let go once its level is built (a leaf's once
+    the tree's columns hold them), and the correction reads a node's ids
+    from its leaves' range of the columns.  ``pre`` is the node's preorder
+    index there, ``iota``/``punted`` its fast correction's outcome, and
+    ``block`` a ``(columns, node)`` pair when the subtree under the
+    segment was solved elsewhere: it is built and corrected no further,
+    and its rows are copied in.
     """
 
     ids: np.ndarray
@@ -130,14 +145,20 @@ class _Seg:
     divide_cost: Cost = ZERO
     post_cost: Cost = ZERO
     total_cost: Cost = ZERO
-    sections: Optional[List[Tuple[str, Cost]]] = None
     left: Optional["_Seg"] = None
     right: Optional["_Seg"] = None
-    node: Optional[PartitionNode] = None
+    pre: int = -1
+    block: Optional[Tuple[TreeColumns, int]] = None
+    iota: int = -1
+    punted: bool = False
+    m: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.m = self.ids.shape[0]
 
 
 class _FrontierBase:
-    """Shared frontier machinery: level loop, tree linking, cost algebra."""
+    """Shared frontier machinery: level loop, tree columns, cost algebra."""
 
     _NS = ""
 
@@ -158,34 +179,34 @@ class _FrontierBase:
 
     # -- level loop ------------------------------------------------------
 
-    def run(self) -> PartitionNode:
+    def run(self) -> TreeColumns:
         """Solve the whole input; same contract (and, seed-for-seed, the
-        same output and ledger) as the recursive engine's run."""
+        same output and ledger) as the recursive engine's run.  Returns
+        the solved tree's columns."""
         n = self.points.shape[0]
         root = _Seg(ids=np.arange(n, dtype=np.int64), level=0, path=())
         self.solve_subtree(root)
         self._charge_root(root)
-        return root.node
+        return self.cols
 
     def _charge_root(self, root: _Seg) -> None:
         """Fold the solved tree's section events into the machine's phase
         totals and make the one root charge."""
-        self._fold_sections(root.sections)
+        self._fold_sections(self.cols)
         with self.machine.span("frontier.total"):
             self.machine.charge(root.total_cost)
 
-    def _fold_sections(self, events: List[Tuple[str, Cost]]) -> None:
-        """Add each ``(phase, cost)`` event to ``machine.sections`` in
-        order: the float additions :meth:`~repro.pvm.machine.Machine.section`
-        makes as the recursive engine closes the same sections, without a
-        ``Cost`` per step."""
+    def _fold_sections(self, events: TreeColumns) -> None:
+        """Add the tree's section events to ``machine.sections``, each
+        phase's in the order the recursive engine closes those sections
+        (:meth:`~repro.core.columns.TreeColumns.phase_events`): the float
+        additions :meth:`~repro.pvm.machine.Machine.section` makes, without
+        a ``Cost`` per step.  Iterating ``events`` lists them depth-first."""
         totals = {
-            name: [cost.depth, cost.work] for name, cost in self.machine.sections.items()
+            name: (cost.depth, cost.work) for name, cost in self.machine.sections.items()
         }
-        for name, cost in events:
-            acc = totals.setdefault(name, [0.0, 0.0])
-            acc[0] += cost.depth
-            acc[1] += cost.work
+        for name, rows in events.phase_events():
+            totals[name] = fold_phase(totals.get(name, (0.0, 0.0)), rows)
         for name, (depth, work) in totals.items():
             self.machine.sections[name] = Cost(depth, work)
 
@@ -194,47 +215,63 @@ class _FrontierBase:
     ) -> Tuple[List[List[_Seg]], List[_Seg]]:
         """Advance ``frontier`` level by level until every segment has
         resolved — or, with ``stop_at``, until it holds at least that
-        many segments — returning the built per-level segment lists and
-        the frontier left unbuilt (empty unless ``stop_at`` stopped it)."""
+        many segments — returning the per-level segment lists and the
+        frontier left unbuilt (empty unless ``stop_at`` stopped it).  A
+        level lists every child of the level above, blocks included; only
+        its other segments are built."""
         levels: List[List[_Seg]] = []
         while frontier and (stop_at is None or len(frontier) < stop_at):
             levels.append(frontier)
-            lvl = frontier[0].level
-            points_at_level = int(sum(s.ids.shape[0] for s in frontier))
+            todo = [s for s in frontier if s.block is None]
+            frontier = []
+            if not todo:
+                break
             with self.machine.span(
                 "frontier.level",
                 phase="build",
-                level=lvl,
-                segments=len(frontier),
-                points=points_at_level,
+                level=todo[0].level,
+                segments=len(todo),
+                points=int(sum(s.ids.shape[0] for s in todo)),
             ) as span:
-                frontier = self._build_level(frontier, span)
+                frontier = self._build_level(todo, span)
         return levels, frontier
 
     def solve_subtree(self, seg: _Seg) -> List[List[_Seg]]:
-        """Solve one subtree to completion: build all its levels, link its
-        partition nodes, and run its bottom-up correction, which composes
-        its costs — exactly the serial recursion restricted to ``seg``.
+        """Solve one subtree to completion: build all its levels, write
+        its columns (``self.cols``, with ``seg`` at preorder 0), and run
+        its bottom-up correction, which composes its costs — exactly the
+        serial recursion restricted to ``seg``.
 
         No charge happens here: the composed subtree total lands in
-        ``seg.total_cost`` and its section events in ``seg.sections``.
+        ``seg.total_cost`` and every node's section events in its row.
         :meth:`run` folds both into the machine; a ``frontier-mp`` worker
         ships them to the master, whose own fold takes them in.  Because
         a worker runs this serial code, every RNG draw, punt decision and
         float fold matches the serial engine's by construction.
         """
         levels, _ = self._build_levels([seg])
-        self._link_nodes(levels)
+        self._assemble(levels)
         self._correct_levels(levels)
         return levels
 
     def _build_level(self, segs: List[_Seg], span) -> List[_Seg]:
         """Build one level: divide its segments, then brute-force all the
         leaves it made in stacked passes, before any correction reads a
-        neighbor radius.  Returns the next level's segments."""
+        neighbor radius.  The level's leaf ids move to one buffer and its
+        divided segments let their ids go, so the level's split buffer is
+        freed once the next level is built.  Returns the next level's
+        segments."""
         children = self._divide_level(segs, span)
-        leaves = [s.ids for s in segs if s.is_leaf]
-        brute_force_leaves(self.points, leaves, self.k, self.nbr_idx, self.nbr_sq)
+        leaves = [s for s in segs if s.is_leaf]
+        brute_force_leaves(self.points, [s.ids for s in leaves], self.k, self.nbr_idx, self.nbr_sq)
+        if leaves:
+            ids = np.concatenate([s.ids for s in leaves])
+            lo = 0
+            for seg in leaves:
+                seg.ids, lo = ids[lo : lo + seg.m], lo + seg.m
+        for seg in segs:
+            if not seg.is_leaf:
+                seg.ids = None
         return children
 
     def _leaf(self, seg: _Seg) -> None:
@@ -272,18 +309,129 @@ class _FrontierBase:
                 seg.right = type(seg)(ids=out[cut:hi], level=seg.level + 1, path=seg.path + (1,))
         return [child for seg in split_segs for child in (seg.left, seg.right)]
 
-    def _link_nodes(self, levels: List[List[_Seg]]) -> None:
-        for level_segs in reversed(levels):
-            for seg in level_segs:
-                if seg.is_leaf:
-                    seg.node = PartitionNode(indices=seg.ids)
-                else:
-                    seg.node = PartitionNode(
-                        indices=seg.ids,
-                        separator=seg.separator,
-                        left=seg.left.node,
-                        right=seg.right.node,
-                    )
+    def _assemble(self, levels: List[List[_Seg]]) -> None:
+        """Number the solved levels' nodes in preorder and write the
+        tree's columns to ``self.cols`` (the events, correction outcomes
+        of the built nodes are filled in as they are corrected).
+
+        Level ``L + 1`` lists the children of level ``L``'s internal
+        segments in order, two each, so three vectorised passes per level
+        place every node: subtree node, leaf and point counts bottom-up,
+        then preorder indices, leaf ordinals and leaf-id offsets top-down
+        (a left child follows its parent, a right child follows the left
+        subtree), then one scatter of the level's rows.  A block's rows
+        are its source's subtree range, shifted.
+        """
+        shapes = []
+        below = None
+        for segs in reversed(levels):
+            kind = np.array([_kind(s) for s in segs], dtype=np.int8)
+            points = np.array([s.m for s in segs], dtype=np.int64)
+            nodes = np.ones(len(segs), dtype=np.int64)
+            leaves = np.ones(len(segs), dtype=np.int64)
+            inner = np.flatnonzero(kind == _INTERNAL)
+            if inner.shape[0]:
+                nodes[inner] = 1 + below[0][0::2] + below[0][1::2]
+                leaves[inner] = below[1][0::2] + below[1][1::2]
+            for j in np.flatnonzero(kind == _BLOCK).tolist():
+                cols, h = segs[j].block
+                end = int(cols.end[h])
+                nodes[j] = end - h
+                leaves[j] = cols.first_leaf[end - 1] + 1 - cols.first_leaf[h]
+            below = (nodes, leaves, points, kind, inner)
+            shapes.append(below)
+        shapes.reverse()
+        n_nodes, n_leaves, n_points = (int(a[0]) for a in shapes[0][:3])
+        width = self.dim if n_nodes > n_leaves else 1
+        centers = np.zeros((n_nodes, width), dtype=np.float64)
+        radii = np.zeros(n_nodes, dtype=np.float64)
+        left = np.full(n_nodes, -1, dtype=np.int64)
+        right = np.full(n_nodes, -1, dtype=np.int64)
+        leaf_ord = np.full(n_nodes, -1, dtype=np.int64)
+        plane = np.zeros(n_nodes, dtype=bool)
+        end = np.empty(n_nodes, dtype=np.int64)
+        leaf_ids = np.empty(n_points, dtype=np.int64)
+        leaf_offsets = np.empty(n_leaves + 1, dtype=np.int64)
+        leaf_offsets[-1] = n_points
+        iota = np.full(n_nodes, -1, dtype=np.int64)
+        punted = np.zeros(n_nodes, dtype=bool)
+        events = np.full((n_nodes, 3, 2), np.nan)
+        pre = leaf = pt = np.zeros(1, dtype=np.int64)
+        for li, segs in enumerate(levels):
+            nodes, leaves, points, kind, inner = shapes[li]
+            end[pre] = pre + nodes
+            lv = np.flatnonzero(kind == _LEAF)
+            if lv.shape[0]:
+                leaf_ord[pre[lv]] = leaf[lv]
+                leaf_offsets[leaf[lv]] = pt[lv]
+                ids = np.concatenate([segs[j].ids for j in lv.tolist()])
+                before = np.cumsum(points[lv]) - points[lv]
+                leaf_ids[np.repeat(pt[lv] - before, points[lv]) + np.arange(ids.shape[0])] = ids
+            for seg, p in zip(segs, pre.tolist()):
+                seg.pre, seg.ids = p, None
+            if inner.shape[0]:
+                at = pre[inner]
+                seps = [segs[j].separator for j in inner.tolist()]
+                flags = np.array([not isinstance(sep, Sphere) for sep in seps])
+                centers[at] = np.stack([
+                    sep.normal if flag else sep.center for sep, flag in zip(seps, flags)
+                ])
+                radii[at] = [sep.offset if flag else sep.radius for sep, flag in zip(seps, flags)]
+                plane[at] = flags
+            for j in np.flatnonzero(kind == _BLOCK).tolist():
+                cols, h = segs[j].block
+                src, dst = slice(h, int(cols.end[h])), slice(int(pre[j]), int(pre[j] + nodes[j]))
+                shift, flat = int(pre[j]) - h, cols.flat
+                for out, col, by in (
+                    (left, flat.left, shift), (right, flat.right, shift),
+                    (leaf_ord, flat.leaf_ord, int(leaf[j]) - int(cols.first_leaf[h])),
+                ):
+                    out[dst] = np.where(col[src] >= 0, col[src] + by, -1)
+                if flat.centers.shape[1] == width:
+                    centers[dst] = flat.centers[src]
+                radii[dst] = flat.radii[src]
+                planes = flat.planes[(flat.planes >= h) & (flat.planes < src.stop)]
+                plane[planes + shift] = True
+                end[dst] = cols.end[src] + shift
+                iota[dst], punted[dst] = cols.iota[src], cols.punted[src]
+                events[dst] = cols.events[src]
+                lo, m = int(cols.point_lo[h]), int(points[j])
+                leaf_ids[int(pt[j]) : int(pt[j]) + m] = self._block_ids(flat.leaf_ids[lo : lo + m])
+                fl = int(cols.first_leaf[h])
+                leaf_offsets[int(leaf[j]) : int(leaf[j] + leaves[j])] = (
+                    flat.leaf_offsets[fl : fl + int(leaves[j])] - lo + int(pt[j])
+                )
+            if li + 1 < len(levels):
+                b_nodes, b_leaves, b_points = shapes[li + 1][:3]
+                nxt = np.empty((3, b_nodes.shape[0]), dtype=np.int64)
+                for out, here, size, step in (
+                    (nxt[0], pre, b_nodes, 1),
+                    (nxt[1], leaf, b_leaves, 0),
+                    (nxt[2], pt, b_points, 0),
+                ):
+                    out[0::2] = here[inner] + step
+                    out[1::2] = out[0::2] + size[0::2]
+                left[pre[inner]] = nxt[0][0::2]
+                right[pre[inner]] = nxt[0][1::2]
+                pre, leaf, pt = nxt
+        flat = FlatTree(
+            centers=centers, radii=radii, left=left, right=right, leaf_ord=leaf_ord,
+            leaf_ids=leaf_ids, leaf_offsets=leaf_offsets, planes=np.flatnonzero(plane),
+        )
+        self.cols = TreeColumns(flat, end, iota, punted, events)
+
+    def _block_ids(self, ids: np.ndarray) -> np.ndarray:
+        """A block's leaf ids in this run's numbering (a renumbering
+        commit of the online index maps them)."""
+        return ids
+
+    def _block(self, seg: _Seg) -> np.ndarray:
+        """``seg``'s ids in leaf order, once the tree's columns are written."""
+        return self.cols.leaf_block(seg.pre)
+
+    def _ids(self, seg: _Seg) -> np.ndarray:
+        """``seg``'s ids, ascending: its leaves' ids, sorted."""
+        return np.sort(self._block(seg))
 
     def _correct_levels(self, levels: List[List[_Seg]]) -> None:
         """Bottom-up correction sweep: children always correct before their
@@ -291,7 +439,7 @@ class _FrontierBase:
         recursive post-order; same-level segments are index-disjoint.
         Each level's costs compose once it is corrected."""
         for level_segs in reversed(levels):
-            internal = [s for s in level_segs if not s.is_leaf]
+            internal = _internal(level_segs)
             if internal:
                 with self.machine.span(
                     "frontier.level",
@@ -308,31 +456,45 @@ class _FrontierBase:
 
     def _compose_costs(self, level_segs: List[_Seg]) -> None:
         """Compose one corrected level's subtrees from their composed
-        children: the cost with the recursion's algebra,
-        ``pre . (left || right) . post`` per internal node, and the
-        ``(phase, cost)`` events in the order the recursive engine closes
-        its sections — a node's ``divide``, its children's events, its
-        ``correct``; a leaf's ``base``, after a ``divide`` when the leaf
-        searched and failed (``m > base``).  The children's lists are
-        released once copied; only the root's is folded
-        (:meth:`_fold_sections`)."""
+        children with the recursion's algebra, ``pre . (left || right) .
+        post`` per internal node, and write each node's own events to its
+        row: an internal node's ``divide`` and ``correct``; a leaf's
+        ``base``, and its ``divide`` when it searched and failed
+        (``m > base``).  Blocks are composed already."""
+        rows: List[int] = []
+        phases: List[int] = []
+        costs: List[Tuple[float, float]] = []
+        outcomes: List[Tuple[int, int, bool]] = []
         for seg in level_segs:
+            if seg.block is not None:
+                continue
             if seg.is_leaf:
                 seg.total_cost = seg.pre_cost
-                m = seg.ids.shape[0]
-                base = ("base", base_case_cost(m))
-                seg.sections = [("divide", seg.divide_cost), base] if m > self.base else [base]
+                m = seg.m
+                base = base_case_cost(m)
+                rows.append(seg.pre)
+                phases.append(1)
+                costs.append((base.depth, base.work))
+                if m > self.base:
+                    rows.append(seg.pre)
+                    phases.append(0)
+                    costs.append((seg.divide_cost.depth, seg.divide_cost.work))
                 continue
             left, right = seg.left, seg.right
             branches = ZERO.beside(left.total_cost).beside(right.total_cost)
             seg.total_cost = seg.pre_cost.then(branches).then(seg.post_cost)
-            seg.sections = [
-                ("divide", seg.divide_cost),
-                *left.sections,
-                *right.sections,
-                ("correct", seg.post_cost),
-            ]
-            left.sections = right.sections = None
+            rows += (seg.pre, seg.pre)
+            phases += (0, 2)
+            costs += ((seg.divide_cost.depth, seg.divide_cost.work),
+                      (seg.post_cost.depth, seg.post_cost.work))
+            if seg.iota >= 0:
+                outcomes.append((seg.pre, seg.iota, seg.punted))
+        if rows:
+            self.cols.events[rows, phases] = costs
+        if outcomes:
+            at, iota, punted = zip(*outcomes)
+            self.cols.iota[list(at)] = iota
+            self.cols.punted[list(at)] = punted
 
     # -- per-segment hooks -----------------------------------------------
 
@@ -526,7 +688,7 @@ class _FastFrontier(_FrontierBase):
     def _correct_levels(self, levels: List[List[_Seg]]) -> None:
         """Level-batched override: classify every segment's balls against
         its separator in one pass, march every fast correction of the
-        level in one lockstep pass over the flattened tree, and defer all
+        level in one lockstep pass over the tree's columns, and defer all
         candidate-pair merges to one vectorised flush.
 
         Deferring within a level is bitwise-safe because same-level nodes
@@ -536,15 +698,11 @@ class _FastFrontier(_FrontierBase):
         happens before the parent level runs, preserving the recursive
         post-order's child-before-parent dependency.
 
-        The flattened tree stays on ``self.flat`` (``None`` when no level
-        has an internal segment), and :meth:`_level_corrected` sees every
-        level once its rows are final for the subtrees it roots and its
-        costs are composed.
+        :meth:`_level_corrected` sees every level once its rows are final
+        for the subtrees it roots and its costs are composed.
         """
-        self.flat: Optional[FlatTree] = None
-        preorder: Dict[int, int] = {}
         for level_segs in reversed(levels):
-            internal = [s for s in level_segs if not s.is_leaf]
+            internal = _internal(level_segs)
             if internal:
                 with self.machine.span(
                     "frontier.level",
@@ -552,18 +710,10 @@ class _FastFrontier(_FrontierBase):
                     level=internal[0].level,
                     segments=len(internal),
                 ) as span:
-                    if self.flat is None:
-                        # the tree is complete before the sweep: flatten it
-                        # once, inside a level span so the correct phase's
-                        # wall-clock includes it
-                        self.flat, nodes = FlatTree.flatten(levels[0][0].node)
-                        preorder = {id(node): i for i, node in enumerate(nodes)}
                     found = self._classify_level(internal)
                     self._pending_owners: List[np.ndarray] = []
                     self._pending_cands: List[np.ndarray] = []
-                    straddlers, punts = self._correct_level(
-                        internal, found, self.flat, preorder
-                    )
+                    straddlers, punts = self._correct_level(internal, found, self.cols.flat)
                     self._flush_level_pairs()
                     if span is not None:
                         span.attrs["straddlers"] = int(straddlers)
@@ -578,38 +728,40 @@ class _FastFrontier(_FrontierBase):
         """Each internal segment's straddlers, ``(in-side ids, ex-side
         ids)``: the balls of each child that reach both sides of the
         segment's separator (:meth:`_straddlers`)."""
-        return self._straddlers(internal, [(s.left.ids, s.right.ids) for s in internal])
+        return self._straddlers(
+            internal, [(self._block(s.left), self._block(s.right)) for s in internal]
+        )
 
     def _straddlers(self, internal: List[_Seg], balls):
         """The balls of ``balls[j]``, an (in-side ids, ex-side ids) pair,
-        that straddle ``internal[j]``'s separator, sphere separators
-        batched into a single flat pass.
+        that straddle ``internal[j]``'s separator, ascending; sphere
+        separators batched into a single flat pass.
 
         The sphere test (``|center - c| - r`` against the ball radius) is
         row-local, so the batched result is bitwise identical to per-node
-        :meth:`~repro.geometry.spheres.Sphere.classify_balls`; the rare
-        hyperplane separator falls back to the per-node call.
+        :meth:`~repro.geometry.spheres.Sphere.classify_balls` in any ball
+        order; the rare hyperplane separator falls back to the per-node
+        call on the ascending ids, the row order its BLAS product was
+        computed in.
         """
         out = [None] * len(internal)
         sides: List[Tuple[int, np.ndarray]] = []
         for j, (seg, pair) in enumerate(zip(internal, balls)):
-            sep = seg.node.separator
+            sep = seg.separator
             if isinstance(sep, Sphere):
                 sides.append((j, pair[0]))
                 sides.append((j, pair[1]))
             else:
                 out[j] = tuple(
                     ids[sep.classify_balls(self.points[ids], np.sqrt(self.nbr_sq[ids, -1])) == 0]
-                    for ids in pair
+                    for ids in map(np.sort, pair)
                 )
         if sides:
             lengths = np.array([ids.shape[0] for _, ids in sides], dtype=np.int64)
             flat_ids = np.concatenate([ids for _, ids in sides])
-            centers = np.stack(
-                [internal[j].node.separator.center for j, _ in sides], axis=0
-            )
+            centers = np.stack([internal[j].separator.center for j, _ in sides], axis=0)
             sep_radii = np.array(
-                [internal[j].node.separator.radius for j, _ in sides], dtype=np.float64
+                [internal[j].separator.radius for j, _ in sides], dtype=np.float64
             )
             rows = np.repeat(np.arange(len(sides)), lengths)
             ball_radii = np.sqrt(self.nbr_sq[flat_ids, -1])
@@ -620,8 +772,8 @@ class _FastFrontier(_FrontierBase):
             for pair in range(0, len(sides), 2):
                 (j, ids_in), (_, ids_ex) = sides[pair], sides[pair + 1]
                 out[j] = (
-                    ids_in[cut[bounds[pair] : bounds[pair + 1]]],
-                    ids_ex[cut[bounds[pair + 1] : bounds[pair + 2]]],
+                    np.sort(ids_in[cut[bounds[pair] : bounds[pair + 1]]]),
+                    np.sort(ids_ex[cut[bounds[pair + 1] : bounds[pair + 2]]]),
                 )
         return out
 
@@ -639,11 +791,7 @@ class _FastFrontier(_FrontierBase):
         self._pending_cands = []
 
     def _correct_level(
-        self,
-        internal: List[_Seg],
-        found,
-        flat: FlatTree,
-        preorder: Dict[int, int],
+        self, internal: List[_Seg], found, flat: FlatTree
     ) -> Tuple[int, int]:
         """Correct one level's nodes, given each node's (in-side, ex-side)
         straddlers; returns the level's straddler and punt counts.
@@ -656,8 +804,8 @@ class _FastFrontier(_FrontierBase):
         would hand them.  Last, the nodes settle in order: cost folds,
         stats, and the query-structure punt of any failed march (in-side
         before ex-side, so each node's generator is drawn in the
-        recursive order).  ``preorder`` maps ``id(node)`` to the node's
-        index in ``flat``.
+        recursive order).  A march starts at its opposite child's
+        preorder index in ``flat``.
         """
         plans = []
         marches: List[np.ndarray] = []
@@ -665,25 +813,23 @@ class _FastFrontier(_FrontierBase):
         caps: List[float] = []
         iotas = 0
         for seg, (straddle_in, straddle_ex) in zip(internal, found):
-            node = seg.node
-            m = node.size
+            m = seg.m
             iota = straddle_in.shape[0] + straddle_ex.shape[0]
             iotas += iota
             self._stats_of(seg).straddler_fraction.append((m, iota))
-            node.meta["iota"] = iota
-            node.meta["punted"] = False
+            seg.iota = iota
             sides = None
             if 0 < iota < self.config.iota_budget(m, self.dim, self.k):
                 cap = self.config.active_cap(m, self.dim, self.k)
                 sides = []
                 for straddlers, opposite in (
-                    (straddle_in, node.right),
-                    (straddle_ex, node.left),
+                    (straddle_in, seg.right),
+                    (straddle_ex, seg.left),
                 ):
                     if straddlers.shape[0]:
                         sides.append((straddlers, opposite, len(marches)))
                         marches.append(straddlers)
-                        starts.append(preorder[id(opposite)])
+                        starts.append(opposite.pre)
                         caps.append(cap)
             plans.append((seg, iota, straddle_in, straddle_ex, sides))
         marched = self._march_level(flat, marches, starts, caps) if marches else None
@@ -724,8 +870,7 @@ class _FastFrontier(_FrontierBase):
     ) -> Tuple[Cost, int]:
         """One node's correction cost, stats and punts, in recursive order;
         returns the cost and the number of punts."""
-        node = seg.node
-        m = node.size
+        m = seg.m
         machine = self.machine
         stats = self._stats_of(seg)
         cost = ZERO.then(machine.ewise_cost(m, 2.0)).then(machine.scan_cost(m))
@@ -734,16 +879,16 @@ class _FastFrontier(_FrontierBase):
             return cost, 0
         if sides is None:
             stats.punts_iota += 1
-            node.meta["punted"] = True
-            cost = self._query_correct(seg, cost, straddle_in, seg.right.ids)
-            return self._query_correct(seg, cost, straddle_ex, seg.left.ids), 1
+            seg.punted = True
+            cost = self._query_correct(seg, cost, straddle_in, seg.right)
+            return self._query_correct(seg, cost, straddle_ex, seg.left), 1
         punts = 0
         for straddlers, opposite, j in sides:
             stats.marching_level_active.append((m, marched.level_active[j]))
             if not marched.succeeded[j]:
                 punts += 1
                 stats.punts_marching += 1
-                cost = self._query_correct(seg, cost, straddlers, opposite.indices)
+                cost = self._query_correct(seg, cost, straddlers, opposite)
                 continue
             work = float(
                 int(marched.label_tests[j])
@@ -752,16 +897,17 @@ class _FastFrontier(_FrontierBase):
             )
             cost = cost.then(Cost(self.config.fc_depth + self.select_depth, max(work, 1.0)))
         if punts:
-            node.meta["punted"] = True
+            seg.punted = True
         else:
             stats.corrections_fast += 1
         return cost, punts
 
     def _query_correct(
-        self, seg: _Seg, cost: Cost, straddlers: np.ndarray, opposite_ids: np.ndarray
+        self, seg: _Seg, cost: Cost, straddlers: np.ndarray, opposite: _Seg
     ) -> Cost:
-        if straddlers.shape[0] == 0 or opposite_ids.shape[0] == 0:
+        if straddlers.shape[0] == 0 or opposite.m == 0:
             return cost
+        opposite_ids = self._ids(opposite)
         self._machine_of(seg).metrics.inc("fast.punt_corrections")
         radii = np.sqrt(self.nbr_sq[straddlers, -1])
         system = BallSystem(self.points[straddlers], radii)
@@ -846,13 +992,12 @@ class _SimpleFrontier(_FrontierBase):
         return True
 
     def _correct_node(self, seg: _Seg) -> int:
-        node = seg.node
-        sep = node.separator
-        m = node.size
+        sep = seg.separator
+        m = seg.m
         machine = self.machine
         cost = ZERO
         total_straddlers = 0
-        in_ids, ex_ids = seg.left.ids, seg.right.ids
+        in_ids, ex_ids = self._ids(seg.left), self._ids(seg.right)
         for straddle_side, opposite in ((in_ids, ex_ids), (ex_ids, in_ids)):
             if straddle_side.shape[0] == 0 or opposite.shape[0] == 0:
                 continue
@@ -882,3 +1027,19 @@ class _SimpleFrontier(_FrontierBase):
             cost = sub.total
         seg.post_cost = cost
         return total_straddlers
+
+
+#: What a level's segment is to :meth:`_FrontierBase._assemble`.
+_BLOCK, _LEAF, _INTERNAL = 0, 1, 2
+
+
+def _kind(seg: _Seg) -> int:
+    if seg.block is not None:
+        return _BLOCK
+    return _LEAF if seg.is_leaf else _INTERNAL
+
+
+def _internal(level_segs: List[_Seg]) -> List[_Seg]:
+    """The segments of a level that divided here (blocks come divided)."""
+    return [s for s in level_segs if not s.is_leaf and s.block is None]
+

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..pvm.cost import Cost
 from ..pvm.machine import Machine
+from .columns import TreeColumns
 from .neighborhood import KNeighborhoodSystem
 from .partition_tree import PartitionNode
 
@@ -105,6 +106,27 @@ def to_networkx(system: KNeighborhoodSystem):
     return g
 
 
+class _TreeField:
+    """``KNNResult.tree``.  A frontier engine hands the result its
+    :class:`~repro.core.columns.TreeColumns`; the
+    :class:`~repro.core.partition_tree.PartitionNode` view is built from
+    them on first read.  The recursive engines hand over their pointer
+    tree itself."""
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return None  # the field's default
+        state = result.__dict__
+        if state.get("_tree") is None and state.get("_columns") is not None:
+            state["_tree"] = state["_columns"].tree()
+        return state.get("_tree")
+
+    def __set__(self, result, tree) -> None:
+        columns = tree if isinstance(tree, TreeColumns) else None
+        result.__dict__["_columns"] = columns
+        result.__dict__["_tree"] = None if columns is not None else tree
+
+
 @dataclass
 class KNNResult:
     """Uniform output bundle of an all-kNN run, whatever the method.
@@ -112,16 +134,24 @@ class KNNResult:
     ``indices``/``sq_dists`` are the (n, k) neighbor arrays;
     ``system`` is the full :class:`~repro.core.neighborhood.KNeighborhoodSystem`;
     ``machine`` holds the (depth, work) ledger of the run; ``tree`` is the
-    partition tree when the method builds one (``None`` for ``"brute"``);
+    partition tree when the method builds one (``None`` for ``"brute"``),
+    built on first read from the frontier engines' columns;
     ``stats`` is the per-algorithm stats view (``None`` for ``"brute"``).
     """
 
     system: KNeighborhoodSystem
     machine: Machine
     method: str
-    tree: Optional[PartitionNode] = None
+    tree: Optional[PartitionNode] = _TreeField()  # type: ignore[assignment]
     stats: Optional[object] = None
     k: int = 1
+
+    def _layout(self):
+        """The run's tree in the form the query paths take without a
+        pointer view: the :class:`~repro.kernels.FlatTree` of the
+        engine's columns, else the pointer tree."""
+        columns = self.__dict__.get("_columns")
+        return columns.flat if columns is not None else self.tree
 
     @property
     def indices(self) -> np.ndarray:

@@ -25,14 +25,16 @@ choices make that possible:
    to the paths the mutations actually touch.  The correction path's punt
    randomness is likewise seeded from the subset hash.
 
-2. **Recorded nodes.**  The build captures, per sufficiently large
-   node, everything a replay needs — the subtree's exact composed
-   :class:`~repro.pvm.cost.Cost`, its section events and its metric
-   deltas (the ``machine.*`` event counters among them) — and what a
-   later commit needs to redo the node cheaply: its separator search
-   (the rendezvous sample's key bound and each attempt's candidate and
-   interior count), its correction's straddlers, and their neighbor rows
-   before that correction (the node's *log*).
+2. **Recorded nodes.**  A version keeps its tree as preorder columns
+   (:class:`_Version`), so everything a replay needs — a subtree's exact
+   composed :class:`~repro.pvm.cost.Cost`, its section events and its
+   metric deltas (the ``machine.*`` event counters among them) — is one
+   node range of them and one slice of each series.  Per sufficiently
+   large node a record adds what a later commit needs to redo the node
+   cheaply: its separator search (the rendezvous sample's key bound and
+   each attempt's candidate and interior count), its correction's
+   straddlers, and their neighbor rows before that correction (the
+   node's *log*).
 
 Both run on the frontier level loop of :mod:`repro.core.frontier`
 (:class:`_OnlineFrontier`): each level's separator searches are rows of
@@ -40,30 +42,30 @@ one stacked sampler pass, its leaves are brute-forced together and its
 Fast Corrections run as one lockstep march.  Absorbing a commit is the
 same level loop over the new point set, starting from the previous
 version's final neighbor rows, with the previous version's nodes as
-hints.  A node whose sample the mutations leave alone and whose every
-attempt keeps its outcome reuses its hint's separator without a search.
-Such a node, and one whose search ends at its hint's separator anyway,
-is *anchored*: its children are the hint's children plus or minus the
-mutations routed to them, and it undoes its hint's log so the rows below
-it read as they did before the hint's correction.  A child that received
-no mutation is resolved from its record at once — one ``charge`` instead
-of thousands, and no row written.  An anchored node's correction keeps
-its hint's straddler verdicts and reclassifies only the balls whose
-radius can have changed.  Every other node is divided and corrected
-exactly as a fresh build would.  Each node's counters, series and phase totals fold into the run
-in the recursive engine's depth-first order, which is the order a record
-carries them in.
+hints (preorder indices into its columns).  A node whose sample the
+mutations leave alone and whose every attempt keeps its outcome reuses
+its hint's separator without a search.  Such a node, and one whose
+search ends at its hint's separator anyway, is *anchored*: its children
+are the hint's children plus or minus the mutations routed to them, and
+it undoes its hint's log so the rows below it read as they did before
+the hint's correction.  A child that received no mutation is resolved at
+once as a block of the previous version's columns — one ``charge``
+instead of thousands, and no row written.  An anchored node's correction
+keeps its hint's straddler verdicts and reclassifies only the balls
+whose radius can have changed.  Every other node is divided and
+corrected exactly as a fresh build would.  Each node's counters, series
+and phase totals fold into the run in the recursive engine's depth-first
+order, the order a version's columns keep them in.
 
-Versions are copy-on-write: each commit allocates fresh neighbor arrays and
-fresh nodes along the recomputed spine, *sharing* unchanged subtrees with
-the previous version (insert-only commits share node objects outright;
-commits with deletions clone reused subtrees with monotonically remapped
-ids, which preserves every (distance, index) tie-break, and share their
-records, which name points by position in the node's own ids).  Each version is
-flattened once into a :class:`~repro.kernels.FlatTree`, and snapshots
-hold only that and the version's arrays — never the pointer tree or its
-replay records — so they stay valid forever while a superseded tree is
-freed as soon as the next commit replaces it.
+Versions are copy-on-write: each commit allocates fresh neighbor arrays
+and fresh columns, copying each replayed subtree's range from the
+previous version's with its leaf ids remapped monotonically (which
+preserves every (distance, index) tie-break) and sharing its records,
+which name points by position in the node's leaf block.  The level loop
+writes each version's :class:`~repro.kernels.FlatTree`, and snapshots
+hold only that and the version's arrays — never a partition-tree node or
+a replay record — so they stay valid forever while a superseded version
+is freed as soon as the next commit replaces it.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ from ..pvm.machine import Machine
 from ..separators.batch import split_is_good
 from ..separators.quality import default_delta
 from ..util.rng import seed_sequence_root
+from .columns import TreeColumns
 from .fast_dnc import FastDnCConfig, FastDnCStats
 from .frontier import _REFRESH_EVERY, _FastFrontier, _Seg
 from .neighborhood import KNeighborhoodSystem
@@ -97,9 +100,6 @@ __all__ = [
     "online_sample_size",
     "tree_signature",
 ]
-
-#: Key under which a node's replay record lives in ``PartitionNode.meta``.
-_REC_KEY = "online_record"
 
 #: Subtrees of at least ``max(base, _SNAPSHOT_MIN)`` points (and the
 #: root) record themselves; smaller reused subtrees are rebuilt fresh
@@ -179,31 +179,26 @@ def _fold_keys(keys: np.ndarray) -> int:
 
 @dataclass(slots=True)
 class _NodeRecord:
-    """What later commits need of one recorded node.
+    """What later commits need of one recorded node to redo it cheaply.
 
-    To replay its subtree bit-identically: its composed (depth, work)
-    ``cost``, its ``(phase, cost)`` section events and its counter and
-    series deltas (``metrics``) in the recursive engine's depth-first
-    order.
-
-    To redo the node's search when its subset changed
-    (:meth:`_OnlineFrontier._reuse`), kept only when the search can be
-    replayed: ``bound``, the largest first-round key of its rendezvous
-    sample, which no other key of its subset ties, and ``tries``, one
-    ``(candidate, interior count)`` per attempt with ``None`` for a draw
-    failure, the last one accepted.  To anchor a later node that divides
-    by the same sphere (:meth:`_OnlineFrontier._anchor`): ``straddlers``,
-    its correction's straddlers, the first ``n_in`` of them on the inner
-    side, and ``log_idx``/``log_sq``, their neighbor rows before that
-    correction.  Straddlers and logged neighbor ids are positions into
-    the node's own ids (int32, -1 for padding), so a record stays valid
-    when a commit renumbers the ids and is shared by every copy of its
-    node.
+    Its subtree's composed cost, section events and metrics are rows and
+    slices of its version's columns (:class:`_Version`), so a replay needs
+    nothing here but the record's presence.  To redo the node's search
+    when its subset changed (:meth:`_OnlineFrontier._reuse`), kept only
+    when the search can be replayed: ``bound``, the largest first-round
+    key of its rendezvous sample, which no other key of its subset ties,
+    and ``tries``, one ``(candidate, interior count)`` per attempt with
+    ``None`` for a draw failure, the last one accepted (the separator).
+    To anchor a later node that divides by the same sphere
+    (:meth:`_OnlineFrontier._anchor`): ``straddlers``, its correction's
+    straddlers, the first ``n_in`` of them on the inner side, and
+    ``log_idx``/``log_sq``, their neighbor rows before that correction.
+    Straddlers and logged neighbor ids are positions into the node's leaf
+    block — its ids in leaf order (int32, -1 for padding) — so a record
+    stays valid when a commit renumbers the ids and is shared by every
+    version that copies the node.
     """
 
-    cost: Cost
-    sections: List[Tuple[str, Cost]]
-    metrics: Metrics
     bound: Optional[np.uint64] = None
     tries: tuple = ()
     straddlers: Optional[np.ndarray] = None
@@ -212,25 +207,74 @@ class _NodeRecord:
     log_sq: Optional[np.ndarray] = None
 
 
+@dataclass(slots=True)
+class _Version:
+    """One committed version's tree: its :class:`~repro.core.columns.TreeColumns`
+    plus, by preorder index, what a later commit replays or redoes.
+
+    ``cost`` holds each subtree's composed ``(depth, work)``;
+    ``counters`` each counter's own value per node, so a subtree's are the
+    sums over its node range; ``series`` each sample series in the
+    recursive engine's order (a node's children's, then its own: a
+    subtree's entries are one slice) and ``series_n`` each node's own
+    entry count; ``records`` the recorded nodes' :class:`_NodeRecord`.
+    """
+
+    cols: TreeColumns
+    cost: np.ndarray
+    counters: Dict[str, np.ndarray]
+    series: Dict[str, list]
+    series_n: Dict[str, np.ndarray]
+    records: List[Optional[_NodeRecord]]
+    _slices: Optional[tuple] = None
+
+    def metrics(self) -> Metrics:
+        """The whole tree's counters and series."""
+        metrics = Metrics()
+        for name, own in self.counters.items():
+            total = int(own.sum())
+            if total:
+                metrics.counters[name] = total
+        metrics.series = self.series
+        return metrics
+
+    def subtree_series(self, h: int) -> Dict[str, list]:
+        """The series entries of the subtree under node ``h``."""
+        if self._slices is None:
+            order = self.cols.postorder()
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.shape[0])
+            starts = {}
+            for name, own in self.series_n.items():
+                starts[name] = np.concatenate(([0], np.cumsum(own[order])))
+            self._slices = (rank, starts)
+        rank, starts = self._slices
+        last = int(rank[h])
+        first = last - (int(self.cols.end[h]) - h) + 1
+        return {
+            name: self.series[name][int(at[first]) : int(at[last + 1])]
+            for name, at in starts.items()
+        }
+
+
 @dataclass
 class _OnlineSeg(_Seg):
     """A frontier segment with the online build's per-node state.
 
-    ``hint`` is the previous version's node at the same place; when
-    known, the segment's subset is the hint's (renumbered) less the
-    deleted points and plus the inserted points among ``muts``, the
-    positions of the commit's mutations (:meth:`_OnlineFrontier.build`)
-    that fall in it.  ``bound``/``tries`` collect its search for its
-    record, ``kept`` holds its hint's straddlers (inner side, outer side)
-    once it is anchored (:meth:`_OnlineFrontier._anchor`), and
-    ``changed`` the ids of its subtree whose neighbor rows can differ
-    from the hint's after its correction
-    (:meth:`_OnlineFrontier._changed`).  ``log`` is its straddlers and
-    their rows before its correction, ``sink`` holds the node's own
-    counters and series until its level is corrected, and ``metrics``
-    then holds its subtree's until its parent's level takes them."""
+    ``hint`` is the preorder index of the previous version's node at the
+    same place; when known, the segment's subset is the hint's
+    (renumbered) less the deleted points and plus the inserted points
+    among ``muts``, the positions of the commit's mutations
+    (:meth:`_OnlineFrontier.build`) that fall in it.  ``bound``/``tries``
+    collect its search for its record, ``kept`` holds its hint's
+    straddlers (inner side, outer side) once it is anchored
+    (:meth:`_OnlineFrontier._anchor`), and ``changed`` the ids of its
+    subtree whose neighbor rows can differ from the hint's after its
+    correction (:meth:`_OnlineFrontier._changed`).  ``log`` is its
+    straddlers and their rows before its correction, and ``sink`` holds
+    the node's own counters and series."""
 
-    hint: Optional[PartitionNode] = None
+    hint: Optional[int] = None
     muts: Optional[np.ndarray] = None
     bound: Optional[np.uint64] = None
     tries: Optional[list] = None
@@ -238,15 +282,21 @@ class _OnlineSeg(_Seg):
     changed: Optional[np.ndarray] = None
     log: Optional[tuple] = None
     sink: Optional["_Sink"] = None
-    metrics: Optional[Metrics] = None
 
 
-class _Sink(Machine):
-    """One node's own counters and series."""
+class _Sink:
+    """One node's own counters and series: the part of a
+    :class:`~repro.pvm.machine.Machine` the frontier's counter hooks and
+    punt corrections write to (a node's costs fold analytically)."""
+
+    __slots__ = ("metrics", "stats", "scan_policy")
+
+    bump = Machine.bump
 
     def __init__(self, scan: str) -> None:
-        super().__init__(scan)
+        self.metrics = Metrics()
         self.stats = FastDnCStats(metrics=self.metrics)
+        self.scan_policy = scan
 
 
 class _OnlineFrontier(_FastFrontier):
@@ -261,32 +311,36 @@ class _OnlineFrontier(_FastFrontier):
       generator seeded by the sample's hash fold, and its correction
       punts draw from a generator seeded by its subset's hash fold, made
       only when the node punts;
-    - with a hint tree (absorb), a node redoes its hint's divide from the
-      hint's record when the search would end the same way
+    - with a previous version (absorb), a node redoes its hint's divide
+      from the hint's record when the search would end the same way
       (:meth:`_reuse`), patches its hint's straddlers instead of
       classifying every ball (:meth:`_classify_level`), and a child that
-      received no mutation replays its hint's record: it is resolved when
-      its parent divides and joins no level;
-    - each node's own counters and series go to its :class:`_Sink`; after
-      its level's correction flush they join its children's, in the
-      recursive engine's depth-first order, and the root and nodes of at
-      least ``max(base, _SNAPSHOT_MIN)`` points record themselves with the
-      section events the level's cost fold listed
-      (:meth:`_level_corrected`).  The root's metrics merge into the run
-      and its events fold into the run's phase totals.
+      received no mutation replays its hint's subtree: it is resolved
+      when its parent divides, as a block whose rows are the previous
+      version's subtree range;
+    - each node's own counters and series go to its :class:`_Sink`, and
+      once the tree is solved they become the version's columns
+      (:meth:`_version`): the series in the recursive engine's
+      depth-first order, with each replayed subtree's as one slice of
+      the previous version's.  The root and the nodes of at least
+      ``max(base, _SNAPSHOT_MIN)`` points record themselves
+      (:meth:`_level_corrected`).
     """
 
     def __init__(
         self, points, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base,
-        *, keys: np.ndarray, salt: int, idmap: Optional[np.ndarray] = None,
-        deleted: Optional[np.ndarray] = None,
+        *, keys: np.ndarray, salt: int, prev: Optional[_Version] = None,
+        idmap: Optional[np.ndarray] = None, deleted: Optional[np.ndarray] = None,
+        deleted_keys: Optional[np.ndarray] = None,
     ) -> None:
         super().__init__(points, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base)
         self.keys = keys
         self.salt = int(salt)
+        self.prev = prev
         self.idmap = idmap
-        #: the coordinates of the points the commit deletes
+        #: the coordinates and keys of the points the commit deletes
         self.deleted = deleted
+        self.deleted_keys = deleted_keys
         self.target = default_delta(self.dim, config.epsilon)
         #: every point's key re-salted for refresh round ``q``, made on first use
         self._salted_keys: Dict[int, np.ndarray] = {}
@@ -297,31 +351,63 @@ class _OnlineFrontier(_FastFrontier):
         #: an absorb's marks of the ids in some corrected node's changed
         #: ids (:meth:`_changed`)
         self._dirty: Optional[np.ndarray] = None
+        self._built: List[_OnlineSeg] = []
+        self._replayed: List[_OnlineSeg] = []
         self.reused_subtrees = 0
         self.reused_points = 0
         self.separators_reused = 0
         self.separators_searched = 0
         self.balls_reclassified = 0
 
-    def build(self, hint: Optional[PartitionNode]) -> PartitionNode:
-        """Build the version, absorbing into ``hint``'s tree when given;
-        returns the root node."""
+    def build(self) -> _Version:
+        """Build the version, absorbing into the previous one when given;
+        returns its columns."""
         n = self.points.shape[0]
-        root = _OnlineSeg(ids=np.arange(n, dtype=np.int64), level=0, path=(), hint=hint)
-        if hint is not None:
+        prev = self.prev
+        root = _OnlineSeg(
+            ids=np.arange(n, dtype=np.int64), level=0, path=(),
+            hint=None if prev is None else 0,
+        )
+        if prev is not None:
             # the commit's mutations: the inserted points (ids from
             # first_insert on), then the deleted ones
-            self.first_insert = hint.size - self.deleted.shape[0]
+            self.first_insert = int(prev.cols.size[0]) - self.deleted.shape[0]
             self.n_inserted = n - self.first_insert
             self.mut_pts = np.concatenate([self.points[self.first_insert:], self.deleted])
-            keys = [self.keys[self.first_insert:], _point_keys(self.deleted, self.salt)]
-            self.mut_keys = _round_keys(np.concatenate(keys), self.salt, 0)
+            keys = np.concatenate([self.keys[self.first_insert:], self.deleted_keys])
+            self.mut_keys = _round_keys(keys, self.salt, 0)
             root.muts = np.arange(self.mut_pts.shape[0], dtype=np.int64)
             self._dirty = np.zeros(n, dtype=bool)
+            self._hint_pos = self._hint_positions()
         self.solve_subtree(root)
-        self.machine.metrics.merge(root.metrics)
+        version = self._version()
+        self.machine.metrics.merge(version.metrics())
         self._charge_root(root)
-        return root.node
+        return version
+
+    def _hint_positions(self) -> np.ndarray:
+        """Each survivor's position in the previous version's leaf order
+        (-1 for an insert): a hint's ids are one range of it."""
+        prev_n = int(self.prev.cols.size[0])
+        at = np.empty(prev_n, dtype=np.int64)
+        at[self.prev.cols.flat.leaf_ids] = np.arange(prev_n, dtype=np.int64)
+        pos = np.full(self.points.shape[0], -1, dtype=np.int64)
+        pos[: self.first_insert] = at if self.idmap is None else at[self.idmap >= 0]
+        return pos
+
+    def _assemble(self, levels) -> None:
+        # the build is over: its hint positions and salted keys are spent
+        self._hint_pos = None
+        self._salted_keys.clear()
+        super()._assemble(levels)
+        n = self.points.shape[0]
+        #: each id's position in the leaf order, for the records' logs
+        self._leaf_pos = np.empty(n, dtype=np.int64)
+        self._leaf_pos[self.cols.flat.leaf_ids] = np.arange(n, dtype=np.int64)
+        self._records: List[Optional[_NodeRecord]] = [None] * self.cols.n_nodes
+
+    def _block_ids(self, ids: np.ndarray) -> np.ndarray:
+        return ids if self.idmap is None else self.idmap[ids]
 
     # -- hints, reuse and replays ------------------------------------------
 
@@ -329,6 +415,9 @@ class _OnlineFrontier(_FastFrontier):
         search = [seg for seg in active if not self._reuse(seg)]
         self.separators_searched += len(search)
         return search
+
+    def _record_of(self, seg: _OnlineSeg) -> Optional[_NodeRecord]:
+        return None if seg.hint is None else self.prev.records[seg.hint]
 
     def _reuse(self, seg: _OnlineSeg) -> bool:
         """Give ``seg`` its hint's divide when a search would end there.
@@ -343,8 +432,7 @@ class _OnlineFrontier(_FastFrontier):
         hint's children plus or minus the mutations on their side, and
         the hint's log is undone (:meth:`_undo`).
         """
-        hint = seg.hint
-        rec = None if hint is None else hint.meta.get(_REC_KEY)
+        rec = self._record_of(seg)
         m = seg.ids.shape[0]
         if rec is None or rec.bound is None or m <= self.sample_size:
             return False
@@ -370,32 +458,36 @@ class _OnlineFrontier(_FastFrontier):
                 self._machine_of(seg).bump("separator_draw_failures")
         seg.pre_cost = seg.pre_cost.then(divide)
         seg.divide_cost = divide
-        seg.separator = hint.separator
+        seg.separator = tries[-1][0]
         self._accept(seg, len(tries))
         seg.bound, seg.tries = rec.bound, tries
         # the last candidate is the separator: route the mutations by it
         routed = (muts[inside], muts[~inside])
-        children = []
-        for child_hint, child_muts, bit in ((hint.left, routed[0], 0), (hint.right, routed[1], 1)):
-            n_ins = int(np.searchsorted(child_muts, self.n_inserted))
-            ids = child_hint.indices if self.idmap is None else self.idmap[child_hint.indices]
-            if n_ins < child_muts.shape[0]:
-                ids = ids[ids >= 0]
-            if n_ins:
-                ids = np.concatenate([ids, child_muts[:n_ins] + self.first_insert])
-            children.append(_OnlineSeg(ids=ids, level=seg.level + 1, path=seg.path + (bit,)))
-        seg.left, seg.right = children
+        self._hint_children(seg, routed[0])
         self._anchor(seg, rec, routed)
         self.separators_reused += 1
         return True
+
+    def _hint_children(self, seg: _OnlineSeg, inner_muts: np.ndarray) -> None:
+        """Split ``seg``'s ids as its hint's children split theirs: the
+        inner child takes the survivors of the hint's inner child (one
+        range of the previous leaf order) and the inserts among
+        ``inner_muts``, the outer child the rest, both ascending."""
+        cols, h = self.prev.cols, seg.hint + 1
+        lo = int(cols.point_lo[h])
+        pos = self._hint_pos[seg.ids]
+        inside = (pos >= lo) & (pos < lo + int(cols.size[h]))
+        inserts = inner_muts[: int(np.searchsorted(inner_muts, self.n_inserted))]
+        inside[np.searchsorted(seg.ids, inserts + self.first_insert)] = True
+        seg.left = _OnlineSeg(ids=seg.ids[inside], level=seg.level + 1, path=seg.path + (0,))
+        seg.right = _OnlineSeg(ids=seg.ids[~inside], level=seg.level + 1, path=seg.path + (1,))
 
     def _anchor(self, seg: _OnlineSeg, rec: _NodeRecord, routed) -> None:
         """``seg`` divides by its hint's separator: its children take the
         hint's children as hints, with the mutations ``routed`` to their
         side, and the hint's log is undone (:meth:`_undo`)."""
-        for child, child_hint, child_muts in zip(
-            (seg.left, seg.right), (seg.hint.left, seg.hint.right), routed
-        ):
+        hints = (seg.hint + 1, int(self.prev.cols.flat.right[seg.hint]))
+        for child, child_hint, child_muts in zip((seg.left, seg.right), hints, routed):
             child.hint, child.muts = child_hint, child_muts
         self._undo(seg, rec)
 
@@ -408,10 +500,10 @@ class _OnlineFrontier(_FastFrontier):
         version's final rows and undoes each anchored node's hint top-down
         as the node divides, so once a level is divided every row below it
         reads as it did before the hints' corrections: a replayed
-        subtree's rows are its record's, and a row that still names a
+        subtree's rows are its hint's, and a row that still names a
         deleted point is rewritten by a deeper undo or a rebuilt leaf.
         """
-        ids = seg.hint.indices
+        ids = self.prev.cols.leaf_block(seg.hint)
         old = ids[rec.straddlers]
         nbrs = ids[rec.log_idx]
         if self.idmap is not None:
@@ -423,32 +515,40 @@ class _OnlineFrontier(_FastFrontier):
         n_in = rec.n_in
         seg.kept = (old[:n_in][alive[:n_in]], old[n_in:][alive[n_in:]])
 
+    def _same_sphere(self, sep, h: int) -> bool:
+        """Whether ``sep`` is the previous version's node ``h``'s sphere,
+        bit for bit."""
+        flat = self.prev.cols.flat
+        return (
+            isinstance(sep, Sphere)
+            and sep.radius == float(flat.radii[h])
+            and sep.center.tobytes() == flat.centers[h].tobytes()
+        )
+
     def _divide_level(self, segs, span):
         """Divide as the frontier does.  A node whose search ended at its
         hint's sphere (a tied sample boundary keeps a search from being
         replayed, not from repeating) is anchored like a reusing one; the
-        children that received no mutation replay their hint's record and
-        join no level.  A one-point leaf's row is emptied: brute force
-        writes none, and an absorb starts from the previous version's
-        rows."""
+        children that received no mutation replay their hint's subtree
+        and are built no further.  A one-point leaf's row is emptied:
+        brute force writes none, and an absorb starts from the previous
+        version's rows."""
         children = super()._divide_level(segs, span)
         for seg in segs:
-            rec = None if seg.hint is None else seg.hint.meta.get(_REC_KEY)
+            rec = self._record_of(seg)
             if (
                 seg.kept is None
                 and seg.left is not None
                 and rec is not None
                 and rec.straddlers is not None
-                and isinstance(seg.separator, Sphere)
-                and _separator_signature(seg.separator) == _separator_signature(seg.hint.separator)
+                and self._same_sphere(seg.separator, seg.hint)
             ):
                 sep = seg.separator
                 inside = kernels.sphere_side(self.mut_pts[seg.muts], sep.center, sep.radius) < 0
                 self._anchor(seg, rec, (seg.muts[inside], seg.muts[~inside]))
-        children = [
-            child for child in children
-            if child.hint is None or child.muts.shape[0] or not self._replay(child)
-        ]
+        for child in children:
+            if child.hint is not None and not child.muts.shape[0]:
+                self._replay(child)
         for seg in segs:
             seg.hint = seg.muts = None
             if seg.is_leaf and seg.ids.shape[0] == 1:
@@ -456,26 +556,23 @@ class _OnlineFrontier(_FastFrontier):
                 self.nbr_sq[seg.ids] = np.inf
         return children
 
-    def _replay(self, seg: _OnlineSeg) -> bool:
-        """Resolve ``seg``, whose subset is its hint's, from the hint's
-        record; its rows are already in place (:meth:`_undo`).
+    def _replay(self, seg: _OnlineSeg) -> None:
+        """Resolve ``seg``, whose subset is its hint's, as a block of the
+        previous version's subtree when the hint recorded itself; its rows
+        are already in place (:meth:`_undo`).
 
         Validity rests on the online build being a pure function of subset
         values: equal subsets rebuild to the identical subtree, so
-        replaying the record *is* the fresh build.
+        replaying the subtree *is* the fresh build.
         """
-        hint = seg.hint
-        rec: Optional[_NodeRecord] = hint.meta.get(_REC_KEY)
-        if rec is None:
-            return False
-        seg.node = hint if self.idmap is None else _clone_remap(hint, self.idmap)
-        seg.total_cost = rec.cost
-        seg.sections = rec.sections
-        seg.metrics = rec.metrics
+        if self._record_of(seg) is None:
+            return
+        seg.block = (self.prev.cols, seg.hint)
+        seg.total_cost = Cost(*self.prev.cost[seg.hint].tolist())
         seg.changed = _NO_IDS
+        self._replayed.append(seg)
         self.reused_subtrees += 1
-        self.reused_points += int(seg.ids.shape[0])
-        return True
+        self.reused_points += seg.m
 
     # -- content-addressed randomness --------------------------------------
 
@@ -526,7 +623,7 @@ class _OnlineFrontier(_FastFrontier):
     def _rng_of(self, seg):
         """The correction punt generator, seeded by the subset's content."""
         if seg.rng is None:
-            node_key = _fold_keys(self.keys[seg.ids])
+            node_key = _fold_keys(self.keys[self._ids(seg)])
             seg.rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=(self.salt, node_key, 0xC0DE))
             )
@@ -545,12 +642,13 @@ class _OnlineFrontier(_FastFrontier):
         ball has its hint-time radius and its hint's verdict.  The node's
         own changed ids add its hint's straddlers to its children's (its
         own lie in those two sets).  Each recorded node logs its
-        straddlers' rows here, before its level's flush changes them.
+        straddlers' rows here, before its level's flush changes them, as
+        positions in its leaf block.
         """
         balls = [
             (self._changed(seg.left), self._changed(seg.right))
             if seg.kept is not None
-            else (seg.left.ids, seg.right.ids)
+            else (self._block(seg.left), self._block(seg.right))
             for seg in internal
         ]
         found = self._straddlers(internal, balls)
@@ -567,13 +665,14 @@ class _OnlineFrontier(_FastFrontier):
                 dirty[old_in] = True
                 dirty[old_ex] = True
                 seg.changed = np.concatenate([r_in, r_ex, old_in, old_ex])
-            if self._recorded(seg) and isinstance(seg.node.separator, Sphere):
+            if self._recorded(seg) and isinstance(seg.separator, Sphere):
                 straddlers = np.concatenate([s_in, s_ex])
                 rows = self.nbr_idx[straddlers]
-                log_idx = np.searchsorted(seg.ids, rows).astype(np.int32)
+                lo = int(self.cols.point_lo[seg.pre])
+                log_idx = (self._leaf_pos[rows] - lo).astype(np.int32)
                 log_idx[rows < 0] = -1
                 seg.log = (
-                    np.searchsorted(seg.ids, straddlers).astype(np.int32),
+                    (self._leaf_pos[straddlers] - lo).astype(np.int32),
                     s_in.shape[0], log_idx, self.nbr_sq[straddlers],
                 )
         return found
@@ -585,14 +684,14 @@ class _OnlineFrontier(_FastFrontier):
         what :meth:`_classify_level` set.  Each is a superset of its
         children's, so a subtree's marks are its root's set."""
         if seg.changed is None:
-            seg.changed = seg.ids
-            self._dirty[seg.ids] = True
+            seg.changed = self._block(seg)
+            self._dirty[seg.changed] = True
         return seg.changed
 
     def _recorded(self, seg) -> bool:
         """Whether ``seg`` records itself: the root, which every commit
         recomputes, and every node of at least ``snapshot_min`` points."""
-        return seg.level == 0 or seg.ids.shape[0] >= self.snapshot_min
+        return seg.level == 0 or seg.m >= self.snapshot_min
 
     @staticmethod
     def _replayable(seg) -> bool:
@@ -612,62 +711,72 @@ class _OnlineFrontier(_FastFrontier):
         return self._machine_of(seg).stats
 
     def _level_corrected(self, level_segs) -> None:
-        """Gather each node's subtree metrics and record the root and the
-        nodes of at least ``snapshot_min`` points.
-
-        A node's subtree metrics are its children's, then its own
-        counters and series: the order the recursive engine writes its
-        stats, so series come out in the same order.  Its cost and
-        section events are composed by now.  A node with a log keeps its
-        search for a later commit to replay.
-        """
+        """Keep each built node of the level for :meth:`_version`, and
+        record the root and the nodes of at least ``snapshot_min``
+        points.  A node with a log keeps its search for a later commit
+        to replay."""
         for seg in level_segs:
-            sink, seg.sink = seg.sink, None
-            metrics = Metrics()
-            if not seg.is_leaf:
-                for child in (seg.left, seg.right):
-                    metrics.merge(child.metrics)
-                    child.metrics = None
-            metrics.merge(sink.metrics)
-            seg.metrics = metrics
+            if seg.block is not None:
+                continue
+            self._built.append(seg)
+            if seg.left is not None:
+                seg.left.changed = seg.right.changed = None
             if self._recorded(seg):
-                rec = seg.node.meta[_REC_KEY] = _NodeRecord(seg.total_cost, seg.sections, metrics)
+                rec = self._records[seg.pre] = _NodeRecord()
                 if seg.log is not None:
                     rec.straddlers, rec.n_in, rec.log_idx, rec.log_sq = seg.log
                     seg.log = None
                     if self._replayable(seg):
                         rec.bound, rec.tries = seg.bound, tuple(seg.tries)
 
+    def _version(self) -> _Version:
+        """The solved tree's per-node columns: the built nodes' own cost,
+        counters, series and records, and each replayed subtree's rows
+        copied from the previous version.  A node's series entries follow
+        its children's (the order the recursive engine writes its stats),
+        so the version's series are the pieces in postorder: a built
+        node's own entries, a replayed subtree's slice."""
+        cols, built, prev = self.cols, self._built, self.prev
+        n_nodes = cols.n_nodes
+        rank = np.empty(n_nodes, dtype=np.int64)
+        rank[cols.postorder()] = np.arange(n_nodes)
+        cost = np.empty((n_nodes, 2), dtype=np.float64)
+        cost[[seg.pre for seg in built]] = [
+            (seg.total_cost.depth, seg.total_cost.work) for seg in built
+        ]
+        counters: Dict[str, np.ndarray] = {}
+        series_n: Dict[str, np.ndarray] = {}
 
-def _clone_remap(node: PartitionNode, idmap: np.ndarray) -> PartitionNode:
-    """Deep-copy a reused subtree with ids pushed through ``idmap``.
+        def column(store: Dict[str, np.ndarray], name: str) -> np.ndarray:
+            if name not in store:
+                store[name] = np.zeros(n_nodes, dtype=np.int64)
+            return store[name]
 
-    Separator objects and records are shared (they hold no global ids).
-    The original subtree — part of the previous version — is left
-    untouched, which is what keeps old snapshots valid (copy-on-write).
-    Iterative, deep-tree safe.
-    """
-
-    def shallow(n: PartitionNode) -> PartitionNode:
-        clone = PartitionNode.__new__(PartitionNode)
-        clone.indices = idmap[n.indices]
-        clone.separator = n.separator
-        clone.left = None
-        clone.right = None
-        clone.meta = dict(n.meta)
-        return clone
-
-    root = shallow(node)
-    stack = [(node, root)]
-    while stack:
-        src, dst = stack.pop()
-        if src.is_leaf:
-            continue
-        dst.left = shallow(src.left)  # type: ignore[arg-type]
-        dst.right = shallow(src.right)  # type: ignore[arg-type]
-        stack.append((src.left, dst.left))  # type: ignore[arg-type]
-        stack.append((src.right, dst.right))  # type: ignore[arg-type]
-    return root
+        pieces = []
+        for seg in built:
+            metrics = seg.sink.metrics
+            for name, value in metrics.counters.items():
+                column(counters, name)[seg.pre] = value
+            for name, entries in metrics.series.items():
+                column(series_n, name)[seg.pre] = len(entries)
+            pieces.append((int(rank[seg.pre]), metrics.series))
+        records = self._records
+        for seg in self._replayed:
+            i, h = seg.pre, seg.block[1]
+            dst, src = slice(i, i + int(prev.cols.end[h]) - h), slice(h, int(prev.cols.end[h]))
+            cost[dst] = prev.cost[src]
+            records[dst] = prev.records[src]
+            for mine, theirs in ((counters, prev.counters), (series_n, prev.series_n)):
+                for name, col in theirs.items():
+                    column(mine, name)[dst] = col[src]
+            pieces.append((int(rank[i]), prev.subtree_series(h)))
+        pieces.sort(key=lambda piece: piece[0])
+        series: Dict[str, list] = {}
+        for _, part in pieces:
+            for name, entries in part.items():
+                series.setdefault(name, []).extend(entries)
+        self._built = self._replayed = []
+        return _Version(cols, cost, counters, series, series_n, records)
 
 
 # -- equality helpers -------------------------------------------------------
@@ -697,6 +806,12 @@ def tree_signature(node: Optional[PartitionNode]) -> list:
     ]
 
 
+def _layout_bytes(flat: FlatTree) -> list:
+    """A flat tree's arrays, exactly: equal for two trees exactly when
+    their :func:`tree_signature` is (a node's ids are its leaves')."""
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in flat.arrays().values()]
+
+
 def equivalence_report(built: "MutableIndex", reference: "MutableIndex") -> List[str]:
     """Differences between a committed index and a from-scratch reference.
 
@@ -711,7 +826,7 @@ def equivalence_report(built: "MutableIndex", reference: "MutableIndex") -> List
         problems.append("neighbor indices differ")
     if not np.array_equal(a.neighbor_sq_dists, b.neighbor_sq_dists):
         problems.append("neighbor squared distances differ")
-    if tree_signature(a.tree) != tree_signature(b.tree):
+    if _layout_bytes(a.layout) != _layout_bytes(b.layout):
         problems.append("partition trees differ")
     ca, cb = a.machine.total, b.machine.total
     if ca.depth != cb.depth or ca.work != cb.work:
@@ -865,11 +980,12 @@ class MutableIndex:
         self.points = pts
         self.machine = machine if machine is not None else Machine()
         self.stats: FastDnCStats
-        self.tree: PartitionNode
         self.layout: FlatTree
         self.nbr_idx: np.ndarray
         self.nbr_sq: np.ndarray
-        self._run(pts, self.machine)
+        #: every point's content key (:func:`_point_keys`), carried across commits
+        self.keys = _point_keys(pts, self._salt)
+        self._run(pts, self.keys, self.machine)
         self.update_stats.version = 0
 
     # -- views -------------------------------------------------------------
@@ -881,6 +997,15 @@ class MutableIndex:
     @property
     def d(self) -> int:
         return int(self.points.shape[1])
+
+    @property
+    def tree(self) -> PartitionNode:
+        """The current version's partition tree: a
+        :class:`~repro.core.partition_tree.PartitionNode` view built from
+        its columns on first read."""
+        if self._tree is None:
+            self._tree = self._version.cols.tree()
+        return self._tree
 
     @property
     def neighbor_indices(self) -> np.ndarray:
@@ -995,6 +1120,8 @@ class MutableIndex:
         survivors = np.ones(old_n, dtype=bool)
         survivors[deletes] = False
         new_points = np.concatenate([self.points[survivors], inserts], axis=0)
+        # a key is a function of a point's values alone: survivors keep theirs
+        new_keys = np.concatenate([self.keys[survivors], _point_keys(inserts, self._salt)])
         new_n = new_points.shape[0]
         if new_n < 1:
             raise ValueError("commit would delete every point")
@@ -1016,11 +1143,14 @@ class MutableIndex:
         if punt:
             with machine.span("update.rebuild", version=self.version + 1, n=new_n,
                               inserted=n_ins, deleted=n_del, churn=churn):
-                runner = self._run(new_points, machine)
+                runner = self._run(new_points, new_keys, machine)
         else:
             with machine.span("update.absorb", version=self.version + 1, n=new_n,
                               inserted=n_ins, deleted=n_del, churn=churn):
-                runner = self._run(new_points, machine, self.tree, idmap, deleted)
+                runner = self._run(
+                    new_points, new_keys, machine, self._version, idmap, deleted,
+                    self.keys[deletes],
+                )
         self.machine = machine
         self.version += 1
         self._pending_inserts.clear()
@@ -1046,8 +1176,8 @@ class MutableIndex:
         The snapshot shares this index's arrays copy-on-write: later
         commits allocate fresh arrays and never mutate these, so the
         snapshot stays valid (and bit-stable) forever.  It holds the
-        version's :class:`~repro.kernels.FlatTree`, flattened once per
-        version, and no partition-tree node.  Its ``version`` field is
+        version's :class:`~repro.kernels.FlatTree`, written by its level
+        loop, and no partition-tree node.  Its ``version`` field is
         this index's current version — the serving layer keys result
         caches on it so stale entries cannot survive a swap.
         """
@@ -1065,18 +1195,20 @@ class MutableIndex:
     def _run(
         self,
         points: np.ndarray,
+        keys: np.ndarray,
         machine: Machine,
-        hint: Optional[PartitionNode] = None,
+        prev: Optional[_Version] = None,
         idmap: Optional[np.ndarray] = None,
         deleted: Optional[np.ndarray] = None,
+        deleted_keys: Optional[np.ndarray] = None,
     ) -> _OnlineFrontier:
-        """Build ``points`` as the next version: from scratch, or with
-        ``hint`` (the current tree) as an absorb of the inserts appended
-        to ``points`` and the ``deleted`` rows, ``idmap`` renumbering the
-        survivors (``None``: nothing deleted)."""
+        """Build ``points`` (with content ``keys``) as the next version:
+        from scratch, or with ``prev`` (the current version) as an absorb
+        of the inserts appended to ``points`` and the ``deleted`` rows,
+        ``idmap`` renumbering the survivors (``None``: nothing deleted)."""
         n = points.shape[0]
         self.stats = FastDnCStats(metrics=machine.metrics)
-        if hint is None:
+        if prev is None:
             nbr_idx = np.full((n, self.k), -1, dtype=np.int64)
             nbr_sq = np.full((n, self.k), np.inf)
         else:
@@ -1091,16 +1223,18 @@ class MutableIndex:
             nbr_idx,
             nbr_sq,
             self._base,
-            keys=_point_keys(points, self._salt),
+            keys=keys,
             salt=self._salt,
+            prev=prev,
             idmap=idmap,
             deleted=deleted,
+            deleted_keys=deleted_keys,
         )
-        tree = runner.build(hint)
+        self._version = runner.build()
+        self._tree: Optional[PartitionNode] = None
         self.points = points
-        self.tree = tree
-        # the correction sweep flattened the finished tree already
-        self.layout = runner.flat if runner.flat is not None else FlatTree.from_tree(tree)
+        self.keys = keys
+        self.layout = self._version.cols.flat
         self.nbr_idx = runner.nbr_idx
         self.nbr_sq = runner.nbr_sq
         return runner

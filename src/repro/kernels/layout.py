@@ -1,11 +1,14 @@
 """Contiguous, child-major flat layout of a partition tree.
 
-The pointer-chasing :class:`~repro.core.partition_tree.PartitionNode`
-tree is the right structure for building and correction, but a query
-only needs, per node, the separator and the two children — and, at the
-leaves, the member ids.  :class:`FlatTree` packs those into preorder
-numpy arrays with the leaf id lists concatenated child-major (left to
-right).  It is the whole structure a served index version holds:
+A query only needs, per partition-tree node, the separator and the two
+children — and, at the leaves, the member ids.  :class:`FlatTree` packs
+those into preorder numpy arrays with the leaf id lists concatenated
+child-major (left to right).  The frontier engines and the online index
+write it straight from their level loop, as part of a solved tree's
+:class:`~repro.core.columns.TreeColumns`; :meth:`FlatTree.from_tree`
+flattens a recursive engine's
+:class:`~repro.core.partition_tree.PartitionNode` tree.  It is the whole
+structure a served index version holds:
 
 - :meth:`FlatTree.descend` / :meth:`FlatTree.leaf_groups` route query
   points to their leaves through the ``descend_spheres`` kernel;
@@ -135,14 +138,10 @@ class FlatTree:
 
     @staticmethod
     def from_tree(tree: PartitionNode) -> "FlatTree":
-        """Flatten ``tree``; hyperplane nodes are listed in ``planes``."""
-        return FlatTree.flatten(tree)[0]
-
-    @staticmethod
-    def flatten(tree: PartitionNode) -> Tuple["FlatTree", List[PartitionNode]]:
-        """:meth:`from_tree`, plus the tree's nodes in preorder: flat
-        node ``i`` is ``nodes[i]``."""
-        nodes: List[PartitionNode] = []
+        """Flatten a pointer tree (the recursive engines'); hyperplane
+        nodes are listed in ``planes``.  The frontier engines and the
+        online index write their columns directly
+        (:class:`~repro.core.columns.TreeColumns`)."""
         centers: List[Optional[np.ndarray]] = []
         radii: List[float] = []
         left: List[int] = []
@@ -156,7 +155,6 @@ class FlatTree:
         while stack:
             node, parent, slot = stack.pop()
             my = len(left)
-            nodes.append(node)
             if parent >= 0:
                 if slot == 0:
                     left[parent] = my
@@ -210,7 +208,7 @@ class FlatTree:
             ),
             leaf_offsets=offsets,
             planes=np.asarray(planes, dtype=np.int64),
-        ), nodes
+        )
 
     def _plane_mask(self) -> Optional[np.ndarray]:
         """Per-node hyperplane flags, or ``None`` for sphere-only trees."""

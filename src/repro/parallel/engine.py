@@ -15,16 +15,17 @@ phase 1 — cut and ship (workers, order-free)
     pickling: master↔worker traffic is one task descriptor down and one
     solved-subtree summary up, per subtree.
 
-phase 2 — link and fold (master)
+phase 2 — splice and fold (master)
     The master takes each solved subtree in as one block, the way the
-    online index takes in a replayed record: its partition nodes, linked
-    straight from the worker's level records, its composed total and its
-    section events in depth-first order.  It then corrects only the
-    straddler/boundary set — the internal nodes *above* the cut, whose
-    corrections read the workers' leaf radii out of shared memory — and
-    its cost fold composes the tree above the cut around the blocks, so
-    the tree's events fold into the phase totals once and the root is
-    charged once.
+    online index takes in a replayed subtree: the worker's
+    :class:`~repro.core.columns.TreeColumns` (leaf ids and per-node
+    columns, no per-level ids) are copied into the tree's columns at the
+    cut segment's preorder place, and its composed total joins the cost
+    fold.  The master then corrects only the straddler/boundary set — the
+    internal nodes *above* the cut, whose corrections read the workers'
+    leaf radii out of shared memory — and its cost fold composes the tree
+    above the cut around the blocks, so the tree's events fold into the
+    phase totals once and the root is charged once.
 
 The bit-identity contract (same neighbors, tree, (depth, work) ledger
 and sections as ``engine="frontier"`` — and hence as ``"recursive"`` —
@@ -71,9 +72,7 @@ from typing import Any, Dict, List
 import numpy as np
 
 from ..core.frontier import _FastFrontier, _Seg, _SimpleFrontier
-from ..core.partition_tree import PartitionNode
 from ..obs.stitch import graft_worker_trace
-from .kernels import unpack_sections
 from .plan import plan_subtree_assignment, subtree_target, subtree_weight
 from .pool import TaskResult, WorkerPool, resolve_workers
 from .shm import SharedArray
@@ -112,7 +111,7 @@ class _ParallelFrontierMixin:
                 "nbr_sq_spec": sq_sa.spec,
                 "trace": self.machine.tracer is not None,
             })
-            root_node = self._run_two_phase(workers)
+            cols = self._run_two_phase(workers)
             caller_idx[...] = idx_sa.array
             caller_sq[...] = sq_sa.array
         finally:
@@ -122,7 +121,7 @@ class _ParallelFrontierMixin:
             for sa in self._arena:
                 sa.destroy()
         self._emit_parallel_metrics(workers)
-        return root_node
+        return cols
 
     def _run_two_phase(self, workers: int):
         n = self.points.shape[0]
@@ -132,16 +131,17 @@ class _ParallelFrontierMixin:
         if cut:
             # with a target of 1 the root itself is the one shipped subtree
             self._solve_subtrees(cut)
-        self._link_nodes(levels)
+            levels.append(cut)
+        self._assemble(levels)
         self._correct_levels(levels)
         self._charge_root(root)
-        return root.node
+        return self.cols
 
     # -- phase 1: cut and ship -------------------------------------------
 
     def _solve_subtrees(self, cut: List[_Seg]) -> None:
         """Ship every cut segment to its planned worker, then take each
-        solved subtree in: its nodes, total and section events."""
+        solved subtree in as a block: its columns and composed total."""
         pool = self._pool
         t0 = time.perf_counter()
         buf = SharedArray.create_from(np.concatenate([s.ids for s in cut]))
@@ -170,9 +170,8 @@ class _ParallelFrontierMixin:
             res = task.result
             self.machine.metrics.merge(res["metrics"])
             self._subtree_span(seg, i, task)
-            seg.node = _link_levels(seg.ids, res["levels"])
+            seg.block = (res["tree"], 0)
             seg.total_cost = res["total"]
-            seg.sections = unpack_sections(*res["sections"])
 
     # -- observability ---------------------------------------------------
 
@@ -228,39 +227,6 @@ class _ParallelFrontierMixin:
         metrics.set_gauge("parallel.collect_seconds", pool.collect_seconds)
         metrics.inc("parallel.dispatch_bytes", pool.dispatch_bytes)
         metrics.inc("parallel.result_bytes", pool.result_bytes)
-
-
-def _link_levels(ids: np.ndarray, levels: List[tuple]) -> PartitionNode:
-    """Link one solved subtree's partition nodes from a worker's
-    ``(ids, lengths, separators, metas)`` level records, deepest level
-    first; returns the subtree's root.
-
-    The children of a level's ``c``-th internal node are the ``2c``-th
-    and ``2c + 1``-th nodes of the next level — the append order of
-    ``_split_segments``.  The root's ids are the master's own ``ids``;
-    the deeper levels' are slices of worker-shipped plain arrays, so no
-    shared-memory view can leak into the returned tree.
-    """
-    below: List[PartitionNode] = []
-    for li in range(len(levels) - 1, -1, -1):
-        flat, lengths, separators, metas = levels[li]
-        if li == 0:
-            flat = ids
-        children, metas = iter(below), iter(metas)
-        nodes: List[PartitionNode] = []
-        offset = 0
-        for m, separator in zip(lengths, separators):
-            node_ids = flat[offset : offset + m]
-            offset += m
-            if separator is None:
-                nodes.append(PartitionNode(indices=node_ids))
-            else:
-                nodes.append(PartitionNode(
-                    indices=node_ids, separator=separator,
-                    left=next(children), right=next(children), meta=next(metas),
-                ))
-        below = nodes
-    return below[0]
 
 
 class _ParallelFastFrontier(_ParallelFrontierMixin, _FastFrontier):

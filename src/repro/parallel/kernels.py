@@ -12,7 +12,7 @@ point on one frontier segment.  Because the worker executes the
 *unmodified* serial code on the whole subtree (every RNG draw comes from
 the segment's own :func:`~repro.util.rng.path_rng` stream, every punt
 decision and float fold happens in the serial order), the subtree's
-neighbor rows, partition nodes and per-node costs are bitwise identical
+neighbor rows, tree columns and per-node costs are bitwise identical
 to the same subtree's slice of a serial whole-tree run — worker count
 can never change a result.
 
@@ -23,13 +23,12 @@ subtree solves never race (see ``docs/parallel.md`` for the containment
 argument).
 
 The task result ships everything the master needs to take the solved
-subtree in as one block: per-level records to link its
-:class:`~repro.core.partition_tree.PartitionNode` tree from (flat id
-vector, segment lengths, separators, internal nodes' meta), the composed
-subtree total, the subtree's section events in depth-first order (as
-phase codes and float64 ``(depth, work)`` rows, see
-:func:`pack_sections`), and the task-local metrics registry (which holds
-the event counters as ``machine.*``).
+subtree in as one block: its :class:`~repro.core.columns.TreeColumns`
+(the leaves' ids and one row per node: separator, subtree end,
+correction outcome and section events; pickled compactly, see
+:meth:`~repro.core.columns.TreeColumns.__reduce__`), the composed
+subtree total, and the task-local metrics registry (which holds the
+event counters as ``machine.*``).
 
 Tracing: when the master's machine has a tracer attached, ``init_run``
 ships ``trace=True`` and the subtree solve runs under a task-local
@@ -47,24 +46,19 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from ..core.fast_dnc import FastDnCStats
 from ..core.frontier import _FastFrontier, _Seg, _SimpleFrontier
 from ..core.simple_dnc import SimpleDnCStats
-from ..pvm.cost import Cost
 from ..pvm.machine import Machine
 from .shm import attach
 
 __all__ = ["KERNELS", "init_run", "solve_subtree"]
 
 _STATE: Optional["RunState"] = None
-
-#: Section names by the phase code a shipped event carries.
-_PHASES = ("divide", "base", "correct")
-_PHASE_CODE = {name: code for code, name in enumerate(_PHASES)}
 
 
 class RunState:
@@ -127,35 +121,14 @@ def _task_result(engine, out: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
-def pack_sections(events: List[Tuple[str, Cost]]) -> Tuple[bytes, bytes]:
-    """A subtree's ``(phase, cost)`` events as two byte strings for the
-    trip to the master: one phase code per event, and the events'
-    ``(depth, work)`` rows as a float64 array's bytes, in order (the
-    floats round-trip exactly, and a small subtree pays no array
-    pickling overhead)."""
-    codes = bytes(_PHASE_CODE[name] for name, _ in events)
-    costs = np.array([(c.depth, c.work) for _, c in events], dtype=np.float64)
-    return codes, costs.tobytes()
-
-
-def unpack_sections(codes: bytes, costs: bytes) -> List[Tuple[str, Cost]]:
-    """The inverse of :func:`pack_sections`."""
-    rows = np.frombuffer(costs, dtype=np.float64).reshape(-1, 2).tolist()
-    return [(_PHASES[code], Cost(depth, work)) for code, (depth, work) in zip(codes, rows)]
-
-
 def solve_subtree(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Solve one whole subtree to completion against the resident arena.
 
     The payload names a slice of the shared cut-frontier id buffer plus
     the segment's tree position (``path``/``level``); the kernel runs the
     serial :meth:`~repro.core.frontier._FrontierBase.solve_subtree` on it
-    and packages the solved levels for the master to link the subtree's
-    nodes from, with its total and section events.  Each level ships as
-    ``(ids, lengths, separators, metas)``: its concatenated ids, one
-    length and one separator (``None`` for a leaf) per segment, and one
-    meta dict per internal node.  Level 0's ids are ``None`` — the master
-    already holds the cut segment's ids and substitutes its own array.
+    and returns the subtree's columns for the master to splice, with its
+    composed total.
     """
     state = _STATE
     ids_buf = state.attach_cached(payload["ids_spec"])
@@ -176,20 +149,7 @@ def solve_subtree(payload: Dict[str, Any]) -> Dict[str, Any]:
         if wspan is not None:
             wspan.attrs["depth"] = len(levels)
             wspan.attrs["segments"] = int(sum(len(ls) for ls in levels))
-    shipped = [
-        (
-            None if li == 0 else np.concatenate([s.ids for s in level_segs]),
-            [int(s.ids.shape[0]) for s in level_segs],
-            [s.separator for s in level_segs],
-            [s.node.meta for s in level_segs if not s.is_leaf],
-        )
-        for li, level_segs in enumerate(levels)
-    ]
-    return _task_result(engine, {
-        "levels": shipped,
-        "total": seg.total_cost,
-        "sections": pack_sections(seg.sections),
-    })
+    return _task_result(engine, {"tree": engine.cols, "total": seg.total_cost})
 
 
 def serve_init(payload: Dict[str, Any]) -> Any:

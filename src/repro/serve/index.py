@@ -148,7 +148,7 @@ class ServingIndex:
         # store the run's own points (the dtype the tree was built over),
         # not the caller's array — with dtype="float32" they differ
         index = cls(
-            res.system.points, res.tree, k, system=res.system,
+            res.system.points, res._layout(), k, system=res.system,
             structure_seed=structure_seed,
         )
         if with_structure:

@@ -222,8 +222,8 @@ class TestManyMarches:
     @pytest.mark.parametrize("seed", range(2))
     def test_each_march_matches_march_balls(self, d, dtype, seed):
         rng, pts, tree = mixed_case(d, dtype, seed)
-        flat, nodes = FlatTree.flatten(tree)
-        preorder = {id(node): i for i, node in enumerate(nodes)}
+        flat = FlatTree.from_tree(tree)
+        preorder = {id(node): i for i, node in enumerate(tree.nodes())}
         # largest subtree first, so it gets the cap that stops a march
         # after step 0; the last march is empty
         roots = sorted(disjoint_roots(tree, rng), key=lambda node: -node.size)
