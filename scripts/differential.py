@@ -33,9 +33,18 @@ the served :class:`~repro.kernels.FlatTree` arrays (an online version's
 ``layout``, an engine run's flattened tree), the (depth, work) ledger,
 the phase sections, the machine counters and the metrics registry's
 counters, gauges and non-empty series, all but its wall-clock keys and
-its transport sizes.  An online version's fingerprint adds the
-``ServingIndex.execute`` answers of its snapshot on a fixed 64-row query
-batch.  Floats are compared by ``repr``, so equal means bit-equal.
+its transport sizes.  Floats are compared by ``repr``, so equal means
+bit-equal.
+
+Every run also serves (:func:`served`): a :class:`~repro.serve.ServingIndex`
+over the run's layout (an online version's snapshot) answers one seeded
+set of query rows in one ``execute`` call, one call per row, in batches
+of 2, 7 and twice ``knn_query_flat``'s row-path bound, and through a
+``Batcher``; each path's answers are one fingerprint field, and every
+answer's distances are checked against brute force (a run whose check
+fails is reported even when both trees agree).  The last version of the
+``large`` chain also answers single-point ``/v1/query`` requests over a
+loopback ``ServerThread``, digested by response body.
 """
 
 from __future__ import annotations
@@ -57,8 +66,14 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: measure the wire format rather than the run.
 _WALL_CLOCK = ("seconds", "utilization", "_ms", "_bytes")
 
-#: Rows of the query batch each online version's snapshot answers.
-_QUERIES = 64
+#: Query rows every run serves: uniform rows over the data's bounding
+#: box, then ``_HITS`` data points (exact hits, and ties at the k-th
+#: distance where an input holds duplicates or a lattice).
+_QUERIES = 300
+_HITS = 60
+
+#: Single-point ``/v1/query`` requests of the loopback server check.
+_HTTP_QUERIES = 16
 
 _PUNTY = {"iota_factor": 0.8, "active_factor": 0.3}
 
@@ -77,7 +92,8 @@ def _timeless(mapping: Dict[str, Any]) -> Dict[str, Any]:
 def fingerprint(nbr_idx, nbr_sq, tree, machine, layout=None, answers=None) -> Dict[str, Any]:
     """One run's fingerprint: JSON-ready, equal exactly when the run's
     neighbors, tree, served arrays, ledger, sections, counters, metrics
-    and (given) served answers are."""
+    and (given) served answers are; ``answers`` holds :func:`served`'s
+    fields."""
     from repro.core.online import tree_signature
     from repro.kernels.layout import FlatTree
 
@@ -104,8 +120,89 @@ def fingerprint(nbr_idx, nbr_sq, tree, machine, layout=None, answers=None) -> Di
         "series": {k: _digest(v) for k, v in _timeless(metrics.series).items() if v},
     }
     if answers is not None:
-        out["answers"] = _digest(*answers)
+        out.update(answers)
     return out
+
+
+def _row_bound() -> int:
+    """``knn_query_flat``'s row-path bound.  A revision without a row
+    path answers every batch size alike; 64 rows stand in there."""
+    from repro.core import query_points
+
+    return getattr(query_points, "ROW_PATH_MAX_ROWS", 64)
+
+
+def query_rows(points, seed: int):
+    """The seeded query rows a run serves (see ``_QUERIES``)."""
+    import numpy as np
+
+    pts = np.asarray(points, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    uniform = lo + (hi - lo) * rng.random((_QUERIES - _HITS, pts.shape[1]))
+    return np.concatenate([uniform, pts[rng.choice(pts.shape[0], _HITS, replace=False)]])
+
+
+def _brute_mismatches(points, rows, k: int, answers) -> int:
+    """Rows whose answered squared distances differ from brute force in
+    any path (the k smallest diff-based distances over all points)."""
+    import numpy as np
+
+    from repro.geometry.points import pairwise_sq_dists_direct
+
+    bad = np.zeros(rows.shape[0], dtype=bool)
+    for lo in range(0, rows.shape[0], 16):
+        sq = np.sort(pairwise_sq_dists_direct(rows[lo:lo + 16], points), axis=1)[:, :k]
+        want = np.full((sq.shape[0], k), np.inf)
+        want[:, : sq.shape[1]] = sq
+        for _, got in answers.values():
+            bad[lo:lo + 16] |= np.any(got[lo:lo + 16] != want, axis=1)
+    return int(np.count_nonzero(bad))
+
+
+def served(index, rows, k: int) -> Dict[str, Any]:
+    """Fingerprint fields of ``index``'s knn answers to ``rows`` along
+    every serving path (see the module docstring)."""
+    import numpy as np
+
+    from repro.serve import Batcher
+
+    def batched(size):
+        parts = [index.execute("knn", rows[lo:lo + size], k) for lo in range(0, len(rows), size)]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+    answers = {"answers": index.execute("knn", rows, k)}
+    for name, size in (("rows", 1), ("batches_2", 2), ("batches_7", 7),
+                       ("batches_wide", 2 * _row_bound())):
+        answers[f"answers_{name}"] = batched(size)
+    batcher = Batcher(index, k=k)
+    tickets = [batcher.submit(row) for row in rows]
+    batcher.flush()
+    answers["answers_batcher"] = (np.stack([t.value[0] for t in tickets]),
+                                  np.stack([t.value[1] for t in tickets]))
+    out: Dict[str, Any] = {name: _digest(*ans) for name, ans in answers.items()}
+    out["brute_mismatch_rows"] = _brute_mismatches(index.points, rows, k, answers)
+    return out
+
+
+def http_bodies(index, rows) -> str:
+    """Digest of the bodies a loopback server over ``index``'s current
+    version answers to one single-point ``/v1/query`` per row."""
+    import asyncio
+
+    from repro.net import (
+        DEFAULT_TENANT, NetConfig, NetServer, ServerThread, TenantManager, http_request,
+    )
+
+    manager = TenantManager(config=NetConfig(port=0))
+    manager.add(DEFAULT_TENANT, index)
+    bodies = []
+    with ServerThread(NetServer(manager)) as st:
+        for row in rows:
+            status, _, text = asyncio.run(http_request(
+                "127.0.0.1", st.port, "/v1/query", {"point": row.tolist()}))
+            bodies.append(f"{status} {text}")
+    return _digest(bodies)
 
 
 def diff(before: Dict[str, Dict[str, Any]], after: Dict[str, Dict[str, Any]]) -> List[str]:
@@ -136,7 +233,8 @@ def _points(n: int, d: int, seed: int, duplicates: float = 0.0, grid: bool = Fal
 def _online_chains() -> Iterator[Tuple[str, Callable[[], Iterator[Tuple[Any, ...]]]]]:
     """(name, run) per commit chain; ``run`` yields each version's
     (neighbor ids, squared distances, tree, machine, layout, answers),
-    the answers those of the version's snapshot on one seeded batch."""
+    the answers :func:`served`'s fields for the version's snapshot (and
+    for the ``large`` chain's last version, :func:`http_bodies`)."""
     import numpy as np
 
     from repro.core import FastDnCConfig
@@ -155,28 +253,32 @@ def _online_chains() -> Iterator[Tuple[str, Callable[[], Iterator[Tuple[Any, ...
     ]
     for name, n, d, k, dups, config, threshold, commits in chains:
 
-        def run(n=n, d=d, k=k, dups=dups, config=config, threshold=threshold, commits=commits):
+        def run(name=name, n=n, d=d, k=k, dups=dups, config=config, threshold=threshold,
+                commits=commits):
             seed = n + d + k
             index = MutableIndex(
                 _points(n, d, seed, dups), k, seed=seed,
                 config=FastDnCConfig(**config), churn_threshold=threshold,
             )
             rng = np.random.default_rng(seed)
-            queries = np.random.default_rng(seed + 1).random((_QUERIES, d))
+            queries = query_rows(index.points, seed + 1)
 
-            def state():
-                answers = index.snapshot().execute("knn", queries, k)
+            def state(last=False):
+                answers = served(index.snapshot(), queries, k)
+                if last and name == "large":
+                    step = len(queries) // _HTTP_QUERIES
+                    answers["http"] = http_bodies(index, queries[::step][:_HTTP_QUERIES])
                 return (index.neighbor_indices, index.neighbor_sq_dists, index.tree,
                         index.machine, index.layout, answers)
 
             yield state()
-            for n_ins, n_del in commits:
+            for i, (n_ins, n_del) in enumerate(commits):
                 if n_ins:
                     index.insert(rng.random((n_ins, d)))
                 if n_del:
                     index.delete(rng.choice(index.n, size=n_del, replace=False))
                 index.commit()
-                yield state()
+                yield state(last=i == len(commits) - 1)
 
         yield f"online/{name}", run
 
@@ -185,6 +287,7 @@ def _engine_runs() -> Iterator[Tuple[str, Callable[[], Tuple[Any, ...]]]]:
     from repro.api import all_knn
     from repro.core import FastDnCConfig, SimpleDnCConfig
     from repro.pvm import Machine
+    from repro.serve import ServingIndex
 
     inputs = [
         # name, n, d, k, duplicates, grid, config
@@ -209,12 +312,14 @@ def _engine_runs() -> Iterator[Tuple[str, Callable[[], Tuple[Any, ...]]]]:
                         engine=engine, workers=workers):
                     machine = Machine()
                     make = FastDnCConfig if method == "fast" else SimpleDnCConfig
+                    pts = _points(n, d, n + d + k, dups, grid)
                     res = all_knn(
-                        _points(n, d, n + d + k, dups, grid), k, method=method,
-                        machine=machine, config=make(**config), seed=n + k, engine=engine,
-                        workers=workers,
+                        pts, k, method=method, machine=machine, config=make(**config),
+                        seed=n + k, engine=engine, workers=workers,
                     )
-                    return res.indices, res.sq_dists, res.tree, machine
+                    index = ServingIndex(res.system.points, res._layout(), k)
+                    answers = served(index, query_rows(pts, n + d + k + 1), k)
+                    return res.indices, res.sq_dists, res.tree, machine, None, answers
 
                 tag = engine if workers is None else f"{engine}-w{workers}"
                 yield f"{method}/{name}/{tag}", run
@@ -260,6 +365,9 @@ def against(rev: str) -> int:
     finally:
         shutil.rmtree(work, ignore_errors=True)
     lines = diff(*sides)
+    for label, side in zip((rev, "this checkout"), sides):
+        lines += [f"{key}: {fp['brute_mismatch_rows']} rows differ from brute force in {label}"
+                  for key, fp in sorted(side.items()) if fp.get("brute_mismatch_rows")]
     for line in lines:
         print(line)
     print(f"differential vs {rev}: {len(sides[1])} runs, {len(lines)} mismatches")

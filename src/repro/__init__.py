@@ -81,7 +81,7 @@ from .api import (
     run_traced,
 )
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     "analysis",

@@ -8,10 +8,15 @@ levels — an idle service should answer instantly, an overloaded one
 should batch hard — so :class:`AdaptiveWindow` moves the dial
 continuously:
 
-- an EWMA of the **arrival rate** estimates how many requests one full
-  window would collect; the window opens in proportion to that fill
-  (``rate * ceiling >= max_batch`` ⇒ full ceiling, an idle stream ⇒ 0),
-  so waiting is only ever spent where it buys amortization;
+- the **arrival rate**, the inverse of an EWMA of inter-arrival gaps,
+  estimates how many requests one full window would collect; the window
+  opens in proportion to that fill (``rate * ceiling >= max_batch`` ⇒
+  full ceiling), so waiting is only ever spent where it buys
+  amortization;
+- a window in which the rate expects less than one more request stays
+  shut (``rate * window < 1`` ⇒ 0): it would only delay a batch of one.
+  With a 20 ms ceiling and 256-row batches that is every rate below
+  about 800 req/s;
 - an observed **p95 latency** (ring buffer over recent requests) caps
   the result: while p95 exceeds the SLO the window shrinks
   proportionally, trading throughput back for latency until the SLO
@@ -52,11 +57,8 @@ class AdaptiveWindow:
         Shrink the window whenever observed p95 latency exceeds this
         (``None`` disables the latency term).
     alpha:
-        EWMA smoothing factor for the arrival rate, in (0, 1]; higher
-        reacts faster.
-    floor_ms:
-        The smallest non-zero window issued while any load is present
-        (0.0 keeps the classic flush-immediately behavior when idle).
+        EWMA smoothing factor for the inter-arrival gap, in (0, 1];
+        higher reacts faster.
     latency_window:
         Ring-buffer length for the p95 estimate.
     metrics:
@@ -73,7 +75,6 @@ class AdaptiveWindow:
         max_batch: int,
         slo_p95_ms: Optional[float] = None,
         alpha: float = 0.2,
-        floor_ms: float = 0.0,
         latency_window: int = 256,
         metrics: Optional[Metrics] = None,
         clock: Callable[[], float] = time.monotonic,
@@ -84,18 +85,13 @@ class AdaptiveWindow:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if not 0.0 <= floor_ms <= ceiling_ms and ceiling_ms > 0:
-            raise ValueError(
-                f"floor_ms must be in [0, ceiling_ms], got {floor_ms}"
-            )
         self.ceiling_ms = float(ceiling_ms)
         self.max_batch = int(max_batch)
         self.slo_p95_ms = slo_p95_ms
         self.alpha = float(alpha)
-        self.floor_ms = float(floor_ms)
         self.metrics = metrics
         self.clock = clock
-        self._rate = 0.0  # EWMA arrivals/second
+        self._gap: Optional[float] = None  # EWMA seconds per arrival
         self._last_arrival: Optional[float] = None
         self._latencies: Deque[float] = deque(maxlen=int(latency_window))
 
@@ -103,11 +99,19 @@ class AdaptiveWindow:
 
     @property
     def rate(self) -> float:
-        """The current EWMA arrival-rate estimate (requests/second)."""
-        return self._rate
+        """The arrival-rate estimate (requests/second): the inverse of
+        the EWMA inter-arrival gap, 0 before the second arrival.
+
+        Averaging gaps rather than their inverses keeps the estimate
+        unbiased: a Poisson stream's short gaps have unbounded inverses,
+        and an EWMA of ``1 / gap`` at a mean 180 req/s reads near
+        1,700 req/s.
+        """
+        return 1.0 / self._gap if self._gap else 0.0
 
     def on_arrival(self, count: int = 1, now: Optional[float] = None) -> None:
-        """Fold ``count`` request arrivals at ``now`` into the rate EWMA."""
+        """Fold ``count`` request arrivals at ``now`` into the gap EWMA
+        (one gap of ``(now - last) / count`` seconds per arrival)."""
         if count < 1:
             return
         if now is None:
@@ -115,32 +119,32 @@ class AdaptiveWindow:
         if self._last_arrival is None:
             self._last_arrival = now
             return
-        dt = now - self._last_arrival
+        # a same-instant burst counts as one microsecond, so it registers
+        # as high load rather than dividing by zero
+        gap = max(now - self._last_arrival, 1e-6) / count
         self._last_arrival = now
-        if dt <= 0:
-            # same-instant burst: treat as rate over one microsecond so a
-            # tight burst registers as high load rather than dividing by 0
-            dt = 1e-6
-        inst = count / dt
-        self._rate = self.alpha * inst + (1.0 - self.alpha) * self._rate
+        if self._gap is None:
+            self._gap = gap
+        else:
+            self._gap = self.alpha * gap + (1.0 - self.alpha) * self._gap
 
     def decay_idle(self, now: Optional[float] = None) -> None:
-        """Decay the rate estimate across an arrival-free gap.
+        """Fold an arrival-free stretch into the gap estimate.
 
         The EWMA only updates on arrivals, so a stream that stops would
-        leave the rate frozen high; the flusher calls this on idle ticks
-        to fold the silence in (as a zero-arrival observation over the
-        gap).
+        leave the rate frozen high; the flusher calls this on idle ticks.
+        A silence of ``s`` seconds caps the rate at ``(1 - alpha) / s``.
         """
-        if self._last_arrival is None:
+        if self._last_arrival is None or self._gap is None:
             return
         if now is None:
             now = self.clock()
-        gap = now - self._last_arrival
-        if gap <= 0:
+        silence = now - self._last_arrival
+        if silence <= 0:
             return
-        # silence of `gap` seconds caps the plausible rate at 1/gap
-        self._rate = min(self._rate, (1.0 - self.alpha) / gap + self.alpha * 0.0)
+        cap = (1.0 - self.alpha) / silence
+        if self.rate > cap:
+            self._gap = 1.0 / cap if cap else None
 
     def on_latency(self, latency_ms: float) -> None:
         """Record one fulfilled request's wall latency (milliseconds)."""
@@ -161,10 +165,12 @@ class AdaptiveWindow:
     def window_ms(self, queue_depth: int = 0) -> float:
         """The batching window to use right now, in milliseconds.
 
-        Load-proportional base, SLO cap, clamped to
-        ``[floor_ms or 0, ceiling_ms]``; every call emits one gauge tick.
+        Load-proportional base, SLO cap, zero when the window expects
+        less than one more arrival, at most ``ceiling_ms``; every call
+        emits one gauge tick.
         """
-        expected = self._rate * (self.ceiling_ms / 1e3)  # arrivals/ceiling
+        rate = self.rate
+        expected = rate * (self.ceiling_ms / 1e3)  # arrivals/ceiling
         fill = min(1.0, expected / self.max_batch)
         window = self.ceiling_ms * fill
         if queue_depth >= self.max_batch:
@@ -173,9 +179,8 @@ class AdaptiveWindow:
             p95 = self.observed_p95_ms()
             if p95 is not None and p95 > self.slo_p95_ms:
                 window *= self.slo_p95_ms / p95
-        if window > 0:
-            window = max(self.floor_ms, window)
-        window = min(self.ceiling_ms, window)
+        if rate * window / 1e3 < 1.0:
+            window = 0.0  # no request would join: answer the one waiting
         if self.metrics is not None:
             self.metrics.set_gauge("net.window_ms", window)
             self.metrics.observe_hist("net.window_ticks", window)

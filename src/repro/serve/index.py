@@ -235,13 +235,17 @@ class ServingIndex:
 
         knn rows become ``(indices_row, sq_dists_row)``; covering rows
         become the row's ball-id array (leaf storage order, exactly what
-        the per-point ``query`` returns).
+        the per-point ``query`` returns).  A covering response's rows
+        ascend (:meth:`execute` sorts them stably), so one
+        ``searchsorted`` finds every row's slice instead of a pass over
+        all pairs per row.
         """
         if kind == "knn":
             idx, sq = response
             return [(idx[i], sq[i]) for i in range(m)]
         rows, ids = response
-        return [ids[rows == i] for i in range(m)]
+        bounds = np.searchsorted(rows, np.arange(m + 1)).tolist()
+        return [ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     # -- snapshots ---------------------------------------------------------
 

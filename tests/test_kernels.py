@@ -16,6 +16,7 @@ import repro
 import repro.core.frontier as frontier
 from repro import kernels
 from repro.core.fast_dnc import FastDnCConfig, parallel_nearest_neighborhood
+from repro.core.query_points import ROW_PATH_MAX_ROWS
 from repro.geometry.points import kth_smallest_per_row, pairwise_sq_dists_direct
 from repro.geometry.spheres import Sphere
 from repro.kernels.layout import FlatTree
@@ -270,7 +271,9 @@ class TestDispatchers:
         got = reached(lambda: repro.all_knn(pts, 2, engine="recursive", seed=5))
         assert "sphere_side" in got
         index = repro.build_index(pts, 2, seed=5)
-        got = reached(lambda: index.query(uniform_cube(64, 2, seed=6)))
+        # above the bound up to which a batch is answered row by row
+        rows = 2 * ROW_PATH_MAX_ROWS
+        got = reached(lambda: index.query(uniform_cube(rows, 2, seed=6)))
         assert {"descend_spheres", "merge_candidate_stream"} <= got
 
     def test_lazy_flattree_export(self):

@@ -1,14 +1,16 @@
 """The adaptive batching window: pure arithmetic under a fake clock.
 
-The controller's contract: window ∝ expected batch fill (arrival-rate
-EWMA × ceiling), capped by the SLO term, zeroed for a full queue,
-clamped to [floor, ceiling], every decision exported to the metrics
-registry.  All of it is deterministic given the call sequence, so each
-property pins down exactly.
+The controller's contract: window ∝ expected batch fill (arrival rate ×
+ceiling, the rate the inverse of an EWMA of inter-arrival gaps), capped
+by the SLO term, zeroed for a full queue and whenever it expects less
+than one more arrival, at most the ceiling, every decision exported to
+the metrics registry.  All of it is deterministic given the call
+sequence, so each property pins down exactly.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.net.adaptive import AdaptiveWindow
@@ -71,11 +73,42 @@ class TestWindowDecision:
             win.on_arrival(1, now=5.0)  # dt == 0 must not divide by zero
         assert win.rate > 1000.0
 
-    def test_floor_applies_only_under_load(self):
-        win = _controller(floor_ms=2.0)
-        assert win.window_ms() == 0.0  # idle stays at 0
-        _drive_rate(win, per_second=20.0)  # tiny but nonzero fill
-        assert win.window_ms() >= 2.0
+
+class TestServingRates:
+    """The serving defaults (20 ms ceiling, 256-row batches): below about
+    800 req/s no window expects a second request, so none opens."""
+
+    WARMUP = 20  # arrivals before the gap estimate has forgotten its first gap
+
+    def _stream(self, times):
+        win = _controller(max_batch=256)
+        rates, windows = [], []
+        for t in times:
+            win.on_arrival(1, now=t)
+            rates.append(win.rate)
+            windows.append(win.window_ms())
+        return np.array(rates[self.WARMUP:]), np.array(windows[self.WARMUP:])
+
+    def test_poisson_arrivals_read_their_rate_and_get_no_window(self):
+        gaps = np.random.default_rng(23).exponential(1 / 180, size=4000)
+        rates, windows = self._stream(100.0 + np.cumsum(gaps))
+        assert np.median(rates) == pytest.approx(180.0, rel=0.15)
+        # only a burst of arrivals well under a millisecond apart opens one
+        assert np.mean(windows > 0) < 0.01
+
+    def test_arrival_pairs_read_their_rate_and_get_no_window(self):
+        # 90 pairs a second, each pair's two arrivals 50 us apart
+        starts = 100.0 + np.arange(2000) / 90.0
+        rates, windows = self._stream(np.sort(np.concatenate([starts, starts + 50e-6])))
+        assert np.median(rates) == pytest.approx(180.0, rel=0.15)
+        assert rates.max() < 800.0
+        assert not windows.any()
+
+    def test_steady_load_keeps_the_proportional_window(self):
+        win = _controller(max_batch=256)
+        _drive_rate(win, per_second=1000.0)
+        # 1000/s x 20 ms = 20 expected of 256: the fill-proportional window
+        assert win.window_ms() == pytest.approx(20.0 * 20 / 256)
 
 
 class TestSloTerm:
@@ -141,5 +174,3 @@ class TestExportAndValidation:
             _controller(max_batch=0)
         with pytest.raises(ValueError, match="alpha"):
             _controller(alpha=0.0)
-        with pytest.raises(ValueError, match="floor_ms"):
-            _controller(floor_ms=30.0)

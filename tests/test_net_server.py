@@ -15,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import glob
 import json
+import socket
 import threading
 
 import numpy as np
@@ -384,3 +385,71 @@ class TestDrain:
             for i, res in enumerate(body["results"]):
                 np.testing.assert_array_equal(res["ids"], want_idx[i])
         assert set(glob.glob(f"/dev/shm/{SHM_PREFIX}*")) <= before
+
+
+class TestReadPathFaults:
+    """A client that goes away mid-request costs only its own connection."""
+
+    @staticmethod
+    def _raw_query(port, point):
+        body = json.dumps({"point": point}).encode()
+        sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+        sock.sendall(
+            b"POST /v1/query HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+        )
+        return sock
+
+    @staticmethod
+    def _wait_pending(server, count):
+        for _ in range(2000):
+            if server.tenants.get().batcher.pending >= count:
+                return
+            threading.Event().wait(0.005)
+        raise AssertionError(f"never saw {count} pending requests")
+
+    def test_client_disconnect_mid_batch_spares_the_batch(self):
+        server = _server(adaptive=False, max_wait_ms=2000.0)
+        snap = server.tenants.get().batcher.index
+        gone, stays = uniform_cube(2, D, seed=61)
+        want_idx, want_sq = snap.execute("knn", stays[None, :], 2)
+        result = {}
+        st = ServerThread(server).start()
+        try:
+            sock = self._raw_query(st.port, gone.tolist())
+            self._wait_pending(server, 1)
+            t = threading.Thread(target=lambda: result.update(
+                r=_request(st.port, "/v1/query", {"point": stays.tolist()})))
+            t.start()
+            self._wait_pending(server, 2)
+            sock.close()  # leaves while its request waits in the window
+            t.join(timeout=30)
+            assert not t.is_alive()
+            status, body, _ = result["r"]
+            assert status == 200
+            np.testing.assert_array_equal(body["results"][0]["ids"], want_idx[0])
+            assert _as_f64(body["results"][0]["sq_dists"]).tobytes() == want_sq[0].tobytes()
+            assert not server._loops["default"].task.done()  # the flusher lives on
+            assert server.stats.http_errors == 0
+        finally:
+            summary = st.stop()
+        assert summary["clean"] and summary["inflight_remaining"] == 0
+
+    def test_truncated_body_closes_only_its_connection(self):
+        server = _server(adaptive=False, max_wait_ms=2000.0)
+        with ServerThread(server) as st:
+            sock = socket.create_connection(("127.0.0.1", st.port), timeout=10)
+            sock.sendall(
+                b"POST /v1/query HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n"
+                b"Content-Length: 100\r\n\r\n{\"point\": [0.5,"
+            )
+            sock.shutdown(socket.SHUT_WR)  # the rest of the body never comes
+            answer = b""
+            while chunk := sock.recv(4096):
+                answer += chunk
+            sock.close()
+            assert answer == b""  # closed with no response at all
+            assert server.stats.http_errors == 0
+            assert server.stats.queries == 0
+            status, body, _ = _request(st.port, "/v1/query", {"points": [[0.5, 0.5]], "k": 1})
+            assert status == 200 and len(body["results"]) == 1

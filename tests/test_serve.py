@@ -45,6 +45,23 @@ def test_execute_covering_matches_per_point_query(index, queries):
         assert np.array_equal(ids[rows == i], index.structure.query(queries[i]))
 
 
+def test_split_covering_equals_per_row_reference(index, queries):
+    """One searchsorted split gives each row exactly ``ids[rows == i]``,
+    including rows no ball covers and trailing rows past the last pair."""
+    far = np.array([[50.0, 50.0], [-9.0, 3.0]])  # outside every ball
+    qs = np.concatenate([far[:1], queries[:40], far, queries[40:60], far[1:]])
+    rows, ids = index.execute("covering", qs)
+    m = qs.shape[0]
+    got = ServingIndex.split_response("covering", (rows, ids), m)
+    assert len(got) == m
+    for i in range(m):
+        assert np.array_equal(got[i], ids[rows == i])
+    assert got[0].shape == (0,) and got[-1].shape == (0,)
+    assert sum(g.shape[0] for g in got) == ids.shape[0]
+    empty = ServingIndex.split_response("covering", (rows[:0], ids[:0]), 3)
+    assert [g.shape for g in empty] == [(0,)] * 3
+
+
 def test_execute_batch_composition_invariance(index, queries):
     """Answers must not depend on which batch a point rides in."""
     full_idx, full_sq = index.execute("knn", queries)
